@@ -24,6 +24,8 @@ from .dp import (
     QuadratureSpec,
     _reward_table,
     rollout_net_reward,
+    rollout_net_rewards,
+    rollout_observations,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -285,36 +287,6 @@ def _is_pd(matrix: np.ndarray) -> bool:
         return False
 
 
-def _gaussian_policy_rollouts(instance: ProblemInstance, policy, xs: np.ndarray):
-    """(net reward, tests performed, decision index) arrays for many episodes.
-
-    Fast path for d == 1 (the root action is shared by all episodes and the
-    post-test decision has a closed form); generic rollout loop otherwise.
-    """
-    n = xs.shape[0]
-    net = np.empty(n)
-    tests = np.zeros(n, dtype=int)
-    dec = np.zeros(n, dtype=int)
-    if instance.d == 1 and instance.reward.kind == "quadratic":
-        kind, which = policy.node(0, ())[1]
-        ys = np.array([y[0] for y in instance.decisions])
-        if kind == "decide":
-            dec[:] = which
-            net[:] = -((xs[:, 0] - ys[which]) ** 2)
-            return net, tests, dec
-        sq = (xs[:, 0][:, None] - ys[None, :]) ** 2
-        dec = np.argmin(sq, axis=1)
-        tests[:] = 1
-        net = -sq[np.arange(n), dec] - float(instance.costs[0])
-        return net, tests, dec
-    for t in range(n):
-        roll = policy.trace(xs[t], on_missing="error")
-        net[t] = rollout_net_reward(instance, xs[t], roll)
-        tests[t] = len(roll.tests)
-        dec[t] = roll.decision
-    return net, tests, dec
-
-
 def run_etc_gaussian(
     env: GaussianEnvironment,
     config: EtcConfig,
@@ -332,7 +304,7 @@ def run_etc_gaussian(
     T = config.horizon
     n0 = gaussian_exploration_episodes(config)
     xs = env.outcomes(T)
-    clair = env.clairvoyant_policy(config.quadrature)
+    clair = env.clairvoyant_policy(config.quadrature, config.state_cap)
 
     estimate = None
     estimation_failure = False
@@ -355,7 +327,7 @@ def run_etc_gaussian(
             decisions=instance.decisions,
             reward=instance.reward,
         )
-        policy, _ = solve_dp_gaussian(emp_instance, config.quadrature)
+        policy, _ = solve_dp_gaussian(emp_instance, config.quadrature, config.state_cap)
 
     dec_matrix = np.array([list(y) for y in instance.decisions])
     total_cost = float(instance.costs.sum())
@@ -369,34 +341,28 @@ def run_etc_gaussian(
     realized = np.empty(T)
     tests_performed = np.empty(T, dtype=int)
     decision_idx = np.empty(T, dtype=int)
+    order = np.tile(np.arange(instance.d), (T, 1))  # tests per episode, in order
     exp_net, exp_tests, exp_dec = full_test_rows(xs[:n_explore])
     realized[:n_explore] = exp_net
     tests_performed[:n_explore] = exp_tests
     decision_idx[:n_explore] = exp_dec
     if n_explore < T:
         if policy is not None:
-            c_net, c_tests, c_dec = _gaussian_policy_rollouts(instance, policy, xs[n_explore:])
+            c_tests, c_dec, order[n_explore:] = policy.rollouts(xs[n_explore:])
+            c_net = rollout_net_rewards(instance, xs[n_explore:], order[n_explore:], c_dec)
         else:
             c_net, c_tests, c_dec = full_test_rows(xs[n_explore:])
         realized[n_explore:] = c_net
         tests_performed[n_explore:] = c_tests
         decision_idx[n_explore:] = c_dec
 
-    clair_net, _, _ = _gaussian_policy_rollouts(instance, clair, xs)
+    _, clair_dec, clair_order = clair.rollouts(xs)
+    clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
 
     labels = [decision_label(instance, j) for j in range(len(instance.decisions))]
     decisions = [labels[j] for j in decision_idx]
     phase = ["explore" if t < n_explore else "commit" for t in range(T)]
-
-    observations = None
-    if collect_observations:
-        observations = []
-        for t in range(T):
-            if t < n_explore or tests_performed[t] == instance.d:
-                observations.append({i: float(xs[t, i]) for i in range(instance.d)})
-            else:
-                roll = policy.trace(xs[t], on_missing="error")
-                observations.append({i: float(xs[t, i]) for i in roll.tests})
+    observations = rollout_observations(xs, order) if collect_observations else None
 
     metadata = {
         "n_explore": n_explore,

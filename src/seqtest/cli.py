@@ -162,7 +162,7 @@ def _cmd_solve(args) -> int:
         quadrature = QuadratureSpec(
             nodes_per_test=args.nodes_per_test, max_depth=args.max_depth
         )
-        policy, table = solve_dp_gaussian(instance, quadrature)
+        policy, table = solve_dp_gaussian(instance, quadrature, args.state_cap)
         kind, which = table.entries[table.root_key][1]
         out = {"value": table.root_value, "action": f"{kind}:{which}"}
     print(json.dumps(out, sort_keys=True))

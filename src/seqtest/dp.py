@@ -11,7 +11,16 @@ best action legal regardless of which coordinates produced the key.
 Gaussian instances are solved approximately on a scenario tree: each tested
 coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
 posterior marginal, and the returned policy re-runs the same backward induction
-from whatever real-valued state it is queried at.
+from whatever real-valued state it is queried at. A Gaussian's conditional
+covariance depends only on which entries are observed, not on their values, so
+the Cholesky factor of the observed block, the conditional covariance and its
+trace are computed once per observed mask; states sharing a mask are then
+evaluated together as numpy batches (posterior means by one triangular solve
+over all of them). Rollouts advance all episodes level by level, grouped by
+their current mask, in batches of bounded size, and keep no per-state memo, so
+memory does not grow with the number of episodes. The full tree has
+sum_k d!/(d-k)! n^k nodes for n nodes per test; a solve whose tree exceeds the
+state cap fails before evaluating anything.
 
 Tie-breaking everywhere: a decision beats an equal-valued test, lower test
 index beats higher, lower decision index beats higher. Value comparisons are
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .models import (
     DiscreteOutcomeModel,
@@ -37,6 +47,7 @@ from .models import (
     consistent_support_indices,
     marginal_over_test,
     posterior_gaussian,
+    spd_factor,
 )
 
 # action = ("test", test_index) or ("decide", decision_index)
@@ -347,25 +358,42 @@ def q_value(
     return q
 
 
-def _gaussian_decision_values(instance: ProblemInstance, s: TestState) -> np.ndarray:
-    """Closed-form E[f(x, y) | s] per decision for Gaussian models."""
+def _require_quadratic(instance: ProblemInstance) -> None:
     if instance.reward.kind != "quadratic":
         raise InstanceError(
             f"reward kind {instance.reward.kind!r} has no closed form for "
             "Gaussian models (only 'quadratic' is supported)"
         )
-    dec = np.array([list(y) for y in instance.decisions], dtype=float)
+
+
+def _decision_matrix(instance: ProblemInstance) -> np.ndarray:
+    return np.array([list(y) for y in instance.decisions], dtype=float)
+
+
+def _quadratic_decision_values(dec, obs, miss, values, means, trace) -> np.ndarray:
+    """E[f(x, y) | state] = -E||x - y||^2 per (state, decision) for n states
+    observing ``obs`` with ``values`` (n, |obs|), whose posteriors over
+    ``miss`` have means ``means`` (n, |miss|) and covariance trace ``trace``."""
+    total = np.zeros((values.shape[0], dec.shape[0]))
+    if obs:
+        total += ((values[:, None, :] - dec[:, obs][None]) ** 2).sum(axis=2)
+    if miss:
+        total += ((means[:, None, :] - dec[:, miss][None]) ** 2).sum(axis=2)
+        total += trace
+    return -total
+
+
+def _gaussian_decision_values(instance: ProblemInstance, s: TestState) -> np.ndarray:
+    """Closed-form E[f(x, y) | s] per decision for Gaussian models."""
+    _require_quadratic(instance)
     obs = list(s.observed_indices)
     miss = list(s.missing_indices)
-    total = np.zeros(len(dec))
-    if obs:
-        values = np.array([s.entries[i] for i in obs])
-        total += ((values[None, :] - dec[:, obs]) ** 2).sum(axis=1)
+    means, trace = None, 0.0
     if miss:
         post = posterior_gaussian(instance.model, s)
-        total += ((post.mean[None, :] - dec[:, miss]) ** 2).sum(axis=1)
-        total += float(np.trace(post.covariance))
-    return -total
+        means, trace = post.mean[None, :], float(np.trace(post.covariance))
+    values = np.array([[s.entries[i] for i in obs]], dtype=float)
+    return _quadratic_decision_values(_decision_matrix(instance), obs, miss, values, means, trace)[0]
 
 
 def decision_reward(instance: ProblemInstance, s: TestState, decision_index: int) -> float:
@@ -398,11 +426,39 @@ def decision_reward(instance: ProblemInstance, s: TestState, decision_index: int
 # Gaussian scenario-tree DP
 # ---------------------------------------------------------------------------
 
+# Most states evaluated in one batch; larger batches are split. A batch's
+# children number nodes_per_test * _CHUNK per missing test, so the memory of a
+# tree evaluation or a rollout is bounded whatever the number of episodes.
+_CHUNK = 256
+
 
 def _gauss_hermite(n: int):
     """Probabilist-normalized Gauss-Hermite nodes and weights (sum to 1)."""
     nodes, weights = np.polynomial.hermite.hermgauss(n)
     return nodes, weights / math.sqrt(math.pi)
+
+
+def gaussian_tree_size(d: int, nodes_per_test: int) -> int:
+    """Node count of the full scenario tree: sum_{k=0..d} d!/(d-k)! n^k."""
+    total, level = 0, 1
+    for k in range(d + 1):
+        total += level
+        level *= (d - k) * nodes_per_test
+    return total
+
+
+@dataclass(frozen=True)
+class _MaskConditioning:
+    """The part of the posterior given an observed mask that does not depend
+    on the observed values: the conditional covariance of a Gaussian depends
+    only on which entries are observed."""
+
+    obs: list
+    miss: list
+    factor: object  # cho_factor of Sigma[obs, obs]; None unless obs and miss
+    sigma_ab: Optional[np.ndarray]  # Sigma[miss, obs]
+    trace: float  # trace of the conditional covariance
+    scales: tuple  # sqrt(2 * conditional variance) per missing index
 
 
 class GaussianTreePolicy:
@@ -411,6 +467,9 @@ class GaussianTreePolicy:
     The policy is evaluable at arbitrary real observations: querying an action
     recomputes the induction from the queried state as the root, so committed
     agents can follow it on outcomes that never coincide with tree nodes.
+    States are evaluated in batches that share an observed mask; the
+    conditioning for each mask is computed once, on first visit. Only the
+    root's (value, action, decision) is kept; no other state is memoized.
     """
 
     def __init__(self, instance: ProblemInstance, quadrature: QuadratureSpec):
@@ -420,42 +479,89 @@ class GaussianTreePolicy:
             raise QuadratureCapError(
                 f"dimension {instance.d} exceeds max_depth {quadrature.max_depth}"
             )
+        _require_quadratic(instance)
         self.instance = instance
         self.quadrature = quadrature
         self._nodes, self._weights = _gauss_hermite(quadrature.nodes_per_test)
-        self._memo: dict = {}
+        self._decisions = _decision_matrix(instance)
+        self._masks: dict = {}  # observed mask -> _MaskConditioning
+        self._root = None
 
-    def _state(self, obs_mask: int, obs_values: tuple) -> TestState:
-        entries = [None] * self.instance.d
-        for pos, i in enumerate(_bits(obs_mask)):
-            entries[i] = obs_values[pos]
-        return TestState(entries=tuple(entries))
+    def _conditioning(self, mask: int) -> _MaskConditioning:
+        cached = self._masks.get(mask)
+        if cached is not None:
+            return cached
+        cov = self.instance.model.covariance
+        obs = _bits(mask)
+        miss = [i for i in range(self.instance.d) if not mask >> i & 1]
+        factor = sigma_ab = None
+        if obs and miss:
+            sigma_ab = cov[np.ix_(miss, obs)]
+            factor = spd_factor(cov[np.ix_(obs, obs)])
+            cov = cov[np.ix_(miss, miss)] - sigma_ab @ cho_solve(factor, sigma_ab.T)
+            cov = (cov + cov.T) / 2.0
+        cond = _MaskConditioning(
+            obs=obs,
+            miss=miss,
+            factor=factor,
+            sigma_ab=sigma_ab,
+            trace=float(np.trace(cov)) if miss else 0.0,
+            scales=tuple(math.sqrt(2.0 * float(cov[p, p])) for p in range(len(miss))),
+        )
+        self._masks[mask] = cond
+        return cond
+
+    def node_batch(self, obs_mask: int, values: np.ndarray):
+        """(value, action, best decision) arrays for the n states observing
+        ``obs_mask``; ``values`` is (n, |mask|) in ascending index order. The
+        action is the index of the test to perform, or -1 to decide."""
+        n = values.shape[0]
+        if n > _CHUNK:
+            parts = [self.node_batch(obs_mask, values[s : s + _CHUNK]) for s in range(0, n, _CHUNK)]
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        c = self._conditioning(obs_mask)
+        mean = self.instance.model.mean
+        means = None
+        if c.factor is not None:
+            centred = (values - mean[c.obs]).T
+            means = mean[c.miss] + (c.sigma_ab @ cho_solve(c.factor, centred)).T
+        elif c.miss:
+            means = np.broadcast_to(mean, (n, len(c.miss)))
+        dec_values = _quadratic_decision_values(
+            self._decisions, c.obs, c.miss, values, means, c.trace
+        )
+        decision = np.argmax(dec_values, axis=1)
+        best = dec_values[np.arange(n), decision]
+        action = np.full(n, -1)
+        k = len(c.obs)
+        for pos, i in enumerate(c.miss):
+            rank = sum(j < i for j in c.obs)
+            child = np.empty((len(self._nodes), n, k + 1))
+            child[:, :, :rank] = values[:, :rank]
+            child[:, :, rank] = means[:, pos] + c.scales[pos] * self._nodes[:, None]
+            child[:, :, rank + 1 :] = values[:, rank:]
+            child_values = self.node_batch(obs_mask | (1 << i), child.reshape(-1, k + 1))[0]
+            q = np.full(n, -float(self.instance.costs[i]))
+            for w, v in zip(self._weights, child_values.reshape(len(self._nodes), n)):
+                q += w * v
+            better = q > best
+            best = np.where(better, q, best)
+            action[better] = i
+        return best, action, decision
 
     def node(self, obs_mask: int, obs_values: tuple):
         """(value, action, best decision) at a (possibly off-tree) state."""
-        key = (obs_mask, obs_values)
-        entry = self._memo.get(key)
-        if entry is not None:
-            return entry
-        s = self._state(obs_mask, obs_values)
-        dec_values = _gaussian_decision_values(self.instance, s)
-        dec_j = int(np.argmax(dec_values))
-        best_val, best_act = float(dec_values[dec_j]), ("decide", dec_j)
-        miss = s.missing_indices
-        if miss:
-            post = posterior_gaussian(self.instance.model, s)
-            for pos, i in enumerate(miss):
-                mean_i = float(post.mean[pos])
-                scale = math.sqrt(2.0 * float(post.covariance[pos, pos]))
-                rank = _bits(obs_mask | (1 << i)).index(i)
-                q = -float(self.instance.costs[i])
-                for h, w in zip(self._nodes, self._weights):
-                    child_values = obs_values[:rank] + (mean_i + scale * h,) + obs_values[rank:]
-                    q += w * self.node(obs_mask | (1 << i), child_values)[0]
-                if q > best_val:
-                    best_val, best_act = q, ("test", i)
-        entry = (best_val, best_act, dec_j)
-        self._memo[key] = entry
+        if obs_mask == 0 and self._root is not None:
+            return self._root
+        value, action, decision = self.node_batch(obs_mask, np.array([obs_values], dtype=float))
+        j = int(decision[0])
+        entry = (
+            float(value[0]),
+            ("test", int(action[0])) if action[0] >= 0 else ("decide", j),
+            j,
+        )
+        if obs_mask == 0:
+            self._root = entry
         return entry
 
     @property
@@ -473,25 +579,69 @@ class GaussianTreePolicy:
             mask |= 1 << i
         return self.node(mask, tuple(float(s.entries[i]) for i in obs))[1]
 
+    def rollouts(self, xs: np.ndarray):
+        """Roll the policy out on every outcome row of ``xs`` (n, d).
+
+        Returns (tests performed, decision, test order): two (n,) arrays and
+        an (n, d) array whose row t lists episode t's tests in the order
+        performed, padded with -1. Episodes advance level by level, batched by
+        their current observed mask; the root is evaluated once for all.
+        """
+        xs = np.asarray(xs, dtype=float)
+        n = xs.shape[0]
+        order = np.full((n, self.instance.d), -1)
+        decision = np.empty(n, dtype=int)
+        _, (kind, which), _ = self.node(0, ())
+        if kind == "decide":
+            decision[:] = which
+            return np.zeros(n, dtype=int), decision, order
+        masks = np.zeros(n, dtype=np.int64)
+        active, pending = np.arange(n), np.full(n, which)
+        level = 0
+        while active.size:
+            order[active, level] = pending
+            masks[active] |= 1 << pending
+            level += 1
+            next_active, next_pending = [], []
+            for mask in np.unique(masks[active]):
+                rows = active[masks[active] == mask]
+                mask = int(mask)
+                _, action, dec = self.node_batch(mask, xs[np.ix_(rows, _bits(mask))])
+                done = action < 0
+                decision[rows[done]] = dec[done]
+                next_active.append(rows[~done])
+                next_pending.append(action[~done])
+            active, pending = np.concatenate(next_active), np.concatenate(next_pending)
+        return (order >= 0).sum(axis=1), decision, order
+
     def trace(self, x: Sequence[float], on_missing: str = "fallback") -> Rollout:
-        mask, values = 0, ()
-        tests = []
-        while True:
-            _, (kind, which), _ = self.node(mask, values)
-            if kind == "decide":
-                return Rollout(tests=tuple(tests), decision=which)
-            tests.append(which)
-            rank = _bits(mask | (1 << which)).index(which)
-            values = values[:rank] + (float(x[which]),) + values[rank:]
-            mask |= 1 << which
+        tests, decision, order = self.rollouts(np.asarray(x, dtype=float)[None, :])
+        return Rollout(
+            tests=tuple(int(i) for i in order[0, : tests[0]]), decision=int(decision[0])
+        )
 
 
-def solve_dp_gaussian(instance: ProblemInstance, quadrature: Optional[QuadratureSpec] = None):
-    """Approximate optimal policy for a Gaussian instance via the scenario tree."""
+def solve_dp_gaussian(
+    instance: ProblemInstance,
+    quadrature: Optional[QuadratureSpec] = None,
+    state_cap: int = 10**7,
+):
+    """Approximate optimal policy for a Gaussian instance via the scenario tree.
+
+    Raises :class:`StateSpaceError` before evaluating anything when the full
+    tree has more than ``state_cap`` nodes. The returned table holds the root
+    entry only; the policy re-evaluates every other state on demand.
+    """
     quadrature = quadrature or QuadratureSpec()
     policy = GaussianTreePolicy(instance, quadrature)
-    policy.node(0, ())  # force full tree evaluation
-    table = ValueTable(entries=policy._memo, root_key=(0, ()))
+    size = gaussian_tree_size(instance.d, quadrature.nodes_per_test)
+    if size > state_cap:
+        raise StateSpaceError(
+            f"scenario-tree budget: {size} nodes (d={instance.d}, "
+            f"{quadrature.nodes_per_test} nodes per test) exceed the state cap {state_cap}"
+        )
+    root_key = (0, ())
+    table = ValueTable(entries={root_key: policy.node(*root_key)}, root_key=root_key)
     return policy, table
 
 
@@ -506,6 +656,22 @@ def rollout_net_reward(instance: ProblemInstance, x, rollout: Rollout, support_i
     for i in rollout.tests:
         test_cost += float(instance.costs[i])
     return instance.reward_value(x, rollout.decision, support_index=support_index) - test_cost
+
+
+def rollout_net_rewards(instance: ProblemInstance, xs: np.ndarray, order: np.ndarray, decisions) -> np.ndarray:
+    """:func:`rollout_net_reward` of every episode of a batched rollout
+    (``order`` and ``decisions`` as returned by ``GaussianTreePolicy.rollouts``)."""
+    test_cost = np.zeros(len(xs))
+    for k in range(order.shape[1]):
+        took = order[:, k] >= 0
+        test_cost[took] += instance.costs[order[took, k]]
+    reward = [instance.reward_value(x, int(j)) for x, j in zip(xs, decisions)]
+    return np.array(reward) - test_cost
+
+
+def rollout_observations(xs: np.ndarray, order: np.ndarray) -> list:
+    """Per-episode {test index -> observed value} of a batched rollout."""
+    return [{int(i): float(x[i]) for i in row if i >= 0} for x, row in zip(xs, order)]
 
 
 def evaluate_policy(
@@ -529,10 +695,8 @@ def evaluate_policy(
         rng = np.random.default_rng(0)
     chol = np.linalg.cholesky(instance.model.covariance)
     draws = rng.standard_normal((mc_episodes, instance.d)) @ chol.T + instance.model.mean
-    rewards = np.empty(mc_episodes)
-    for t in range(mc_episodes):
-        roll = policy.trace(draws[t], on_missing="error")
-        rewards[t] = rollout_net_reward(instance, draws[t], roll)
+    _, decisions, order = policy.rollouts(draws)
+    rewards = rollout_net_rewards(instance, draws, order, decisions)
     return PolicyValue(
         value=float(rewards.mean()),
         stderr=float(rewards.std(ddof=1) / math.sqrt(mc_episodes)),

@@ -89,10 +89,12 @@ class GaussianEnvironment:
         z = self._rng.standard_normal((n, self.instance.d))
         return z @ self._chol.T + self.instance.model.mean
 
-    def clairvoyant_policy(self, quadrature: Optional[QuadratureSpec] = None):
+    def clairvoyant_policy(
+        self, quadrature: Optional[QuadratureSpec] = None, state_cap: int = 10**7
+    ):
         if self._clair_policy is None:
             self._clair_policy, _ = solve_dp_gaussian(
-                self.instance, quadrature or QuadratureSpec()
+                self.instance, quadrature or QuadratureSpec(), state_cap
             )
         return self._clair_policy
 

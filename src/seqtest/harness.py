@@ -25,7 +25,7 @@ from .agents import (
     run_etc_doubling,
     run_etc_gaussian,
 )
-from .dp import QuadratureSpec
+from .dp import QuadratureSpec, rollout_net_rewards, rollout_observations
 from .elimination import OcmespConfig, run_ocmesp
 from .envs import (
     DiscreteEnvironment,
@@ -141,21 +141,12 @@ def _run_clairvoyant(config: ExperimentConfig, seed: int, collect: bool) -> Regr
             observations=observations,
         )
     env = GaussianEnvironment(instance, seed)
-    quadrature = QuadratureSpec(
-        nodes_per_test=int(params.get("nodes_per_test", 16)),
-        max_depth=int(params.get("max_depth", 6)),
-    )
-    policy = env.clairvoyant_policy(quadrature)
+    etc_config = _etc_config(config, params)
+    policy = env.clairvoyant_policy(etc_config.quadrature, etc_config.state_cap)
     xs = env.outcomes(T)
-    from .agents import _gaussian_policy_rollouts
-
-    net, tests, dec = _gaussian_policy_rollouts(instance, policy, xs)
-    observations = None
-    if collect:
-        observations = []
-        for t in range(T):
-            roll = policy.trace(xs[t])
-            observations.append({i: float(xs[t, i]) for i in roll.tests})
+    tests, dec, order = policy.rollouts(xs)
+    net = rollout_net_rewards(instance, xs, order, dec)
+    observations = rollout_observations(xs, order) if collect else None
     return RegretTrace(
         agent="clairvoyant",
         seed=seed,

@@ -366,18 +366,22 @@ def posterior_discrete(model: DiscreteOutcomeModel, s: TestState) -> DiscreteOut
     return DiscreteOutcomeModel(support=model.support[idx], probs=model.probs[idx] / mass)
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive-definite a via Cholesky; refuse
-    (rather than regularize) when a is numerically singular."""
+def spd_factor(a: np.ndarray):
+    """Cholesky factor (for ``cho_solve``) of a symmetric positive-definite a;
+    refuse (rather than regularize) when a is numerically singular."""
     if np.linalg.cond(a) > SINGULARITY_CONDITION_CAP:
         raise IllConditionedError(
             "observed block is numerically singular (condition > 1e12)"
         )
     try:
-        factor = cho_factor(a, lower=True)
+        return cho_factor(a, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond()
         raise IllConditionedError(str(exc)) from exc
-    return cho_solve(factor, b)
+
+
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for symmetric positive-definite a via Cholesky."""
+    return cho_solve(spd_factor(a), b)
 
 
 def posterior_gaussian(model: GaussianOutcomeModel, s: TestState) -> GaussianOutcomeModel:

@@ -1,12 +1,19 @@
 """CLI surface: subcommands, flags, exit codes, machine-readable outputs."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from seqtest.cli import main
-from seqtest.models import load_instance
+from seqtest.models import (
+    GaussianOutcomeModel,
+    ProblemInstance,
+    RewardSpec,
+    load_instance,
+    save_instance,
+)
 
 
 def run_cli(*argv):
@@ -68,6 +75,35 @@ class TestSolve:
         code = run_cli("solve", "--instance", str(inst_path), "--state-cap", "3")
         assert code == 2
         assert "blowup" in capsys.readouterr().err
+
+    @staticmethod
+    def _identity_quadratic(path, d):
+        save_instance(
+            ProblemInstance(
+                model=GaussianOutcomeModel(mean=np.zeros(d), covariance=np.eye(d)),
+                costs=np.full(d, 0.1),
+                decisions=(tuple([0.0] * d), tuple([1.0] * d)),
+                reward=RewardSpec(kind="quadratic"),
+            ),
+            path,
+        )
+
+    def test_gaussian_tree_budget_exit_2(self, tmp_path, capsys):
+        inst_path = tmp_path / "g6.json"
+        self._identity_quadratic(inst_path, 6)
+        start = time.perf_counter()
+        code = run_cli("solve", "--instance", str(inst_path), "--nodes-per-test", "16")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "state cap" in capsys.readouterr().err
+
+    def test_gaussian_tree_within_budget_solves(self, tmp_path, capsys):
+        inst_path = tmp_path / "g4.json"
+        self._identity_quadratic(inst_path, 4)
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", str(inst_path), "--nodes-per-test", "4") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["action"].split(":")[0] in ("test", "decide")
 
     def test_entropy_instance_solved_offline(self, tmp_path, capsys):
         inst_path = tmp_path / "g.json"

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import seqtest.dp as dp
 from seqtest.dp import (
     GaussianTreePolicy,
     QuadratureCapError,
     QuadratureSpec,
     StateSpaceError,
+    _bits,
+    _gaussian_decision_values,
     decision_reward,
     evaluate_policy,
+    gaussian_tree_size,
     policy_records,
     q_value,
     solve_dp_discrete,
@@ -23,11 +27,13 @@ from seqtest.generators import brute_force_policy_oracle, gen_lower_bound_single
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
+    IllConditionedError,
     InstanceError,
     ProblemInstance,
     RewardSpec,
     TestState,
     initial_state,
+    posterior_gaussian,
 )
 from conftest import random_discrete_instance
 
@@ -359,3 +365,187 @@ class TestEvaluatePolicy:
         val = evaluate_policy(inst, policy, mc_episodes=20_000, rng=np.random.default_rng(3))
         assert val.stderr > 0.0
         assert abs(val.value - table.root_value) <= 5.0 * val.stderr
+
+
+class RecursiveTreeOracle:
+    """The per-state recursion the batched tree evaluator replaced, kept
+    verbatim as an oracle: one posterior solve per state, memoized forever."""
+
+    def __init__(self, instance, nodes_per_test):
+        self.instance = instance
+        self._nodes, self._weights = dp._gauss_hermite(nodes_per_test)
+        self._memo = {}
+
+    def node(self, obs_mask, obs_values):
+        key = (obs_mask, obs_values)
+        entry = self._memo.get(key)
+        if entry is not None:
+            return entry
+        entries = [None] * self.instance.d
+        for pos, i in enumerate(_bits(obs_mask)):
+            entries[i] = obs_values[pos]
+        s = TestState(entries=tuple(entries))
+        dec_values = _gaussian_decision_values(self.instance, s)
+        dec_j = int(np.argmax(dec_values))
+        best_val, best_act = float(dec_values[dec_j]), ("decide", dec_j)
+        miss = s.missing_indices
+        if miss:
+            post = posterior_gaussian(self.instance.model, s)
+            for pos, i in enumerate(miss):
+                mean_i = float(post.mean[pos])
+                scale = math.sqrt(2.0 * float(post.covariance[pos, pos]))
+                rank = _bits(obs_mask | (1 << i)).index(i)
+                q = -float(self.instance.costs[i])
+                for h, w in zip(self._nodes, self._weights):
+                    child_values = obs_values[:rank] + (mean_i + scale * h,) + obs_values[rank:]
+                    q += w * self.node(obs_mask | (1 << i), child_values)[0]
+                if q > best_val:
+                    best_val, best_act = q, ("test", i)
+        entry = (best_val, best_act, dec_j)
+        self._memo[key] = entry
+        return entry
+
+    def trace(self, x):
+        mask, values, tests = 0, (), []
+        while True:
+            _, (kind, which), _ = self.node(mask, values)
+            if kind == "decide":
+                return tuple(tests), which
+            tests.append(which)
+            rank = _bits(mask | (1 << which)).index(which)
+            values = values[:rank] + (float(x[which]),) + values[rank:]
+            mask |= 1 << which
+
+
+def random_quadratic_instance(rng, d, max_cost=0.6):
+    """Correlated Gaussian with a few random decisions; the default costs are
+    small enough that both testing and deciding occur."""
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T + 0.3 * np.eye(d)
+    cov = (cov + cov.T) / 2.0
+    n_dec = int(rng.integers(2, 6))
+    return ProblemInstance(
+        model=GaussianOutcomeModel(mean=rng.standard_normal(d), covariance=cov),
+        costs=rng.uniform(0.0, max_cost, size=d),
+        decisions=tuple(tuple(row) for row in rng.uniform(-2.0, 2.0, size=(n_dec, d))),
+        reward=RewardSpec(kind="quadratic"),
+    )
+
+
+def sample_outcomes(instance, rng, n):
+    chol = np.linalg.cholesky(instance.model.covariance)
+    return rng.standard_normal((n, instance.d)) @ chol.T + instance.model.mean
+
+
+# (d, nodes per test) for the oracle comparisons; d=1 is the case the removed
+# single-test fast path used to cover
+ORACLE_CASES = [(1, 16), (1, 5), (2, 8), (2, 3), (3, 5), (3, 4)]
+
+
+class TestBatchedTreeMatchesRecursion:
+    @pytest.mark.parametrize("d,nodes", ORACLE_CASES)
+    def test_root_and_off_tree_nodes(self, d, nodes):
+        rng = np.random.default_rng(1000 * d + nodes)
+        for _ in range(3):
+            inst = random_quadratic_instance(rng, d)
+            oracle = RecursiveTreeOracle(inst, nodes)
+            policy, table = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=nodes))
+            want = oracle.node(0, ())
+            assert abs(table.root_value - want[0]) <= 1e-12
+            assert table.root_action == want[1]
+            for x in sample_outcomes(inst, rng, 8):
+                mask = int(rng.integers(1, 2**d))
+                values = tuple(float(x[i]) for i in _bits(mask))
+                got, want = policy.node(mask, values), oracle.node(mask, values)
+                assert abs(got[0] - want[0]) <= 1e-12
+                assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("d,nodes", ORACLE_CASES)
+    @pytest.mark.parametrize("max_cost", [0.6, 3.0])
+    def test_rollouts_match_oracle_traces(self, d, nodes, max_cost):
+        rng = np.random.default_rng(2000 * d + nodes)
+        inst = random_quadratic_instance(rng, d, max_cost)
+        oracle = RecursiveTreeOracle(inst, nodes)
+        policy, _ = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=nodes))
+        xs = sample_outcomes(inst, rng, 256)
+        tests, decisions, order = policy.rollouts(xs)
+        for t, x in enumerate(xs):
+            want_tests, want_decision = oracle.trace(x)
+            assert tuple(order[t, : tests[t]]) == want_tests
+            assert (order[t, tests[t] :] == -1).all()
+            assert decisions[t] == want_decision
+        roll = policy.trace(xs[0])
+        assert (roll.tests, roll.decision) == oracle.trace(xs[0])
+
+    @pytest.mark.parametrize("d,nodes", [(1, 8), (2, 5), (3, 4)])
+    def test_chunk_size_does_not_change_rollouts(self, d, nodes, monkeypatch):
+        rng = np.random.default_rng(3000 * d + nodes)
+        inst = random_quadratic_instance(rng, d)
+        xs = sample_outcomes(inst, rng, 300)
+        quad_spec = QuadratureSpec(nodes_per_test=nodes)
+        _, table = solve_dp_gaussian(inst, quad_spec)
+        default = GaussianTreePolicy(inst, quad_spec).rollouts(xs)
+        monkeypatch.setattr(dp, "_CHUNK", 1)
+        policy, table_one = solve_dp_gaussian(inst, quad_spec)
+        assert table_one.root_value == table.root_value
+        for got, want in zip(policy.rollouts(xs), default):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestGaussianTreeResources:
+    def test_memory_flat_in_episodes(self):
+        rng = np.random.default_rng(7)
+        inst = random_quadratic_instance(rng, 3)
+        policy, table = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=6))
+        sizes = []
+        for n in (2**8, 2**12):
+            policy.rollouts(sample_outcomes(inst, rng, n))
+            sizes.append((len(table), len(policy._masks)))
+        assert sizes[0] == sizes[1]
+        assert sizes[0][1] <= 2**3
+
+    def test_ill_conditioned_mask_raises_only_when_reached(self):
+        # tests 0 and 1 are nearly collinear (condition ~1e14) and independent
+        # of test 2: only states observing both 0 and 1 with 2 missing need the
+        # singular block
+        eps = 1e-14
+        cov = np.array([[1.0, 1.0 - eps, 0.0], [1.0 - eps, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        inst = ProblemInstance(
+            model=GaussianOutcomeModel(mean=np.zeros(3), covariance=cov),
+            costs=np.full(3, 0.05),
+            decisions=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            reward=RewardSpec(kind="quadratic"),
+        )
+        quad_spec = QuadratureSpec(nodes_per_test=3)
+        policy = GaussianTreePolicy(inst, quad_spec)
+        oracle = RecursiveTreeOracle(inst, 3)
+        for mask, values in ((0b100, (0.3,)), (0b101, (0.1, -0.2)), (0b111, (0.0, 0.1, 0.2))):
+            assert policy.node(mask, values) == oracle.node(mask, values)
+        assert 0b011 not in policy._masks
+        for query in (lambda p: p.node(0b001, (0.4,)), lambda p: p.node(0b011, (0.4, 0.4))):
+            for evaluator in (policy, oracle):
+                with pytest.raises(IllConditionedError):
+                    query(evaluator)
+        with pytest.raises(IllConditionedError):
+            policy.rollouts(np.zeros((4, 3)))
+        with pytest.raises(IllConditionedError):
+            solve_dp_gaussian(inst, quad_spec)
+
+    def test_tree_size_formula(self):
+        assert gaussian_tree_size(1, 16) == 17
+        assert gaussian_tree_size(2, 16) == 1 + 2 * 16 + 2 * 16**2
+        assert gaussian_tree_size(3, 4) == 1 + 3 * 4 + 6 * 4**2 + 6 * 4**3
+
+    def test_tree_budget_fails_before_evaluating(self):
+        inst = ProblemInstance(
+            model=GaussianOutcomeModel(mean=np.zeros(3), covariance=np.eye(3)),
+            costs=np.full(3, 0.1),
+            decisions=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            reward=RewardSpec(kind="quadratic"),
+        )
+        quad_spec = QuadratureSpec(nodes_per_test=4)
+        size = gaussian_tree_size(3, 4)
+        with pytest.raises(StateSpaceError, match="state cap"):
+            solve_dp_gaussian(inst, quad_spec, state_cap=size - 1)
+        _, table = solve_dp_gaussian(inst, quad_spec, state_cap=size)
+        assert len(table) == 1
