@@ -23,7 +23,6 @@ import numpy as np
 from .dp import (
     QuadratureSpec,
     _reward_table,
-    rollout_net_reward,
     rollout_net_rewards,
     rollout_observations,
     solve_dp_discrete,
@@ -34,7 +33,7 @@ from .envs import (
     GaussianEnvironment,
     RegretTrace,
     concatenate_traces,
-    decision_label,
+    decision_labels,
 )
 from .models import (
     DiscreteOutcomeModel,
@@ -185,7 +184,7 @@ def run_etc_discrete(
     T = config.horizon
     n_explore = discrete_exploration_episodes(config)
     idx = env.outcome_indices(T)
-    _, _, clair_net = env.clairvoyant()
+    _, _, clair_net = env.clairvoyant(config.state_cap)
 
     total_cost = float(instance.costs.sum())
     greedy = _greedy_decisions(instance)
@@ -196,60 +195,39 @@ def run_etc_discrete(
         ]
     ) - total_cost
 
-    policy = None
-    empirical = None
-    commit_net = commit_tests = commit_dec = None
-    commit_rolls = None
-    fallback_count = 0
+    policy = empirical = None
     if n_explore < T:
         empirical = _empirical_discrete(model.support[idx[:n_explore]])
         emp_instance = _empirical_instance(instance, empirical)
         policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
-        commit_net = np.empty(model.support_size)
-        commit_tests = np.zeros(model.support_size, dtype=int)
-        commit_dec = np.zeros(model.support_size, dtype=int)
-        commit_rolls = []
-        for k in range(model.support_size):
-            roll = policy.trace(model.support[k], on_missing="fallback")
-            commit_rolls.append(roll)
-            commit_net[k] = rollout_net_reward(
-                instance, model.support[k], roll, support_index=k
-            )
-            commit_tests[k] = len(roll.tests)
-            commit_dec[k] = roll.decision
+        tests, dec, commit_order, fallback = policy.rollouts(model.support)
+        net = rollout_net_rewards(
+            instance, model.support, commit_order, dec, np.arange(model.support_size)
+        )
+
+    # per-support-point tables gathered through the sampled indices
+    realized = explore_net[idx]
+    tests_performed = np.full(T, model.d)
+    decision_idx = greedy[idx]
+    order = np.tile(np.arange(model.d), (T, 1)) if collect_observations else None
+    fallback_count = 0
+    if policy is not None:
         commit_idx = idx[n_explore:]
-        fallback_count = int(sum(commit_rolls[k].fallback for k in commit_idx))
-
-    explore_mask = np.arange(T) < n_explore
-    realized = np.where(
-        explore_mask, explore_net[idx], commit_net[idx] if commit_net is not None else 0.0
-    )
-    tests_performed = np.where(
-        explore_mask, model.d, commit_tests[idx] if commit_tests is not None else 0
-    )
-    decision_idx = np.where(
-        explore_mask, greedy[idx], commit_dec[idx] if commit_dec is not None else 0
-    )
-    labels = [decision_label(instance, j) for j in range(len(instance.decisions))]
-    decisions = [labels[j] for j in decision_idx]
-    phase = ["explore" if m else "commit" for m in explore_mask]
-
-    observations = None
-    if collect_observations:
-        observations = []
-        all_tests = tuple(range(model.d))
-        for t in range(T):
-            k = int(idx[t])
-            tests = all_tests if explore_mask[t] else commit_rolls[k].tests
-            observations.append({i: float(model.support[k, i]) for i in tests})
+        realized[n_explore:] = net[commit_idx]
+        tests_performed[n_explore:] = tests[commit_idx]
+        decision_idx[n_explore:] = dec[commit_idx]
+        fallback_count = int(fallback[commit_idx].sum())
+        if collect_observations:
+            order[n_explore:] = commit_order[commit_idx]
+    observations = rollout_observations(model.support[idx], order) if collect_observations else None
 
     trace = RegretTrace(
         agent="etc-discrete",
         seed=env.seed,
         instance_hash=instance_hash(instance),
-        phase=phase,
+        phase=["explore"] * n_explore + ["commit"] * (T - n_explore),
         tests_performed=tests_performed,
-        decision=decisions,
+        decision=decision_labels(instance, decision_idx),
         realized_reward=realized,
         clairvoyant_reward=clair_net[idx],
         observations=observations,
@@ -359,8 +337,6 @@ def run_etc_gaussian(
     _, clair_dec, clair_order = clair.rollouts(xs)
     clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
 
-    labels = [decision_label(instance, j) for j in range(len(instance.decisions))]
-    decisions = [labels[j] for j in decision_idx]
     phase = ["explore" if t < n_explore else "commit" for t in range(T)]
     observations = rollout_observations(xs, order) if collect_observations else None
 
@@ -376,7 +352,7 @@ def run_etc_gaussian(
         instance_hash=instance_hash(instance),
         phase=phase,
         tests_performed=tests_performed,
-        decision=decisions,
+        decision=decision_labels(instance, decision_idx),
         realized_reward=realized,
         clairvoyant_reward=clair_net,
         observations=observations,

@@ -21,6 +21,7 @@ from .dp import (
 )
 from .elimination import solve_mesp_offline, entropy_objective
 from .harness import (
+    AGENTS,
     ExperimentConfig,
     collect_run_summaries,
     format_report,
@@ -88,8 +89,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run an agent over seeded replications")
     p.add_argument("--instance", required=True)
-    p.add_argument("--agent", required=True,
-                   choices=("etc-discrete", "etc-gaussian", "etc-doubling", "ocmesp", "clairvoyant"))
+    p.add_argument("--agent", required=True, choices=AGENTS)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--seeds", required=True, help="comma-separated replication seeds")
     p.add_argument("--out", required=True)

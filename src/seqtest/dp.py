@@ -183,6 +183,23 @@ class DiscretePolicy:
         """New key after observing ``value`` on ``test``; 0 if impossible."""
         return key & self._value_masks[test].get(float(value), 0)
 
+    def rollouts(self, xs: np.ndarray, on_missing: str = "fallback"):
+        """Roll the policy out on every outcome row of ``xs`` (n, d).
+
+        Returns (tests performed, decision, test order, fallback): the arrays
+        of :meth:`GaussianTreePolicy.rollouts` plus an (n,) bool array marking
+        the rollouts that fell back (see :meth:`trace`).
+        """
+        xs = np.asarray(xs, dtype=float)
+        order = np.full(xs.shape, -1)
+        decision = np.empty(len(xs), dtype=int)
+        fallback = np.zeros(len(xs), dtype=bool)
+        for t, x in enumerate(xs):
+            roll = self.trace(x, on_missing)
+            order[t, : len(roll.tests)] = roll.tests
+            decision[t], fallback[t] = roll.decision, roll.fallback
+        return (order >= 0).sum(axis=1), decision, order, fallback
+
     def trace(self, x: Sequence[float], on_missing: str = "fallback") -> Rollout:
         """Roll the policy out on outcome vector ``x``."""
         key = self.root_key
@@ -310,6 +327,10 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
 
     root = (1 << K) - 1
     solve(root)
+    # the recursive closure references itself; unbinding it frees the solve's
+    # scratch state (mass memo, closures) on return instead of at a later
+    # cyclic garbage collection, which could come after the next solve
+    solve = None
     vtable = ValueTable(entries=memo, root_key=root)
     return DiscretePolicy(instance, vtable, value_masks), vtable
 
@@ -658,14 +679,16 @@ def rollout_net_reward(instance: ProblemInstance, x, rollout: Rollout, support_i
     return instance.reward_value(x, rollout.decision, support_index=support_index) - test_cost
 
 
-def rollout_net_rewards(instance: ProblemInstance, xs: np.ndarray, order: np.ndarray, decisions) -> np.ndarray:
+def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support_index=None) -> np.ndarray:
     """:func:`rollout_net_reward` of every episode of a batched rollout
-    (``order`` and ``decisions`` as returned by ``GaussianTreePolicy.rollouts``)."""
+    (``order`` and ``decisions`` as returned by a policy's ``rollouts``);
+    ``support_index`` gives each row's support index for table rewards."""
     test_cost = np.zeros(len(xs))
     for k in range(order.shape[1]):
         took = order[:, k] >= 0
         test_cost[took] += instance.costs[order[took, k]]
-    reward = [instance.reward_value(x, int(j)) for x, j in zip(xs, decisions)]
+    ks = [None] * len(xs) if support_index is None else support_index
+    reward = [instance.reward_value(x, int(j), k) for x, j, k in zip(xs, decisions, ks)]
     return np.array(reward) - test_cost
 
 

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dp import _bits
 from .envs import GaussianEnvironment, RegretTrace, subset_label
 from .models import GaussianOutcomeModel, InstanceError, instance_hash
 
@@ -126,15 +127,6 @@ def solve_mesp_offline(
 # ---------------------------------------------------------------------------
 
 
-def _mask_bits(mask: int) -> tuple:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
-
-
 @dataclass
 class CandidateSet:
     """Active candidates, the pairs they still need, and pairwise estimates.
@@ -167,7 +159,7 @@ class CandidateSet:
     def refresh_pairs(self) -> None:
         need = np.zeros((self.d, self.d), dtype=bool)
         for mask in self.candidates:
-            idx = list(_mask_bits(mask))
+            idx = _bits(mask)
             if idx:
                 need[np.ix_(idx, idx)] = True
         self.pairs = [
@@ -181,7 +173,7 @@ class CandidateSet:
         # Cholesky per size
         groups = {}
         for pos, mask in enumerate(self.candidates):
-            bits = _mask_bits(mask)
+            bits = _bits(mask)
             groups.setdefault(len(bits), []).append((pos, bits))
         self._groups = []
         for m, members in sorted(groups.items()):
@@ -195,7 +187,7 @@ class CandidateSet:
         # candidates ordered by (size desc, lexicographic), so the selection
         # rule's argmax is the first hit
         self._ordered = sorted(
-            ((mask, _mask_bits(mask)) for mask in self.candidates),
+            ((mask, _bits(mask)) for mask in self.candidates),
             key=lambda mb: (-len(mb[1]), mb[1]),
         )
         self._cost_totals = None  # rebuilt lazily against the active costs
@@ -230,7 +222,7 @@ def select_next_subset(state: CandidateSet) -> tuple:
 
 def update_estimates(state: CandidateSet, subset_mask: int, x: np.ndarray, t: int) -> CandidateSet:
     """Fold episode ``t``'s observation of x[S] into every needed pair inside S."""
-    idx = list(_mask_bits(subset_mask))
+    idx = _bits(subset_mask)
     if not idx:
         return state
     sub = np.ix_(idx, idx)
@@ -250,7 +242,7 @@ def candidate_objectives(state: CandidateSet, lam: float, costs) -> Optional[np.
         state._all_pairs_sampled = True  # counts only grow, Q only shrinks
     if state._cost_totals is None:
         state._cost_totals = np.array(
-            [sum(costs[i] for i in _mask_bits(mask)) for mask in state.candidates]
+            [sum(costs[i] for i in _bits(mask)) for mask in state.candidates]
         )
     flat_sigma = state.sigma_hat().ravel()
     values = np.empty(len(state.candidates))
@@ -335,7 +327,7 @@ def run_ocmesp(
         update_estimates(state, subset_mask, xs[t], t + 1)
         before = state.eliminated_total
         eliminate(state, t + 1, config)
-        bits = _mask_bits(subset_mask)
+        bits = tuple(_bits(subset_mask))
         realized[t] = true_obj[bits]
         tests_performed[t] = len(bits)
         phase.append("explore")
@@ -350,7 +342,7 @@ def run_ocmesp(
         t += 1
 
     if t < T:
-        survivor = _mask_bits(state.candidates[0])
+        survivor = tuple(_bits(state.candidates[0]))
         label = subset_label(survivor)
         value = true_obj[survivor]
         for u in range(t, T):
@@ -391,6 +383,6 @@ def run_ocmesp(
     )
     return OcmespResult(
         trace=trace,
-        final_candidates=[_mask_bits(m) for m in state.candidates],
+        final_candidates=[tuple(_bits(m)) for m in state.candidates],
         state=state,
     )

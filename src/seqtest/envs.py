@@ -14,7 +14,10 @@ test costs). It can be negative on a single episode.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +26,7 @@ from .dp import (
     QuadratureSpec,
     Rollout,
     rollout_net_reward,
+    rollout_net_rewards,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -55,20 +59,16 @@ class DiscreteEnvironment:
         """Next ``n`` support indices from the episode stream."""
         return sample_support_indices(self.instance.model, self._rng, n)
 
-    def clairvoyant(self):
-        """(policy, per-support-point rollouts, per-support-point net rewards)."""
+    def clairvoyant(self, state_cap: int = 10**7):
+        """(policy, (tests, decision, order, fallback), net): the clairvoyant
+        policy (solved once, under ``state_cap``), its ``rollouts`` arrays and
+        its net rewards on every support point, row k for support point k."""
         if self._clair is None:
-            policy, _ = solve_dp_discrete(self.instance)
-            model = self.instance.model
-            rollouts = []
-            rewards = np.empty(model.support_size)
-            for k in range(model.support_size):
-                roll = policy.trace(model.support[k], on_missing="error")
-                rollouts.append(roll)
-                rewards[k] = rollout_net_reward(
-                    self.instance, model.support[k], roll, support_index=k
-                )
-            self._clair = (policy, rollouts, rewards)
+            policy, _ = solve_dp_discrete(self.instance, state_cap)
+            support = self.instance.model.support
+            _, dec, order, _ = rollouts = policy.rollouts(support, on_missing="error")
+            net = rollout_net_rewards(self.instance, support, order, dec, np.arange(len(support)))
+            self._clair = (policy, rollouts, net)
         return self._clair
 
 
@@ -213,9 +213,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text file handle whose contents replace ``path`` only once the block
+    completes; on any error the temporary file is removed and ``path`` is
+    left as it was, so a failed or killed run leaves no half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(trace: RegretTrace, path) -> None:
     cols = list(TRACE_COLUMNS) + list(trace.extras)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(cols) + "\n")
         for t in range(trace.episodes):
             row = [
@@ -238,7 +254,7 @@ def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
     the literal ``NA`` for entries the agent never observed."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
         for t, obs in enumerate(trace.observations):
             cells = [_fmt(obs[i]) if i in obs else "NA" for i in range(d)]
@@ -254,17 +270,19 @@ def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
 
 def write_aggregate_csv(traces: Sequence[RegretTrace], path) -> None:
     mean, sd = aggregate_cumulative_regret(traces)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
         for t in range(len(mean)):
             fh.write(f"{t + 1},{_fmt(mean[t])},{_fmt(sd[t])}\n")
 
 
-def decision_label(instance: ProblemInstance, decision_index: int) -> str:
-    y = instance.decisions[decision_index]
-    if isinstance(y, tuple):
-        return "|".join(_fmt(v) for v in y)
-    return _fmt(y)
+def decision_labels(instance: ProblemInstance, idx) -> list:
+    """Trace label of each decision index in ``idx``."""
+    labels = [
+        "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
+        for y in instance.decisions
+    ]
+    return [labels[j] for j in idx]
 
 
 def subset_label(indices) -> str:

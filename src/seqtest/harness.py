@@ -31,8 +31,9 @@ from .envs import (
     DiscreteEnvironment,
     GaussianEnvironment,
     RegretTrace,
+    _atomic_open,
     aggregate_cumulative_regret,
-    decision_label,
+    decision_labels,
     write_aggregate_csv,
     write_dataset_csv,
     write_trace_csv,
@@ -98,9 +99,9 @@ def resolved_agent_params(config: ExperimentConfig) -> dict:
 
 
 def _etc_config(config: ExperimentConfig, params: dict) -> EtcConfig:
+    """EtcConfig from ``resolved_agent_params``; unset quadrature fields keep their defaults."""
     quadrature = QuadratureSpec(
-        nodes_per_test=int(params.get("nodes_per_test", 16)),
-        max_depth=int(params.get("max_depth", 6)),
+        **{k: int(params[k]) for k in ("nodes_per_test", "max_depth") if k in params}
     )
     return EtcConfig(
         horizon=config.horizon,
@@ -109,7 +110,7 @@ def _etc_config(config: ExperimentConfig, params: dict) -> EtcConfig:
         override_n=params.get("override_n"),
         assume_zero_mean=bool(params.get("assume_zero_mean", False)),
         quadrature=quadrature,
-        state_cap=int(params.get("state_cap", 10**7)),
+        state_cap=int(params["state_cap"]),
     )
 
 
@@ -118,45 +119,29 @@ def _run_clairvoyant(config: ExperimentConfig, seed: int, collect: bool) -> Regr
     T = config.horizon
     params = resolved_agent_params(config)
     if isinstance(instance.model, DiscreteOutcomeModel):
+        # tabulated per support point, gathered per episode
         env = DiscreteEnvironment(instance, seed)
-        _, rollouts, net = env.clairvoyant()
+        _, (tests, dec, order, _), net = env.clairvoyant(int(params["state_cap"]))
         idx = env.outcome_indices(T)
-        tests = np.array([len(rollouts[k].tests) for k in range(len(rollouts))])
-        decs = [decision_label(instance, rollouts[k].decision) for k in range(len(rollouts))]
-        observations = None
-        if collect:
-            observations = [
-                {i: float(instance.model.support[k, i]) for i in rollouts[k].tests}
-                for k in idx
-            ]
-        return RegretTrace(
-            agent="clairvoyant",
-            seed=seed,
-            instance_hash=instance_hash(instance),
-            phase=["commit"] * T,
-            tests_performed=tests[idx],
-            decision=[decs[k] for k in idx],
-            realized_reward=net[idx],
-            clairvoyant_reward=net[idx],
-            observations=observations,
-        )
-    env = GaussianEnvironment(instance, seed)
-    etc_config = _etc_config(config, params)
-    policy = env.clairvoyant_policy(etc_config.quadrature, etc_config.state_cap)
-    xs = env.outcomes(T)
-    tests, dec, order = policy.rollouts(xs)
-    net = rollout_net_rewards(instance, xs, order, dec)
-    observations = rollout_observations(xs, order) if collect else None
+        tests, dec, net = tests[idx], dec[idx], net[idx]
+        xs, order = (instance.model.support[idx], order[idx]) if collect else (None, None)
+    else:
+        env = GaussianEnvironment(instance, seed)
+        etc_config = _etc_config(config, params)
+        policy = env.clairvoyant_policy(etc_config.quadrature, etc_config.state_cap)
+        xs = env.outcomes(T)
+        tests, dec, order = policy.rollouts(xs)
+        net = rollout_net_rewards(instance, xs, order, dec)
     return RegretTrace(
         agent="clairvoyant",
         seed=seed,
         instance_hash=instance_hash(instance),
         phase=["commit"] * T,
         tests_performed=tests,
-        decision=[decision_label(instance, j) for j in dec],
+        decision=decision_labels(instance, dec),
         realized_reward=net,
         clairvoyant_reward=net,
-        observations=observations,
+        observations=rollout_observations(xs, order) if collect else None,
     )
 
 
@@ -238,7 +223,8 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """
     payloads = [(config, seed) for seed in config.seeds]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # a fork-started pool launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(config.seeds))) as pool:
             results = list(pool.map(_worker, payloads))
     else:
         results = [_worker(p) for p in payloads]
@@ -253,7 +239,7 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "effective-config.json", "w", encoding="utf-8") as fh:
+        with _atomic_open(out / "effective-config.json") as fh:
             json.dump(effective_config_dict(config), fh, indent=1, sort_keys=True)
             fh.write("\n")
         for seed in sorted(traces):

@@ -40,6 +40,19 @@ def random_discrete_instance(rng, d_max=3, k_max=8, n_decisions=None, values=(0.
     )
 
 
+def single_test_instance(values, probs, cost=0.01):
+    """One test whose outcome is the label to predict (indicator-match reward,
+    decisions 0, 1 and 2), so testing is worth its small cost."""
+    return ProblemInstance(
+        model=DiscreteOutcomeModel(
+            support=np.array([[v] for v in values]), probs=np.array(probs)
+        ),
+        costs=np.array([cost]),
+        decisions=((0.0,), (1.0,), (2.0,)),
+        reward=RewardSpec(kind="indicator-match"),
+    )
+
+
 def random_gaussian_model(rng, d):
     a = rng.standard_normal((d, d))
     cov = a @ a.T + d * np.eye(d)

@@ -26,6 +26,7 @@ from seqtest.models import (
     ProblemInstance,
     RewardSpec,
 )
+from conftest import single_test_instance
 
 
 def gaussian_1d_instance(cost=0.3, var=1.0, mean=0.0, decisions=(-1.0, 1.0)):
@@ -155,6 +156,18 @@ class TestEtcDiscrete:
         n = res.trace.metadata["n_explore"]
         explore_regret = set(np.round(res.trace.simple_regret[:n], 10))
         assert explore_regret <= {0.75, -0.25}
+
+    def test_unseen_value_counted_as_fallback(self):
+        # seed 2 explores 8 episodes without drawing x=2; the committed policy
+        # tests, observes 2 outside its support and falls back
+        inst = single_test_instance((0.0, 1.0, 2.0), (0.5, 0.45, 0.05))
+        env = DiscreteEnvironment(inst, seed=2)
+        cfg = EtcConfig(horizon=200, override_n=8)
+        res = run_etc_discrete(env, cfg, collect_observations=True)
+        assert 2.0 not in res.empirical.vectors
+        n = res.trace.metadata["n_explore"]
+        unseen = sum(obs == {0: 2.0} for obs in res.trace.observations[n:])
+        assert res.trace.metadata["fallback_episodes"] == unseen > 0
 
 
 class TestEtcGaussian:

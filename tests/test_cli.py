@@ -158,6 +158,18 @@ class TestSimulate:
         for p in sorted((tmp_path / "a").iterdir()):
             assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
 
+    def test_clairvoyant_respects_state_cap(self, tmp_path, capsys):
+        inst_path = tmp_path / "p.json"
+        run_cli("gen", "pareto", "--d", "4", "--seed", "0", "--out", str(inst_path))
+        capsys.readouterr()
+        code = run_cli(
+            "simulate", "--instance", str(inst_path), "--agent", "clairvoyant",
+            "--horizon", "16", "--seeds", "0", "--jobs", "1", "--state-cap", "5",
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "blowup" in capsys.readouterr().err
+
     def test_bad_seed_list_exit_1(self, tmp_path, capsys):
         inst_path = tmp_path / "p.json"
         run_cli("gen", "pareto", "--d", "3", "--seed", "2", "--out", str(inst_path))

@@ -1,6 +1,7 @@
 """Clairvoyant DP: one-step operations, exact discrete solve, scenario-tree
 Gaussian solve, and policy evaluation."""
 
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 import seqtest.dp as dp
 from seqtest.dp import (
     GaussianTreePolicy,
+    PolicyUndefinedError,
     QuadratureCapError,
     QuadratureSpec,
     StateSpaceError,
@@ -20,6 +22,8 @@ from seqtest.dp import (
     gaussian_tree_size,
     policy_records,
     q_value,
+    rollout_net_reward,
+    rollout_net_rewards,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -35,7 +39,7 @@ from seqtest.models import (
     initial_state,
     posterior_gaussian,
 )
-from conftest import random_discrete_instance
+from conftest import random_discrete_instance, single_test_instance
 
 FOUR_POINT = DiscreteOutcomeModel(
     support=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -212,6 +216,18 @@ class TestSolveDpDiscrete:
         with pytest.raises(StateSpaceError, match="blowup"):
             solve_dp_discrete(inst, state_cap=1)
 
+    def test_solve_leaves_no_cyclic_garbage(self, rng):
+        # the solve's scratch state is freed by reference counting on return,
+        # not left for a cyclic collection that may run after the next solve
+        inst = random_discrete_instance(rng, d_max=4)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_dp_discrete(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_policy_records_shape(self):
         inst = gen_lower_bound_single(0.2, 1)
         policy, _ = solve_dp_discrete(inst)
@@ -219,6 +235,53 @@ class TestSolveDpDiscrete:
         assert all(set(r) == {"state_key", "action", "value"} for r in records)
         root = [r for r in records if r["state_key"] == "0|1"]
         assert root and root[0]["action"] == "decide:0"
+
+
+class TestDiscreteRollouts:
+    def test_matches_per_row_trace(self, rng):
+        fell_back = False
+        for _ in range(20):
+            inst = random_discrete_instance(rng, d_max=4)
+            policy, _ = solve_dp_discrete(inst)
+            # support rows, then rows with unseen values (3.0) or combinations
+            extra = rng.integers(0, 4, size=(16, inst.d)).astype(float)
+            xs = np.vstack([inst.model.support, extra])
+            tests, decision, order, fallback = policy.rollouts(xs)
+            assert order.shape == xs.shape
+            for t, x in enumerate(xs):
+                roll = policy.trace(x)
+                assert tests[t] == len(roll.tests)
+                assert tuple(order[t, : tests[t]]) == roll.tests
+                assert np.all(order[t, tests[t] :] == -1)
+                assert decision[t] == roll.decision
+                assert fallback[t] == roll.fallback
+            fell_back |= bool(fallback.any())
+        assert fell_back
+
+    def test_unseen_value_falls_back(self):
+        # the policy model never saw x=2; testing reveals it, so the rollout
+        # falls back to the root's best decision (0, lowest index of a tie)
+        policy, _ = solve_dp_discrete(single_test_instance((0.0, 1.0), (0.5, 0.5)))
+        xs = np.array([[0.0], [1.0], [2.0]])
+        tests, decision, order, fallback = policy.rollouts(xs)
+        assert tests.tolist() == [1, 1, 1]
+        assert order.tolist() == [[0], [0], [0]]
+        assert decision.tolist() == [0, 1, 0]
+        assert fallback.tolist() == [False, False, True]
+        with pytest.raises(PolicyUndefinedError):
+            policy.rollouts(xs, on_missing="error")
+
+    def test_net_rewards_equal_single_rollout_pricing(self, rng):
+        for _ in range(10):
+            inst = random_discrete_instance(rng, d_max=4)
+            policy, _ = solve_dp_discrete(inst)
+            support = inst.model.support
+            _, decision, order, _ = policy.rollouts(support)
+            net = rollout_net_rewards(
+                inst, support, order, decision, support_index=np.arange(len(support))
+            )
+            for k, x in enumerate(support):
+                assert net[k] == rollout_net_reward(inst, x, policy.trace(x), support_index=k)
 
 
 class TestSolveDpGaussian:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqtest.harness as harness
 from seqtest.agents import EtcConfig, run_etc_discrete
 from seqtest.dp import Rollout, solve_dp_discrete
 from seqtest.envs import (
@@ -236,6 +237,26 @@ class TestTraceArtifacts:
         assert lines[1] == "1,1.0,NA"
         assert lines[2] == "2,NA,NA"
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        tr = self._trace()
+        tr.extras["bad"] = [1.0, 2.0, Unprintable(), 4.0, 5.0, 6.0]
+        tr.observations[2] = {0: Unprintable()}
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for write, path in (
+            (lambda p: write_trace_csv(tr, p), tmp_path / "t.csv"),
+            (lambda p: write_dataset_csv(tr, 2, p), tmp_path / "d.csv"),
+            (lambda p: write_trace_csv(tr, p), kept),
+        ):
+            with pytest.raises(RuntimeError, match="cannot format"):
+                write(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+        assert kept.read_text() == "old\n"
+
     def test_aggregate_mean_and_sd(self, tmp_path):
         tr = self._trace()
         mean, sd = aggregate_cumulative_regret([tr, tr])
@@ -312,6 +333,29 @@ class TestRunReplications:
         assert set(report.failures) == {0, 1, 2}
         assert "blowup" in report.failures[0]
         assert report.mean_cumulative is None
+
+    def test_pool_no_larger_than_seed_count(self, tmp_path, monkeypatch):
+        # a fork-started pool starts every worker up front, so it is sized
+        # by the seeds; this fake runs the seeds in-process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        assert run_replications(self._config(tmp_path / "run", jobs=8, seeds=(0, 1))).ok
+        assert run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).ok
+        assert sizes == [2, 2]
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="distinct"):
