@@ -20,6 +20,7 @@ from .dp import (
     solve_dp_gaussian,
 )
 from .elimination import solve_mesp_offline, entropy_objective
+from .envs import _atomic_open
 from .harness import (
     AGENTS,
     ExperimentConfig,
@@ -147,7 +148,7 @@ def _cmd_solve(args) -> int:
             "states": len(table),
         }
         if args.dump_policy:
-            with open(args.dump_policy, "w", encoding="utf-8") as fh:
+            with _atomic_open(args.dump_policy) as fh:
                 json.dump(policy_records(policy), fh, indent=1)
                 fh.write("\n")
     elif instance.reward.kind == "entropy":
@@ -159,9 +160,7 @@ def _cmd_solve(args) -> int:
         )
         out = {"value": value, "subset": list(subset)}
     else:
-        quadrature = QuadratureSpec(
-            nodes_per_test=args.nodes_per_test, max_depth=args.max_depth
-        )
+        quadrature = QuadratureSpec.from_params(vars(args))
         policy, table = solve_dp_gaussian(instance, quadrature, args.state_cap)
         kind, which = table.entries[table.root_key][1]
         out = {"value": table.root_value, "action": f"{kind}:{which}"}

@@ -6,7 +6,13 @@ consistent with the observations so far. Two states with the same consistent
 set induce the same posterior, hence the same value; tests whose outcome is
 already determined by the consistent set are dominated (nonnegative cost, zero
 information) and are excluded from the action max, which keeps every stored
-best action legal regardless of which coordinates produced the key.
+best action legal regardless of which coordinates produced the key. Each
+state carries its ascending list of consistent support indices and its mass
+through the recursion; a child's list is filtered from its parent's, and only
+when the child is not yet memoized. Masses are summed sequentially in
+ascending index order (``m += p_k``), the order independent implementations
+use, so values agree bitwise. Neither ``np.sum`` (pairwise summation) nor the
+built-in ``sum`` (compensated from Python 3.12) may replace that loop.
 
 Gaussian instances are solved approximately on a scenario tree: each tested
 coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
@@ -112,6 +118,12 @@ class QuadratureSpec:
             raise QuadratureCapError("nodes_per_test must be >= 1")
         if self.max_depth < 1:
             raise QuadratureCapError("max_depth must be >= 1")
+
+    @classmethod
+    def from_params(cls, params: dict) -> "QuadratureSpec":
+        """Spec from the ``nodes_per_test``/``max_depth`` entries of
+        ``params``; fields it does not set keep their defaults."""
+        return cls(**{k: int(params[k]) for k in ("nodes_per_test", "max_depth") if k in params})
 
 
 def _bits(mask: int) -> list:
@@ -220,34 +232,30 @@ class DiscretePolicy:
             key = child
 
 
-def _best_decision_discrete(instance, idxs, mass, table, indicator_decision):
+def _best_decision_discrete(probs, idxs, mass, table, ranking):
     """(value, decision index) of the best immediate decision at a state.
 
-    ``idxs`` ascending. Expectations are computed as (probs[idxs]/mass) dot
-    table rows so that independent implementations of the same contraction
-    agree bitwise.
+    ``idxs`` ascending. With a reward table, expectations are computed as
+    (probs[idxs]/mass) dot table rows so that independent implementations of
+    the same contraction agree bitwise. For indicator-match rewards the best
+    decision is the posterior mode among support points in the decision set,
+    lower decision index first on ties. ``ranking`` is ``(rank, ranked)``:
+    ``rank[k]`` is support point k's position in that order (``len(rank)``
+    when k is outside the decision set), ``ranked[r]`` the (probability,
+    decision) at position r.
     """
-    probs = instance.model.probs
     if table is not None:
         idx_arr = np.asarray(idxs, dtype=np.intp)
         w = probs[idx_arr] / mass
         exp = w @ table[idx_arr]
         j = int(np.argmax(exp))
         return float(exp[j]), j
-    # indicator-match: the best decision is the posterior mode among support
-    # points that are actually in the decision set
-    best_p = None
-    best_j = None
-    for k in idxs:
-        j = indicator_decision[k]
-        if j < 0:
-            continue
-        p = probs[k]
-        if best_p is None or p > best_p or (p == best_p and j < best_j):
-            best_p, best_j = p, j
-    if best_j is None:
+    rank, ranked = ranking
+    r = min(map(rank.__getitem__, idxs))
+    if r == len(rank):
         return 0.0, 0
-    return float(best_p / mass), best_j
+    p, j = ranked[r]
+    return p / mass, j
 
 
 def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
@@ -259,74 +267,89 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
     model = instance.model
     if not isinstance(model, DiscreteOutcomeModel):
         raise InstanceError("solve_dp_discrete requires a discrete model")
-    support, probs = model.support, model.probs
+    support = model.support
     K, d = model.support_size, model.d
-    costs = instance.costs
     table = _reward_table(instance)
-    indicator_decision = None
+    plist = model.probs.tolist()
+    ranking = None
     if instance.reward.kind == "indicator-match":
+        # support points in the decision set, by probability then decision
         dec_index = {y: j for j, y in enumerate(instance.decisions)}
-        indicator_decision = [dec_index.get(tuple(support[k]), -1) for k in range(K)]
+        point_decision = [dec_index.get(tuple(y), -1) for y in support.tolist()]
+        order = sorted(
+            (k for k in range(K) if point_decision[k] >= 0),
+            key=lambda k: (-plist[k], point_decision[k]),
+        )
+        rank = [K] * K
+        for r, k in enumerate(order):
+            rank[k] = r
+        ranking = (rank, [(plist[k], point_decision[k]) for k in order])
     elif table is None:
         raise InstanceError(
             f"reward kind {instance.reward.kind!r} is not supported by the discrete DP"
         )
+    neg_costs = [-c for c in instance.costs.tolist()]
 
-    # per (test, value) consistency masks over support indices
-    value_masks = []
-    for i in range(d):
+    # per (test, value) consistency masks over support indices, and each
+    # test's column with one float object per distinct value (the columns
+    # stay alive for the whole solve)
+    value_masks, cols = [], []
+    for col in support.T.tolist():
         masks: dict = {}
-        col = support[:, i]
-        for k in range(K):
-            v = float(col[k])
+        for k, v in enumerate(col):
             masks[v] = masks.get(v, 0) | (1 << k)
         value_masks.append(masks)
-    test_values = [sorted(m) for m in value_masks]
+        shared = {v: v for v in masks}
+        cols.append([shared[v] for v in col])
+    # (value, mask) pairs per test, in ascending value order
+    test_values = [sorted(m.items()) for m in value_masks]
+    # memo entries share one action tuple per test and per decision
+    test_actions = [("test", i) for i in range(d)]
+    decide_actions = [("decide", j) for j in range(len(instance.decisions))]
 
     memo: dict = {}
     mass_memo: dict = {}
 
-    def mass_of(mask: int) -> float:
-        m = mass_memo.get(mask)
-        if m is None:
-            m = 0.0
-            for k in _bits(mask):
-                m += probs[k]
-            mass_memo[mask] = m
-        return m
-
-    def solve(mask: int) -> float:
-        entry = memo.get(mask)
-        if entry is not None:
-            return entry[0]
+    def solve(mask: int, idxs: list, mass_s: float) -> float:
+        # evaluates a state not yet in the memo; ``idxs`` are its support
+        # indices (ascending), ``mass_s`` their probability mass
         if len(memo) >= state_cap:
             raise StateSpaceError(
                 f"state-space blowup guard: more than {state_cap} canonical states"
             )
-        idxs = _bits(mask)
-        mass_s = mass_of(mask)
-        dec_val, dec_j = _best_decision_discrete(
-            instance, idxs, mass_s, table, indicator_decision
-        )
-        best_val, best_act = dec_val, ("decide", dec_j)
+        dec_val, dec_j = _best_decision_discrete(model.probs, idxs, mass_s, table, ranking)
+        best_val, best_act = dec_val, decide_actions[dec_j]
         for i in range(d):
             children = []
-            for v in test_values[i]:
-                child = mask & value_masks[i][v]
+            for v, vmask in test_values[i]:
+                child = mask & vmask
                 if child:
-                    children.append(child)
-            if len(children) == 1 and children[0] == mask:
+                    children.append((child, v))
+            if len(children) == 1:
                 continue  # coordinate already determined by the consistent set
-            q = -costs[i]
-            for child in children:
-                q += (mass_of(child) / mass_s) * solve(child)
+            col = cols[i]
+            q = neg_costs[i]
+            for child, v in children:
+                entry = memo.get(child)
+                if entry is not None:
+                    q += (mass_memo[child] / mass_s) * entry[0]
+                    continue
+                child_idxs = [k for k in idxs if col[k] == v]
+                m = 0.0
+                for k in child_idxs:
+                    m += plist[k]
+                mass_memo[child] = m
+                q += (m / mass_s) * solve(child, child_idxs, m)
             if q > best_val:
-                best_val, best_act = q, ("test", i)
+                best_val, best_act = q, test_actions[i]
         memo[mask] = (best_val, best_act, dec_j)
         return best_val
 
     root = (1 << K) - 1
-    solve(root)
+    root_mass = 0.0
+    for p in plist:
+        root_mass += p
+    solve(root, list(range(K)), root_mass)
     # the recursive closure references itself; unbinding it frees the solve's
     # scratch state (mass memo, closures) on return instead of at a later
     # cyclic garbage collection, which could come after the next solve

@@ -207,6 +207,11 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
     )
 
 
+# rows formatted per chunk by the trace and aggregate writers: bounds the
+# formatted strings held at once whatever the horizon
+_WRITE_CHUNK = 1 << 8
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -229,24 +234,42 @@ def _atomic_open(path):
         raise
 
 
+def _fmt_column(col) -> list:
+    """``_fmt`` of every entry of ``col``; numeric arrays are formatted in bulk
+    (``tolist`` yields the Python int/float/bool whose repr ``_fmt`` prints)."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+        return list(map(repr, col.tolist()))
+    return list(map(_fmt, col))
+
+
+def _write_rows(fh, n: int, columns) -> None:
+    """Write ``n`` CSV rows, column by column in chunks of ``_WRITE_CHUNK``
+    rows; ``columns(a, b)`` returns the formatted cells of rows a..b-1, one
+    list per column."""
+    for a in range(0, n, _WRITE_CHUNK):
+        b = min(n, a + _WRITE_CHUNK)
+        fh.write("\n".join(map(",".join, zip(*columns(a, b)))) + "\n")
+
+
 def write_trace_csv(trace: RegretTrace, path) -> None:
     cols = list(TRACE_COLUMNS) + list(trace.extras)
+    tests = np.asarray(trace.tests_performed)
+
+    def columns(a, b):
+        return [
+            list(map(str, range(a + 1, b + 1))),
+            trace.phase[a:b],
+            list(map(str, map(int, tests[a:b].tolist()))),
+            trace.decision[a:b],
+            _fmt_column(trace.realized_reward[a:b]),
+            _fmt_column(trace.clairvoyant_reward[a:b]),
+            _fmt_column(trace.simple_regret[a:b]),
+            _fmt_column(trace.cumulative_regret[a:b]),
+        ] + [_fmt_column(trace.extras[name][a:b]) for name in trace.extras]
+
     with _atomic_open(path) as fh:
         fh.write(",".join(cols) + "\n")
-        for t in range(trace.episodes):
-            row = [
-                str(t + 1),
-                trace.phase[t],
-                str(int(trace.tests_performed[t])),
-                trace.decision[t],
-                _fmt(trace.realized_reward[t]),
-                _fmt(trace.clairvoyant_reward[t]),
-                _fmt(trace.simple_regret[t]),
-                _fmt(trace.cumulative_regret[t]),
-            ]
-            for name in trace.extras:
-                row.append(_fmt(trace.extras[name][t]))
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, trace.episodes, columns)
 
 
 def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
@@ -270,10 +293,13 @@ def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
 
 def write_aggregate_csv(traces: Sequence[RegretTrace], path) -> None:
     mean, sd = aggregate_cumulative_regret(traces)
+
+    def columns(a, b):
+        return [list(map(str, range(a + 1, b + 1))), _fmt_column(mean[a:b]), _fmt_column(sd[a:b])]
+
     with _atomic_open(path) as fh:
         fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
-        for t in range(len(mean)):
-            fh.write(f"{t + 1},{_fmt(mean[t])},{_fmt(sd[t])}\n")
+        _write_rows(fh, len(mean), columns)
 
 
 def decision_labels(instance: ProblemInstance, idx) -> list:

@@ -99,17 +99,14 @@ def resolved_agent_params(config: ExperimentConfig) -> dict:
 
 
 def _etc_config(config: ExperimentConfig, params: dict) -> EtcConfig:
-    """EtcConfig from ``resolved_agent_params``; unset quadrature fields keep their defaults."""
-    quadrature = QuadratureSpec(
-        **{k: int(params[k]) for k in ("nodes_per_test", "max_depth") if k in params}
-    )
+    """EtcConfig from ``resolved_agent_params``."""
     return EtcConfig(
         horizon=config.horizon,
         support_size_hint=params.get("support_hint"),
         condition_number=params.get("sigma_hint"),
         override_n=params.get("override_n"),
         assume_zero_mean=bool(params.get("assume_zero_mean", False)),
-        quadrature=quadrature,
+        quadrature=QuadratureSpec.from_params(params),
         state_cap=int(params["state_cap"]),
     )
 

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import seqtest.cli as cli
 from seqtest.cli import main
 from seqtest.models import (
     GaussianOutcomeModel,
@@ -67,6 +68,19 @@ class TestSolve:
         assert run_cli("solve", "--instance", str(inst_path), "--dump-policy", str(dump)) == 0
         records = json.loads(dump.read_text())
         assert {"state_key", "action", "value"} == set(records[0])
+
+    def test_failed_policy_dump_leaves_old_file(self, tmp_path, capsys, monkeypatch):
+        # the records serialize partway, then fail; the old dump must survive
+        # and no temporary file may be left behind
+        inst_path = tmp_path / "s.json"
+        run_cli("gen", "single-lb", "--eps", "0.2", "--which", "1", "--out", str(inst_path))
+        dump = tmp_path / "policy.json"
+        dump.write_text("old\n")
+        monkeypatch.setattr(cli, "policy_records", lambda policy: [{"value": 1.0}] * 100 + [object()])
+        assert run_cli("solve", "--instance", str(inst_path), "--dump-policy", str(dump)) == 2
+        assert "not JSON serializable" in capsys.readouterr().err
+        assert dump.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.json", "s.json"]
 
     def test_blowup_guard_exit_2(self, tmp_path, capsys):
         inst_path = tmp_path / "p.json"

@@ -228,6 +228,14 @@ class TestSolveDpDiscrete:
         finally:
             gc.enable()
 
+    def test_entries_share_action_tuples(self, rng):
+        # one action tuple per test and per decision, whatever the state count
+        for _ in range(5):
+            inst = random_discrete_instance(rng, d_max=4)
+            _, table = solve_dp_discrete(inst)
+            actions = {id(act) for _, act, _ in table.entries.values()}
+            assert len(actions) <= inst.d + len(inst.decisions)
+
     def test_policy_records_shape(self):
         inst = gen_lower_bound_single(0.2, 1)
         policy, _ = solve_dp_discrete(inst)
@@ -282,6 +290,192 @@ class TestDiscreteRollouts:
             )
             for k, x in enumerate(support):
                 assert net[k] == rollout_net_reward(inst, x, policy.trace(x), support_index=k)
+
+
+def _oracle_best_decision(instance, idxs, mass, table, indicator_decision):
+    """``_best_decision_discrete`` as it was before index lists were carried."""
+    probs = instance.model.probs
+    if table is not None:
+        idx_arr = np.asarray(idxs, dtype=np.intp)
+        w = probs[idx_arr] / mass
+        exp = w @ table[idx_arr]
+        j = int(np.argmax(exp))
+        return float(exp[j]), j
+    # indicator-match: the best decision is the posterior mode among support
+    # points that are actually in the decision set
+    best_p = None
+    best_j = None
+    for k in idxs:
+        j = indicator_decision[k]
+        if j < 0:
+            continue
+        p = probs[k]
+        if best_p is None or p > best_p or (p == best_p and j < best_j):
+            best_p, best_j = p, j
+    if best_j is None:
+        return 0.0, 0
+    return float(best_p / mass), best_j
+
+
+class RecursiveDiscreteOracle:
+    """The bitmask recursion the index-list solver replaced, kept verbatim as
+    an oracle: every state re-derives its support indices and its mass from
+    its mask. ``entries`` is the memo (the solver's ``table.entries``)."""
+
+    def __init__(self, instance, state_cap=10**7):
+        model = instance.model
+        support, probs = model.support, model.probs
+        K, d = model.support_size, model.d
+        costs = instance.costs
+        table = dp._reward_table(instance)
+        indicator_decision = None
+        if instance.reward.kind == "indicator-match":
+            dec_index = {y: j for j, y in enumerate(instance.decisions)}
+            indicator_decision = [dec_index.get(tuple(support[k]), -1) for k in range(K)]
+
+        # per (test, value) consistency masks over support indices
+        value_masks = []
+        for i in range(d):
+            masks: dict = {}
+            col = support[:, i]
+            for k in range(K):
+                v = float(col[k])
+                masks[v] = masks.get(v, 0) | (1 << k)
+            value_masks.append(masks)
+        test_values = [sorted(m) for m in value_masks]
+
+        memo: dict = {}
+        mass_memo: dict = {}
+
+        def mass_of(mask: int) -> float:
+            m = mass_memo.get(mask)
+            if m is None:
+                m = 0.0
+                for k in _bits(mask):
+                    m += probs[k]
+                mass_memo[mask] = m
+            return m
+
+        def solve(mask: int) -> float:
+            entry = memo.get(mask)
+            if entry is not None:
+                return entry[0]
+            if len(memo) >= state_cap:
+                raise StateSpaceError(
+                    f"state-space blowup guard: more than {state_cap} canonical states"
+                )
+            idxs = _bits(mask)
+            mass_s = mass_of(mask)
+            dec_val, dec_j = _oracle_best_decision(
+                instance, idxs, mass_s, table, indicator_decision
+            )
+            best_val, best_act = dec_val, ("decide", dec_j)
+            for i in range(d):
+                children = []
+                for v in test_values[i]:
+                    child = mask & value_masks[i][v]
+                    if child:
+                        children.append(child)
+                if len(children) == 1 and children[0] == mask:
+                    continue  # coordinate already determined by the consistent set
+                q = -costs[i]
+                for child in children:
+                    q += (mass_of(child) / mass_s) * solve(child)
+                if q > best_val:
+                    best_val, best_act = q, ("test", i)
+            memo[mask] = (best_val, best_act, dec_j)
+            return best_val
+
+        root = (1 << K) - 1
+        solve(root)
+        solve = None
+        self.entries = memo
+
+
+REWARD_KINDS = ("table", "indicator-match", "quadratic")
+
+
+def structured_discrete_instance(rng, kind, d_max=6, k_max=64):
+    """Random discrete instance with up to 64 support points over up to 6
+    tests, some of which duplicate, mirror or pin another: a copied or
+    mirrored column reaches the same consistent set from two observation
+    sets, a constant column is determined from the start, and a column
+    constant within groups of another becomes determined part way."""
+    d0 = int(rng.integers(1, min(d_max, 4) + 1))
+    values = (0.0, 1.0, 2.0, 3.0)
+    k = int(rng.integers(2, min(k_max, len(values) ** d0) + 1))
+    codes = rng.choice(len(values) ** d0, size=k, replace=False)
+    base = np.array([[values[(c // 4**i) % 4] for i in range(d0)] for c in codes])
+    cols = [base[:, i] for i in range(d0)]
+    d = int(rng.integers(d0, d_max + 1))
+    while len(cols) < d:
+        src = cols[int(rng.integers(0, d0))]
+        derived = int(rng.integers(0, 4))
+        if derived == 0:
+            cols.append(src.copy())  # duplicated
+        elif derived == 1:
+            cols.append(3.0 - src)  # perfectly correlated
+        elif derived == 2:
+            cols.append(np.full(k, -0.0))  # determined everywhere
+        else:
+            cols.append((src >= 2.0).astype(float))  # determined once src is seen
+    support = np.column_stack([cols[i] for i in rng.permutation(d)])
+    weights = rng.integers(1, 4, size=k).astype(float)  # exact probability ties
+    model = DiscreteOutcomeModel(support=support, probs=weights / weights.sum())
+    if kind == "table":
+        n_y = int(rng.integers(2, 5))
+        decisions = tuple(range(n_y))
+        reward = RewardSpec(kind="table", table=rng.uniform(-1.0, 1.0, size=(k, n_y)))
+        costs = rng.uniform(0.0, 0.3, size=d)
+    elif kind == "indicator-match":
+        # most support points plus one vector outside the support
+        pts = [tuple(row) for row in support if rng.random() < 0.8] or [tuple(support[0])]
+        decisions = tuple(pts) + ((9.0,) * d,)
+        reward = RewardSpec(kind="indicator-match")
+        costs = rng.uniform(0.0, 0.1, size=d)
+    else:
+        decisions = tuple(tuple(row) for row in rng.uniform(0.0, 3.0, size=(int(rng.integers(2, 6)), d)))
+        reward = RewardSpec(kind="quadratic")
+        costs = rng.uniform(0.0, 1.0, size=d)
+    return ProblemInstance(model=model, costs=costs, decisions=decisions, reward=reward)
+
+
+class TestIndexListSolveMatchesOracle:
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_entries_identical(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        tested = 0
+        for _ in range(12):
+            inst = structured_discrete_instance(rng, kind)
+            _, table = solve_dp_discrete(inst)
+            assert table.entries == RecursiveDiscreteOracle(inst).entries
+            tested += any(act[0] == "test" for _, act, _ in table.entries.values())
+        assert tested >= 6
+
+    def test_large_support(self):
+        # a K=64, d=6 instance, beyond the exhaustive oracle's caps
+        rng = np.random.default_rng(64)
+        inst = None
+        while inst is None or inst.model.support_size < 40 or inst.d < 5:
+            inst = structured_discrete_instance(rng, "table")
+        _, table = solve_dp_discrete(inst)
+        assert table.entries == RecursiveDiscreteOracle(inst).entries
+
+    def test_state_cap_raises_at_same_count(self):
+        rng = np.random.default_rng(5)
+        for kind in REWARD_KINDS:
+            inst = structured_discrete_instance(rng, kind, k_max=16)
+            n_states = len(RecursiveDiscreteOracle(inst).entries)
+            # the guard counts finished states, so the smallest cap that
+            # passes lies below n_states; sweep them all
+            for cap in range(n_states + 1):
+                try:
+                    RecursiveDiscreteOracle(inst, state_cap=cap)
+                except StateSpaceError:
+                    with pytest.raises(StateSpaceError, match="blowup"):
+                        solve_dp_discrete(inst, state_cap=cap)
+                else:
+                    assert len(solve_dp_discrete(inst, state_cap=cap)[1]) == n_states
 
 
 class TestSolveDpGaussian:

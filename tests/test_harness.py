@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqtest.envs as envs
 import seqtest.harness as harness
 from seqtest.agents import EtcConfig, run_etc_discrete
 from seqtest.dp import Rollout, solve_dp_discrete
@@ -274,6 +275,85 @@ class TestTraceArtifacts:
         np.testing.assert_allclose(
             mean, (a.cumulative_regret + b.cumulative_regret) / 2.0, atol=1e-9
         )
+
+
+def _fmt_reference(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def trace_csv_reference(trace):
+    """The row-by-row trace writer the column-wise one replaced."""
+    lines = [",".join(list(envs.TRACE_COLUMNS) + list(trace.extras))]
+    for t in range(trace.episodes):
+        row = [
+            str(t + 1),
+            trace.phase[t],
+            str(int(trace.tests_performed[t])),
+            trace.decision[t],
+            _fmt_reference(trace.realized_reward[t]),
+            _fmt_reference(trace.clairvoyant_reward[t]),
+            _fmt_reference(trace.simple_regret[t]),
+            _fmt_reference(trace.cumulative_regret[t]),
+        ]
+        for name in trace.extras:
+            row.append(_fmt_reference(trace.extras[name][t]))
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+def aggregate_csv_reference(traces):
+    mean, sd = aggregate_cumulative_regret(traces)
+    out = "episode,mean_cumulative_regret,sd_cumulative_regret\n"
+    for t in range(len(mean)):
+        out += f"{t + 1},{_fmt_reference(mean[t])},{_fmt_reference(sd[t])}\n"
+    return out
+
+
+class TestColumnWriters:
+    EDGE = [-0.0, 5e-324, 1e308, 0.1, -2.5e-17, 1.0 / 3.0, 0.0]
+    GAPS = [0.0, 5e-324, 0.1, -2.5e-17, 1.0 / 3.0]  # keep cumulative regret finite
+
+    def _trace(self, T, seed=0):
+        rng = np.random.default_rng(seed)
+        edge = np.resize(np.array(self.EDGE), T)
+        clair = np.where(rng.random(T) < 0.5, edge, rng.standard_normal(T))
+        return RegretTrace(
+            agent="ocmesp",
+            seed=seed,
+            instance_hash="h",
+            phase=["explore", "commit"] * (T // 2) + ["commit"] * (T % 2),
+            tests_performed=rng.integers(0, 9, T),
+            decision=[f"{t % 3}|1" for t in range(T)],
+            realized_reward=clair - np.resize(np.array(self.GAPS), T),
+            clairvoyant_reward=clair,
+            extras={
+                "n_candidates": list(rng.integers(0, 50, T)),  # NumPy ints
+                "U_t": [np.float64(v) for v in np.resize(np.array(self.EDGE), T)],
+                "pair_chosen": [f"{t}|{t + 1}" for t in range(T)],
+                "plain": [t if t % 2 else -0.0 for t in range(T)],  # Python ints and floats
+                "flags": np.arange(T) % 3 == 0,
+                "counts": np.arange(T, dtype=np.int32),
+            },
+        )
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 9])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch, T):
+        # a chunk of 3 rows puts chunk boundaries inside every trace with T > 3
+        monkeypatch.setattr(envs, "_WRITE_CHUNK", 3)
+        trace, other = self._trace(T), self._trace(T, seed=1)
+        write_trace_csv(trace, tmp_path / "t.csv")
+        write_aggregate_csv([trace, other], tmp_path / "a.csv")
+        assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
+        assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace, other]).encode()
+
+    def test_default_chunk_matches_row_by_row_writer(self, tmp_path):
+        trace = self._trace(envs._WRITE_CHUNK + 5)
+        write_trace_csv(trace, tmp_path / "t.csv")
+        write_aggregate_csv([trace], tmp_path / "a.csv")
+        assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
+        assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
 
 
 class TestRunReplications:
