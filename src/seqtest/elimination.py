@@ -14,6 +14,14 @@ The plug-in objective for a subset S is
 the Gaussian-entropy closed form weighted against the subset's test costs.
 Per-episode regret compares true-Sigma objectives of the played and optimal
 subsets (realized entropy is not observable episode by episode).
+
+The candidates' derived state (Q, the size groups that batch each episode's
+plug-in objectives into one Cholesky per size, and the selection order) comes
+from one refresh of their 0/1 membership matrix, rerun after every
+elimination. A candidate's cost is added one index at a time in ascending
+order, as ``entropy_objective`` adds it: the objectives are compared against
+an elimination threshold, so a matmul or pairwise ``np.sum``, which can round
+the last bit differently, could change which candidates survive.
 """
 
 from __future__ import annotations
@@ -107,18 +115,29 @@ def solve_mesp_offline(
     the given-cardinality slice). Ties go to the lexicographically smallest
     subset. Capped at d <= 20."""
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
-    d = sigma_matrix.shape[0]
+    return _best_subset(
+        (s, entropy_objective(s, sigma_matrix, lam, costs))
+        for s in _subsets(sigma_matrix.shape[0], cardinality)
+    )
+
+
+def _subsets(d: int, cardinality: Optional[int] = None):
+    """Index tuples of every subset of [d] (or of the given-cardinality slice)
+    by size, then lexicographically. Capped at d <= 20."""
     if d > 20:
         raise ValueError(f"exhaustive search is capped at d <= 20, got d={d}")
-    best_val = None
-    best_subset = None
     for m in range(d + 1):
-        if cardinality is not None and m != cardinality:
-            continue
-        for s in itertools.combinations(range(d), m):
-            val = entropy_objective(s, sigma_matrix, lam, costs)
-            if best_val is None or val > best_val or (val == best_val and s < best_subset):
-                best_val, best_subset = val, s
+        if cardinality is None or m == cardinality:
+            yield from itertools.combinations(range(d), m)
+
+
+def _best_subset(objectives) -> tuple:
+    """The subset of the highest value among (subset, value) pairs; ties go to
+    the lexicographically smallest subset."""
+    best_val = best_subset = None
+    for s, val in objectives:
+        if best_val is None or val > best_val or (val == best_val and s < best_subset):
+            best_val, best_subset = val, s
     return best_subset
 
 
@@ -132,8 +151,9 @@ class CandidateSet:
     """Active candidates, the pairs they still need, and pairwise estimates.
 
     ``pair_counts``/``pair_sums`` hold |T_ij| and the running sums of x_i x_j
-    for every pair (diagonals included); both stay symmetric. ``pairs`` is Q,
-    recomputed from the surviving candidates after every elimination.
+    for every pair (diagonals included); both stay symmetric. ``pairs`` is Q.
+    ``refresh_pairs`` derives Q, the size groups and the selection order from
+    the surviving candidates after every elimination.
     """
 
     d: int
@@ -153,63 +173,44 @@ class CandidateSet:
             pair_sums=np.zeros((d, d), dtype=float),
         )
         state.refresh_pairs()
-        state._refresh_groups()
         return state
 
     def refresh_pairs(self) -> None:
-        need = np.zeros((self.d, self.d), dtype=bool)
-        for mask in self.candidates:
-            idx = _bits(mask)
-            if idx:
-                need[np.ix_(idx, idx)] = True
-        self.pairs = [
-            (i, j) for i in range(self.d) for j in range(i, self.d) if need[i, j]
-        ]
-        self._need = need
-
-    def _refresh_groups(self) -> None:
-        # candidates grouped by size with flat gather indices into a (d, d)
-        # matrix, so each episode's plug-in objectives batch into one
+        masks = np.array(self.candidates, dtype=np.int64)
+        members = (masks[:, None] >> np.arange(self.d)) & 1  # (n, d) 0/1
+        self._need = members.T @ members > 0
+        # row-major nonzeros of the upper triangle are in lexicographic order
+        rows, cols = self._pair_index = np.nonzero(np.triu(self._need))
+        self.pairs = list(zip(rows.tolist(), cols.tolist()))
+        # candidates grouped by size, each row holding its member indices in
+        # ascending order, so each episode's plug-in objectives batch into one
         # Cholesky per size
-        groups = {}
-        for pos, mask in enumerate(self.candidates):
-            bits = _bits(mask)
-            groups.setdefault(len(bits), []).append((pos, bits))
+        sizes = members.sum(axis=1)
         self._groups = []
-        for m, members in sorted(groups.items()):
-            positions = np.array([p for p, _ in members], dtype=np.intp)
-            if m == 0:
-                self._groups.append((m, positions, None))
-                continue
-            idx = np.array([b for _, b in members], dtype=np.intp)  # (n, m)
-            flat = idx[:, :, None] * self.d + idx[:, None, :]
-            self._groups.append((m, positions, flat))
+        for m in np.unique(sizes).tolist():
+            positions = np.flatnonzero(sizes == m)
+            idx = np.nonzero(members[positions])[1].reshape(len(positions), m)
+            self._groups.append((m, positions, idx))
         # candidates ordered by (size desc, lexicographic), so the selection
-        # rule's argmax is the first hit
-        self._ordered = sorted(
-            ((mask, _bits(mask)) for mask in self.candidates),
-            key=lambda mb: (-len(mb[1]), mb[1]),
-        )
-        self._cost_totals = None  # rebuilt lazily against the active costs
-        self._all_pairs_sampled = False
+        # rule's argmax is the first hit; among equal sizes the lexicographically
+        # smaller index tuple has the larger bit-reversed mask
+        reversed_masks = members @ (1 << np.arange(self.d - 1, -1, -1))
+        self._ordered = masks[np.lexsort((-reversed_masks, -sizes))]
 
     def sigma_hat(self) -> np.ndarray:
         return self.pair_sums / np.maximum(self.pair_counts, 1)
 
     def least_sampled_pair(self) -> tuple:
-        best = None
-        for pair in self.pairs:  # sorted, so ties go lexicographically
-            c = int(self.pair_counts[pair])
-            if best is None or c < best[0]:
-                best = (c, pair)
-        return best[1]
+        # the first minimum, so ties go lexicographically
+        return self.pairs[int(np.argmin(self.pair_counts[self._pair_index]))]
 
     def largest_candidate_containing(self, pair: tuple) -> int:
         pm = (1 << pair[0]) | (1 << pair[1])
-        for mask, _ in self._ordered:
-            if mask & pm == pm:
-                return mask
-        raise ValueError(f"no candidate contains pair {pair}")
+        hits = self._ordered & pm == pm
+        first = int(np.argmax(hits))
+        if not hits[first]:
+            raise ValueError(f"no candidate contains pair {pair}")
+        return int(self._ordered[first])
 
 
 def select_next_subset(state: CandidateSet) -> tuple:
@@ -234,30 +235,29 @@ def update_estimates(state: CandidateSet, subset_mask: int, x: np.ndarray, t: in
 
 
 def candidate_objectives(state: CandidateSet, lam: float, costs) -> Optional[np.ndarray]:
-    """Plug-in objectives for every candidate, or None when some block is not
-    positive definite (elimination must be skipped for the round)."""
-    if not state._all_pairs_sampled:
-        if any(state.pair_counts[p] == 0 for p in state.pairs):
-            return None  # some needed pair never sampled yet
-        state._all_pairs_sampled = True  # counts only grow, Q only shrinks
-    if state._cost_totals is None:
-        state._cost_totals = np.array(
-            [sum(costs[i] for i in _bits(mask)) for mask in state.candidates]
-        )
-    flat_sigma = state.sigma_hat().ravel()
+    """Plug-in objectives for every candidate, or None when some needed pair is
+    unsampled or some block is not positive definite (elimination must be
+    skipped for the round)."""
+    if not np.all(state.pair_counts[state._pair_index]):
+        return None  # some needed pair never sampled yet
+    costs = np.asarray(costs, dtype=float)
+    sigma = state.sigma_hat()
     values = np.empty(len(state.candidates))
-    for m, positions, flat in state._groups:
-        if m == 0:
-            values[positions] = 0.0
-            continue
-        blocks = flat_sigma[flat]  # (n, m, m)
-        try:
-            chol = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            return None
-        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        values[positions] = lam * (0.5 * m * LOG_2PI_E + 0.5 * logdet)
-    return values - state._cost_totals
+    for m, positions, idx in state._groups:
+        cost = np.zeros(len(positions))
+        for k in range(m):  # ascending index order; see the module docstring
+            cost = cost + costs[idx[:, k]]
+        entropy = 0.0
+        if m:
+            blocks = sigma[idx[:, :, None], idx[:, None, :]]  # (n, m, m)
+            try:
+                chol = np.linalg.cholesky(blocks)
+            except np.linalg.LinAlgError:
+                return None
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            entropy = lam * (0.5 * m * LOG_2PI_E + 0.5 * logdet)
+        values[positions] = entropy - cost
+    return values
 
 
 def eliminate(state: CandidateSet, t: int, config: OcmespConfig) -> CandidateSet:
@@ -280,7 +280,6 @@ def eliminate(state: CandidateSet, t: int, config: OcmespConfig) -> CandidateSet
         state.candidates = survivors
         state.eliminated_total += dropped
         state.refresh_pairs()
-        state._refresh_groups()
     return state
 
 
@@ -288,7 +287,6 @@ def eliminate(state: CandidateSet, t: int, config: OcmespConfig) -> CandidateSet
 class OcmespResult:
     trace: RegretTrace
     final_candidates: list  # subset index tuples
-    state: CandidateSet
 
 
 def run_ocmesp(
@@ -302,11 +300,11 @@ def run_ocmesp(
     if not isinstance(instance.model, GaussianOutcomeModel):
         raise InstanceError("run_ocmesp requires a Gaussian instance")
     true_sigma = instance.model.covariance
-    true_obj = {}
-    for m in range(config.d + 1):
-        for s in itertools.combinations(range(config.d), m):
-            true_obj[s] = entropy_objective(s, true_sigma, config.lam, config.costs)
-    optimal_subset = solve_mesp_offline(true_sigma, config.lam, config.costs)
+    true_obj = {
+        s: entropy_objective(s, true_sigma, config.lam, config.costs)
+        for s in _subsets(config.d)
+    }
+    optimal_subset = _best_subset(true_obj.items())
     optimal_value = true_obj[optimal_subset]
 
     T = config.horizon
@@ -343,20 +341,18 @@ def run_ocmesp(
 
     if t < T:
         survivor = tuple(_bits(state.candidates[0]))
-        label = subset_label(survivor)
-        value = true_obj[survivor]
-        for u in range(t, T):
-            realized[u] = value
-            tests_performed[u] = len(survivor)
-            phase.append("commit")
-            decisions.append("")
-            subset_col.append(label)
-            pair_col.append("")
-            n_candidates[u] = 1
-            u_col[u] = confidence_width(u + 1, config)
-            elim_col[u] = 0
-            if observations is not None:
-                observations.append({i: float(xs[u, i]) for i in survivor})
+        k = T - t
+        realized[t:] = true_obj[survivor]
+        tests_performed[t:] = len(survivor)
+        phase += ["commit"] * k
+        decisions += [""] * k
+        subset_col += [subset_label(survivor)] * k
+        pair_col += [""] * k
+        n_candidates[t:] = 1
+        u_col[t:] = [confidence_width(u + 1, config) for u in range(t, T)]
+        elim_col[t:] = 0
+        if observations is not None:
+            observations += [{i: float(xs[u, i]) for i in survivor} for u in range(t, T)]
 
     trace = RegretTrace(
         agent="ocmesp",
@@ -384,5 +380,4 @@ def run_ocmesp(
     return OcmespResult(
         trace=trace,
         final_candidates=[tuple(_bits(m)) for m in state.candidates],
-        state=state,
     )

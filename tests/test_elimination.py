@@ -1,6 +1,7 @@
 """Iterative elimination for online cost-sensitive maximum entropy sampling."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -122,7 +123,6 @@ class TestCandidateSet:
         state = CandidateSet.initial(3)
         state.candidates = [0b101, 0b111]
         state.refresh_pairs()
-        state._refresh_groups()
         pair, subset = select_next_subset(state)
         assert subset == 0b111
 
@@ -163,7 +163,6 @@ class TestEliminate:
         state = CandidateSet.initial(2)
         state.candidates = [0b11, 0b01]
         state.refresh_pairs()
-        state._refresh_groups()
         # objective({0}) = (LOG_2PI_E + log v)/2; objective({0,1}) adds the
         # second coordinate's conditional entropy; set a diagonal sigma
         v0 = math.exp(2.0 * h_b - LOG_2PI_E)
@@ -328,3 +327,282 @@ class TestLogDetPerturbation:
             assert sign > 0
             _, logdet_a = np.linalg.slogdet(A)
             assert abs(logdet_pert - logdet_a) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-candidate list implementation that the membership-matrix
+# CandidateSet replaced, kept verbatim as an oracle.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ListCandidateSetOracle:
+    """Active candidates, the pairs they still need, and pairwise estimates.
+
+    ``pair_counts``/``pair_sums`` hold |T_ij| and the running sums of x_i x_j
+    for every pair (diagonals included); both stay symmetric. ``pairs`` is Q,
+    recomputed from the surviving candidates after every elimination.
+    """
+
+    d: int
+    candidates: list  # subset bitmasks; never empty, only ever shrinks
+    pair_counts: np.ndarray
+    pair_sums: np.ndarray
+    pairs: list = field(default_factory=list)  # Q as sorted (i, j), i <= j
+    eliminated_total: int = 0
+    pd_skips: int = 0
+
+    @classmethod
+    def initial(cls, d: int) -> "ListCandidateSetOracle":
+        state = cls(
+            d=d,
+            candidates=list(range(1 << d)),  # power set, sizes 0 and 1 included
+            pair_counts=np.zeros((d, d), dtype=np.int64),
+            pair_sums=np.zeros((d, d), dtype=float),
+        )
+        state.refresh_pairs()
+        state._refresh_groups()
+        return state
+
+    def refresh_pairs(self) -> None:
+        need = np.zeros((self.d, self.d), dtype=bool)
+        for mask in self.candidates:
+            idx = _bits(mask)
+            if idx:
+                need[np.ix_(idx, idx)] = True
+        self.pairs = [
+            (i, j) for i in range(self.d) for j in range(i, self.d) if need[i, j]
+        ]
+        self._need = need
+
+    def _refresh_groups(self) -> None:
+        # candidates grouped by size with flat gather indices into a (d, d)
+        # matrix, so each episode's plug-in objectives batch into one
+        # Cholesky per size
+        groups = {}
+        for pos, mask in enumerate(self.candidates):
+            bits = _bits(mask)
+            groups.setdefault(len(bits), []).append((pos, bits))
+        self._groups = []
+        for m, members in sorted(groups.items()):
+            positions = np.array([p for p, _ in members], dtype=np.intp)
+            if m == 0:
+                self._groups.append((m, positions, None))
+                continue
+            idx = np.array([b for _, b in members], dtype=np.intp)  # (n, m)
+            flat = idx[:, :, None] * self.d + idx[:, None, :]
+            self._groups.append((m, positions, flat))
+        # candidates ordered by (size desc, lexicographic), so the selection
+        # rule's argmax is the first hit
+        self._ordered = sorted(
+            ((mask, _bits(mask)) for mask in self.candidates),
+            key=lambda mb: (-len(mb[1]), mb[1]),
+        )
+        self._cost_totals = None  # rebuilt lazily against the active costs
+        self._all_pairs_sampled = False
+
+    def sigma_hat(self) -> np.ndarray:
+        return self.pair_sums / np.maximum(self.pair_counts, 1)
+
+    def least_sampled_pair(self) -> tuple:
+        best = None
+        for pair in self.pairs:  # sorted, so ties go lexicographically
+            c = int(self.pair_counts[pair])
+            if best is None or c < best[0]:
+                best = (c, pair)
+        return best[1]
+
+    def largest_candidate_containing(self, pair: tuple) -> int:
+        pm = (1 << pair[0]) | (1 << pair[1])
+        for mask, _ in self._ordered:
+            if mask & pm == pm:
+                return mask
+        raise ValueError(f"no candidate contains pair {pair}")
+
+
+def oracle_candidate_objectives(state, lam, costs):
+    """Plug-in objectives for every candidate, or None when some block is not
+    positive definite (elimination must be skipped for the round)."""
+    if not state._all_pairs_sampled:
+        if any(state.pair_counts[p] == 0 for p in state.pairs):
+            return None  # some needed pair never sampled yet
+        state._all_pairs_sampled = True  # counts only grow, Q only shrinks
+    if state._cost_totals is None:
+        state._cost_totals = np.array(
+            [sum(costs[i] for i in _bits(mask)) for mask in state.candidates]
+        )
+    flat_sigma = state.sigma_hat().ravel()
+    values = np.empty(len(state.candidates))
+    for m, positions, flat in state._groups:
+        if m == 0:
+            values[positions] = 0.0
+            continue
+        blocks = flat_sigma[flat]  # (n, m, m)
+        try:
+            chol = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            return None
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        values[positions] = lam * (0.5 * m * LOG_2PI_E + 0.5 * logdet)
+    return values - state._cost_totals
+
+
+def oracle_eliminate(state, t, config):
+    """Drop every candidate whose plug-in objective is 2*lambda*U(t) below the
+    best one. Skipped entirely while U(t) > 1, and skipped with a diagnostic
+    when an estimated block is not positive definite despite U <= 1."""
+    width = confidence_width(t, config)
+    if width > 1.0:
+        return state
+    values = oracle_candidate_objectives(state, config.lam, config.costs)
+    if values is None:
+        state.pd_skips += 1
+        return state
+    # eliminate S when H_hat(S) + 2*lam*U <= max_S' H_hat(S')
+    threshold = float(values.max()) - 2.0 * config.lam * width
+    keep = values > threshold
+    survivors = [mask for mask, k in zip(state.candidates, keep) if k]
+    dropped = len(state.candidates) - len(survivors)
+    if dropped:
+        state.candidates = survivors
+        state.eliminated_total += dropped
+        state.refresh_pairs()
+        state._refresh_groups()
+    return state
+
+
+# costs whose sums depend on the order of addition: 0.1 + 0.2 + 0.3 differs
+# from 0.1 + (0.2 + 0.3) in the last bit
+ORDER_SENSITIVE_COSTS = (0.1, 0.2, 0.3, 0.7, 1.1, 1e-17)
+
+
+def _random_candidates(rng, d, kind):
+    if kind == "empty-only":
+        return [0]
+    if kind == "singletons":
+        picked = rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+        return [1 << i for i in sorted(picked.tolist())]
+    if kind == "power-set":
+        return list(range(1 << d))
+    n = int(rng.integers(1, (1 << d) + 1))
+    masks = rng.choice(1 << d, n, replace=False)
+    return sorted(masks.tolist()) if kind == "arbitrary" else masks.tolist()
+
+
+def _state_pair(d, candidates, counts, sums):
+    new = CandidateSet(d=d, candidates=list(candidates), pair_counts=counts.copy(),
+                       pair_sums=sums.copy())
+    old = ListCandidateSetOracle(d=d, candidates=list(candidates), pair_counts=counts.copy(),
+                                 pair_sums=sums.copy())
+    new.refresh_pairs()
+    old.refresh_pairs()
+    old._refresh_groups()
+    return new, old
+
+
+def _same_objectives(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.tobytes() == b.tobytes()  # bitwise
+
+
+class TestCandidateSetMatchesListOracle:
+    KINDS = ("empty-only", "singletons", "arbitrary", "shuffled", "power-set")
+
+    def test_random_states(self, rng):
+        # d >= 8 reaches the sizes where np.sum switches to pairwise summation
+        for d in range(1, 11):
+            for kind in self.KINDS:
+                for _ in range(3):
+                    self._check_random_state(rng, d, kind)
+
+    def _check_random_state(self, rng, d, kind):
+        candidates = _random_candidates(rng, d, kind)
+        counts = np.triu(rng.integers(1, 4, (d, d)))  # few values: many ties
+        counts = counts + np.triu(counts, 1).T
+        a = rng.standard_normal((d, d))
+        sigma = a @ a.T + 0.5 * np.eye(d)
+        sums = sigma * counts
+        costs = rng.choice(ORDER_SENSITIVE_COSTS, d)
+        new, old = _state_pair(d, candidates, counts, sums)
+
+        assert new.pairs == old.pairs
+        assert np.array_equal(new._need, old._need)
+        if new.pairs:
+            assert new.least_sampled_pair() == old.least_sampled_pair()
+        for i in range(d):
+            for j in range(i, d):
+                if (i, j) in old.pairs:
+                    got = new.largest_candidate_containing((i, j))
+                    assert type(got) is int
+                    assert got == old.largest_candidate_containing((i, j))
+                else:
+                    with pytest.raises(ValueError, match="no candidate contains"):
+                        new.largest_candidate_containing((i, j))
+
+        values = candidate_objectives(new, 1.3, costs)
+        assert values is not None
+        assert _same_objectives(values, oracle_candidate_objectives(old, 1.3, costs))
+
+        for c in (1e6, 1e8, 1e10, 1e12):
+            cfg = make_config(d=d, costs=costs, lam=1.3, c=c, horizon=10**6)
+            kept_new, kept_old = _state_pair(d, candidates, counts, sums)
+            eliminate(kept_new, 1000, cfg)
+            oracle_eliminate(kept_old, 1000, cfg)
+            assert kept_new.candidates == kept_old.candidates
+            assert kept_new.eliminated_total == kept_old.eliminated_total
+            assert kept_new.pairs == kept_old.pairs
+
+        if new.pairs:  # an unsampled needed pair withholds the objectives
+            i, j = new.pairs[int(rng.integers(len(new.pairs)))]
+            counts[i, j] = counts[j, i] = 0
+            new, old = _state_pair(d, candidates, counts, sums)
+            assert candidate_objectives(new, 1.3, costs) is None
+            assert oracle_candidate_objectives(old, 1.3, costs) is None
+
+    def test_non_pd_block_gives_none_for_both(self, rng):
+        for d in range(2, 7):
+            counts = np.full((d, d), 5)
+            sums = 5.0 * np.eye(d)
+            sums[0, 1] = sums[1, 0] = 5.0 * 3.0  # the {0, 1} block is indefinite
+            costs = rng.choice(ORDER_SENSITIVE_COSTS, d)
+            for candidates in (list(range(1 << d)), [0b11, 0b01], [0b1, 0b10]):
+                new, old = _state_pair(d, candidates, counts, sums)
+                got = candidate_objectives(new, 1.0, costs)
+                assert _same_objectives(got, oracle_candidate_objectives(old, 1.0, costs))
+                assert (got is None) == (candidates != [0b1, 0b10])
+
+    def test_step_by_step_runs(self):
+        inst = gen_gaussian_lowrank(d=5, seed=2, lam=1.0, cost=1.7)
+        cfg = make_config(
+            d=5, sigma=float(inst.model.condition_number), costs=inst.costs,
+            horizon=3000, c=1e9,
+        )
+        eliminated = 0
+        for seed in (0, 1, 2):
+            xs = GaussianEnvironment(inst, seed=seed).outcomes(cfg.horizon)
+            new, old = CandidateSet.initial(5), ListCandidateSetOracle.initial(5)
+            for t in range(cfg.horizon):
+                if len(new.candidates) == 1:
+                    break
+                pair, subset = select_next_subset(new)
+                assert (pair, subset) == select_next_subset(old)
+                update_estimates(new, subset, xs[t], t + 1)
+                update_estimates(old, subset, xs[t], t + 1)
+                eliminate(new, t + 1, cfg)
+                oracle_eliminate(old, t + 1, cfg)
+                assert new.candidates == old.candidates
+                assert new.pairs == old.pairs
+                assert (new.eliminated_total, new.pd_skips) == (old.eliminated_total, old.pd_skips)
+                assert np.array_equal(new.pair_counts, old.pair_counts)
+                assert new.pair_sums.tobytes() == old.pair_sums.tobytes()
+            eliminated += new.eliminated_total
+        assert eliminated > 0
+
+    def test_no_pairs_remain(self):
+        state = CandidateSet.initial(3)
+        state.candidates = [0]
+        state.refresh_pairs()
+        assert state.pairs == []
+        with pytest.raises(ValueError, match="no pairs remain"):
+            select_next_subset(state)
