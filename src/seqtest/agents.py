@@ -7,6 +7,12 @@ resulting policy to the horizon. The schedule is N = floor(|P|^(1/3) T^(2/3))
 for discrete outcome models and N = floor(sigma^2 T^(2/3)) for Gaussian ones,
 clamped to [1, T].
 
+Every episode is a rollout priced by ``rollout_net_rewards``, as the
+clairvoyant's are: explore episodes, and the episodes after a Gaussian
+estimation failure, are ``full_information_rollouts``. So regret is exactly 0
+wherever the agent plays as the clairvoyant does (tests in the same order,
+same decision).
+
 The doubling wrapper restarts a fresh known-horizon agent on episode batches
 of length 2^0, 2^1, 2^2, ... (final batch truncated), carrying no state across
 batches, which turns the fixed-horizon agent into an anytime one.
@@ -15,16 +21,15 @@ batches, which turns the fixed-horizon agent into an anytime one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dp import (
     QuadratureSpec,
-    _reward_table,
+    full_information_rollouts,
     rollout_net_rewards,
-    rollout_observations,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -33,7 +38,7 @@ from .envs import (
     GaussianEnvironment,
     RegretTrace,
     concatenate_traces,
-    decision_labels,
+    rollout_trace,
 )
 from .models import (
     DiscreteOutcomeModel,
@@ -41,7 +46,6 @@ from .models import (
     InstanceError,
     ProblemInstance,
     RewardSpec,
-    instance_hash,
 )
 
 
@@ -146,19 +150,6 @@ def _empirical_instance(instance: ProblemInstance, empirical: EmpiricalModel) ->
     )
 
 
-def _greedy_decisions(instance: ProblemInstance) -> np.ndarray:
-    """argmax_y f(x_k, y) per support point (ties to the lowest index)."""
-    model = instance.model
-    table = _reward_table(instance)
-    if table is not None:
-        return np.argmax(table, axis=1)
-    dec_index = {y: j for j, y in enumerate(instance.decisions)}
-    out = np.zeros(model.support_size, dtype=int)
-    for k in range(model.support_size):
-        out[k] = dec_index.get(tuple(model.support[k]), 0)
-    return out
-
-
 @dataclass
 class EtcRunResult:
     trace: RegretTrace
@@ -181,56 +172,35 @@ def run_etc_discrete(
     pmf over observed complete vectors, commit to the DP policy on it."""
     instance = env.instance
     model = instance.model
-    T = config.horizon
+    T, K = config.horizon, model.support_size
     n_explore = discrete_exploration_episodes(config)
     idx = env.outcome_indices(T)
-    _, _, clair_net = env.clairvoyant(config.state_cap)
-
-    total_cost = float(instance.costs.sum())
-    greedy = _greedy_decisions(instance)
-    explore_net = np.array(
-        [
-            instance.reward_value(model.support[k], int(greedy[k]), support_index=k)
-            for k in range(model.support_size)
-        ]
-    ) - total_cost
+    _, (_, _, _, clair_net) = env.clairvoyant(config.state_cap)
 
     policy = empirical = None
     if n_explore < T:
         empirical = _empirical_discrete(model.support[idx[:n_explore]])
         emp_instance = _empirical_instance(instance, empirical)
         policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
-        tests, dec, commit_order, fallback = policy.rollouts(model.support)
-        net = rollout_net_rewards(
-            instance, model.support, commit_order, dec, np.arange(model.support_size)
-        )
 
-    # per-support-point tables gathered through the sampled indices
-    realized = explore_net[idx]
-    tests_performed = np.full(T, model.d)
-    decision_idx = greedy[idx]
-    order = np.tile(np.arange(model.d), (T, 1)) if collect_observations else None
+    # rollouts tabulated per support point and gathered through the sampled
+    # indices: full information first, then the committed policy's from
+    # episode n_explore on
+    tests, dec, order, net = full_information_rollouts(instance, model.support, np.arange(K))
+    rollout = [tests[idx], dec[idx], order[idx] if collect_observations else None, net[idx]]
     fallback_count = 0
     if policy is not None:
+        tests, dec, order, fallback = policy.rollouts(model.support)
+        net = rollout_net_rewards(instance, model.support, order, dec, np.arange(K))
         commit_idx = idx[n_explore:]
-        realized[n_explore:] = net[commit_idx]
-        tests_performed[n_explore:] = tests[commit_idx]
-        decision_idx[n_explore:] = dec[commit_idx]
+        for col, table in zip(rollout, (tests, dec, order, net)):
+            if col is not None:
+                col[n_explore:] = table[commit_idx]
         fallback_count = int(fallback[commit_idx].sum())
-        if collect_observations:
-            order[n_explore:] = commit_order[commit_idx]
-    observations = rollout_observations(model.support[idx], order) if collect_observations else None
 
-    trace = RegretTrace(
-        agent="etc-discrete",
-        seed=env.seed,
-        instance_hash=instance_hash(instance),
-        phase=["explore"] * n_explore + ["commit"] * (T - n_explore),
-        tests_performed=tests_performed,
-        decision=decision_labels(instance, decision_idx),
-        realized_reward=realized,
-        clairvoyant_reward=clair_net[idx],
-        observations=observations,
+    xs = model.support[idx] if collect_observations else None
+    trace = rollout_trace(
+        "etc-discrete", env, n_explore, rollout, clair_net[idx], xs,
         metadata={"n_explore": n_explore, "fallback_episodes": fallback_count},
     )
     return EtcRunResult(trace=trace, policy=policy, empirical=empirical, metadata=trace.metadata)
@@ -307,38 +277,19 @@ def run_etc_gaussian(
         )
         policy, _ = solve_dp_gaussian(emp_instance, config.quadrature, config.state_cap)
 
-    dec_matrix = np.array([list(y) for y in instance.decisions])
-    total_cost = float(instance.costs.sum())
-
-    def full_test_rows(rows: np.ndarray):
-        sq = ((rows[:, None, :] - dec_matrix[None, :, :]) ** 2).sum(axis=2)
-        d_idx = np.argmin(sq, axis=1)
-        nets = -sq[np.arange(rows.shape[0]), d_idx] - total_cost
-        return nets, np.full(rows.shape[0], instance.d, dtype=int), d_idx
-
-    realized = np.empty(T)
-    tests_performed = np.empty(T, dtype=int)
-    decision_idx = np.empty(T, dtype=int)
-    order = np.tile(np.arange(instance.d), (T, 1))  # tests per episode, in order
-    exp_net, exp_tests, exp_dec = full_test_rows(xs[:n_explore])
-    realized[:n_explore] = exp_net
-    tests_performed[:n_explore] = exp_tests
-    decision_idx[:n_explore] = exp_dec
-    if n_explore < T:
-        if policy is not None:
-            c_tests, c_dec, order[n_explore:] = policy.rollouts(xs[n_explore:])
-            c_net = rollout_net_rewards(instance, xs[n_explore:], order[n_explore:], c_dec)
-        else:
-            c_net, c_tests, c_dec = full_test_rows(xs[n_explore:])
-        realized[n_explore:] = c_net
-        tests_performed[n_explore:] = c_tests
-        decision_idx[n_explore:] = c_dec
+    # explore episodes, then the committed policy's rollouts or, after an
+    # estimation failure, full testing to the horizon
+    explore = full_information_rollouts(instance, xs[:n_explore])
+    xs_commit = xs[n_explore:]
+    if policy is not None:
+        c_tests, c_dec, c_order = policy.rollouts(xs_commit)
+        commit = (c_tests, c_dec, c_order, rollout_net_rewards(instance, xs_commit, c_order, c_dec))
+    else:
+        commit = full_information_rollouts(instance, xs_commit)
+    rollout = tuple(np.concatenate(pair) for pair in zip(explore, commit))
 
     _, clair_dec, clair_order = clair.rollouts(xs)
     clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
-
-    phase = ["explore" if t < n_explore else "commit" for t in range(T)]
-    observations = rollout_observations(xs, order) if collect_observations else None
 
     metadata = {
         "n_explore": n_explore,
@@ -346,17 +297,9 @@ def run_etc_gaussian(
         "estimator": estimate.estimator if estimate is not None else None,
         "estimation_failure": estimation_failure,
     }
-    trace = RegretTrace(
-        agent="etc-gaussian",
-        seed=env.seed,
-        instance_hash=instance_hash(instance),
-        phase=phase,
-        tests_performed=tests_performed,
-        decision=decision_labels(instance, decision_idx),
-        realized_reward=realized,
-        clairvoyant_reward=clair_net,
-        observations=observations,
-        metadata=metadata,
+    trace = rollout_trace(
+        "etc-gaussian", env, n_explore, rollout, clair_net,
+        xs if collect_observations else None, metadata,
     )
     return EtcRunResult(trace=trace, policy=policy, empirical=estimate, metadata=metadata)
 
@@ -398,15 +341,7 @@ def run_etc_doubling(env, config: EtcConfig, collect_observations: bool = False)
     runner = run_etc_discrete if isinstance(env, DiscreteEnvironment) else run_etc_gaussian
 
     def factory(batch_T: int) -> RegretTrace:
-        batch_config = EtcConfig(
-            horizon=batch_T,
-            support_size_hint=config.support_size_hint,
-            condition_number=config.condition_number,
-            override_n=None,
-            assume_zero_mean=config.assume_zero_mean,
-            quadrature=config.quadrature,
-            state_cap=config.state_cap,
-        )
+        batch_config = replace(config, horizon=batch_T, override_n=None)
         return runner(env, batch_config, collect_observations).trace
 
     trace = run_doubling(factory, config.horizon)

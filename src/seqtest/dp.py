@@ -312,8 +312,10 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
 
     def solve(mask: int, idxs: list, mass_s: float) -> float:
         # evaluates a state not yet in the memo; ``idxs`` are its support
-        # indices (ascending), ``mass_s`` their probability mass
-        if len(memo) >= state_cap:
+        # indices (ascending), ``mass_s`` their probability mass. Every state
+        # but the root enters the mass memo when first reached, before it is
+        # solved, so len(mass_memo) + 1 states have been reached here
+        if len(mass_memo) >= state_cap:
             raise StateSpaceError(
                 f"state-space blowup guard: more than {state_cap} canonical states"
             )
@@ -713,6 +715,31 @@ def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support
     ks = [None] * len(xs) if support_index is None else support_index
     reward = [instance.reward_value(x, int(j), k) for x, j, k in zip(xs, decisions, ks)]
     return np.array(reward) - test_cost
+
+
+def full_information_rollouts(instance: ProblemInstance, xs, support_index=None):
+    """(tests, decision, order, net) of episodes that test 0..d-1 in order and
+    then take the best decision for the fully observed outcome, lowest index
+    first on ties; ``net`` is priced by :func:`rollout_net_rewards`. Discrete
+    table and quadratic rewards read row ``support_index`` (required) of
+    :func:`_reward_table`; an indicator-match decision is the one equal to x,
+    else decision 0."""
+    xs = np.asarray(xs, dtype=float)
+    n, d = xs.shape
+    if instance.reward.kind == "indicator-match":
+        dec_index = {y: j for j, y in enumerate(instance.decisions)}
+        decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
+    else:
+        if isinstance(instance.model, GaussianOutcomeModel):
+            values = _quadratic_decision_values(
+                _decision_matrix(instance), list(range(d)), [], xs, None, 0.0
+            )
+        else:
+            values = _reward_table(instance)[np.asarray(support_index, dtype=np.intp)]
+        decision = np.argmax(values, axis=1)
+    order = np.tile(np.arange(d), (n, 1))
+    net = rollout_net_rewards(instance, xs, order, decision, support_index)
+    return np.full(n, d), decision, order, net
 
 
 def rollout_observations(xs: np.ndarray, order: np.ndarray) -> list:

@@ -27,6 +27,7 @@ from .dp import (
     Rollout,
     rollout_net_reward,
     rollout_net_rewards,
+    rollout_observations,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -60,15 +61,15 @@ class DiscreteEnvironment:
         return sample_support_indices(self.instance.model, self._rng, n)
 
     def clairvoyant(self, state_cap: int = 10**7):
-        """(policy, (tests, decision, order, fallback), net): the clairvoyant
-        policy (solved once, under ``state_cap``), its ``rollouts`` arrays and
-        its net rewards on every support point, row k for support point k."""
+        """(policy, (tests, decision, order, net)): the clairvoyant policy
+        (solved once, under ``state_cap``) and its priced rollout on every
+        support point, row k for support point k."""
         if self._clair is None:
             policy, _ = solve_dp_discrete(self.instance, state_cap)
             support = self.instance.model.support
-            _, dec, order, _ = rollouts = policy.rollouts(support, on_missing="error")
+            tests, dec, order, _ = policy.rollouts(support, on_missing="error")
             net = rollout_net_rewards(self.instance, support, order, dec, np.arange(len(support)))
-            self._clair = (policy, rollouts, net)
+            self._clair = (policy, (tests, dec, order, net))
         return self._clair
 
 
@@ -181,6 +182,35 @@ class RegretTrace:
                 raise ValueError(f"extra column {name} has length {len(col)}, expected {n}")
         if n and np.max(np.abs(np.cumsum(self.simple_regret) - self.cumulative_regret)) > 1e-9:
             raise ValueError("cumulative_regret is not the running sum of simple_regret")
+
+
+def rollout_trace(
+    agent: str,
+    env,
+    n_explore: int,
+    rollout,
+    clairvoyant_net: np.ndarray,
+    xs: Optional[np.ndarray] = None,
+    metadata: Optional[dict] = None,
+) -> RegretTrace:
+    """Trace of a run on ``env`` whose episode t is row t of ``rollout`` =
+    (tests, decision, order, net), the first ``n_explore`` exploring and the
+    rest committed. Observations are recorded from ``xs``, the realized
+    outcomes, when given (``order`` may be None otherwise)."""
+    tests, decision, order, net = rollout
+    instance = env.instance
+    return RegretTrace(
+        agent=agent,
+        seed=env.seed,
+        instance_hash=instance_hash(instance),
+        phase=["explore"] * n_explore + ["commit"] * (len(net) - n_explore),
+        tests_performed=tests,
+        decision=decision_labels(instance, decision),
+        realized_reward=net,
+        clairvoyant_reward=clairvoyant_net,
+        observations=None if xs is None else rollout_observations(xs, order),
+        metadata=metadata or {},
+    )
 
 
 def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:

@@ -25,7 +25,7 @@ from .agents import (
     run_etc_doubling,
     run_etc_gaussian,
 )
-from .dp import QuadratureSpec, rollout_net_rewards, rollout_observations
+from .dp import QuadratureSpec, rollout_net_rewards
 from .elimination import OcmespConfig, run_ocmesp
 from .envs import (
     DiscreteEnvironment,
@@ -33,7 +33,7 @@ from .envs import (
     RegretTrace,
     _atomic_open,
     aggregate_cumulative_regret,
-    decision_labels,
+    rollout_trace,
     write_aggregate_csv,
     write_dataset_csv,
     write_trace_csv,
@@ -111,35 +111,24 @@ def _etc_config(config: ExperimentConfig, params: dict) -> EtcConfig:
     )
 
 
-def _run_clairvoyant(config: ExperimentConfig, seed: int, collect: bool) -> RegretTrace:
+def _run_clairvoyant(config: ExperimentConfig, seed: int, collect: bool, params: dict) -> RegretTrace:
     instance = config.instance
     T = config.horizon
-    params = resolved_agent_params(config)
+    state_cap = int(params["state_cap"])
     if isinstance(instance.model, DiscreteOutcomeModel):
         # tabulated per support point, gathered per episode
         env = DiscreteEnvironment(instance, seed)
-        _, (tests, dec, order, _), net = env.clairvoyant(int(params["state_cap"]))
+        _, (tests, dec, order, net) = env.clairvoyant(state_cap)
         idx = env.outcome_indices(T)
-        tests, dec, net = tests[idx], dec[idx], net[idx]
-        xs, order = (instance.model.support[idx], order[idx]) if collect else (None, None)
+        xs = instance.model.support[idx] if collect else None
+        rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
     else:
         env = GaussianEnvironment(instance, seed)
-        etc_config = _etc_config(config, params)
-        policy = env.clairvoyant_policy(etc_config.quadrature, etc_config.state_cap)
+        policy = env.clairvoyant_policy(QuadratureSpec.from_params(params), state_cap)
         xs = env.outcomes(T)
         tests, dec, order = policy.rollouts(xs)
-        net = rollout_net_rewards(instance, xs, order, dec)
-    return RegretTrace(
-        agent="clairvoyant",
-        seed=seed,
-        instance_hash=instance_hash(instance),
-        phase=["commit"] * T,
-        tests_performed=tests,
-        decision=decision_labels(instance, dec),
-        realized_reward=net,
-        clairvoyant_reward=net,
-        observations=rollout_observations(xs, order) if collect else None,
-    )
+        rollout = (tests, dec, order, rollout_net_rewards(instance, xs, order, dec))
+    return rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None)
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
@@ -149,7 +138,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
     collect = config.emit_dataset
     agent = config.agent
     if agent == "clairvoyant":
-        return _run_clairvoyant(config, seed, collect)
+        return _run_clairvoyant(config, seed, collect, params)
     if agent == "ocmesp":
         if instance.reward.kind != "entropy":
             raise InstanceError("the ocmesp agent requires an entropy-reward instance")

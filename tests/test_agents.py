@@ -17,9 +17,14 @@ from seqtest.agents import (
     run_etc_doubling,
     run_etc_gaussian,
 )
-from seqtest.dp import QuadratureSpec
+from seqtest.dp import QuadratureSpec, full_information_rollouts
 from seqtest.envs import DiscreteEnvironment, GaussianEnvironment
-from seqtest.generators import gen_discrete_pareto, gen_lower_bound_single
+from seqtest.generators import (
+    gen_discrete_pareto,
+    gen_gaussian_quadratic,
+    gen_lower_bound_single,
+)
+from seqtest.harness import ExperimentConfig, run_seed
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
@@ -245,6 +250,11 @@ class TestEtcGaussian:
         assert res.trace.metadata["estimation_failure"]
         assert res.policy is None
         assert np.all(res.trace.tests_performed == 2)
+        # the remainder is priced as full-information rollouts
+        n = res.trace.metadata["n_explore"]
+        xs = GaussianEnvironment(inst, seed=4).outcomes(20)
+        net = full_information_rollouts(inst, xs[n:])[3]
+        assert n < 20 and np.array_equal(res.trace.realized_reward[n:], net)
 
     def test_centered_estimator_used_for_nonzero_mean(self):
         inst = gaussian_1d_instance(mean=5.0)
@@ -253,6 +263,34 @@ class TestEtcGaussian:
         assert res.trace.metadata["estimator"] == "centered"
         # uncentered second moment would be ~ 26, the centered one ~ 1
         assert res.empirical.covariance[0, 0] < 5.0
+
+
+class TestExploreMatchesClairvoyant:
+    # an explore episode on which the clairvoyant also tests every coordinate
+    # and takes the same decision is priced identically by both: its regret is
+    # exactly 0. Both instances have equal costs, so test order cannot matter.
+    @pytest.mark.parametrize(
+        "agent, instance, horizon",
+        [
+            ("etc-discrete", lambda: gen_discrete_pareto(d=8, seed=0, cost=0.05), 4096),
+            ("etc-gaussian", lambda: gen_gaussian_quadratic(d=2, seed=0), 2048),
+        ],
+    )
+    def test_full_information_ties_have_zero_regret(self, agent, instance, horizon):
+        inst = instance()
+        traces = {
+            name: run_seed(ExperimentConfig(instance=inst, agent=name, horizon=horizon, seeds=(0,)), 0)
+            for name in (agent, "clairvoyant")
+        }
+        etc, clair = traces[agent], traces["clairvoyant"]
+        n = etc.metadata["n_explore"]
+        same = [
+            t
+            for t in range(n)
+            if clair.tests_performed[t] == inst.d and clair.decision[t] == etc.decision[t]
+        ]
+        assert len(same) > 20
+        assert all(etc.simple_regret[t] == 0.0 for t in same)
 
 
 class TestDoublingVsKnownT:

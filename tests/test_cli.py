@@ -90,6 +90,14 @@ class TestSolve:
         assert code == 2
         assert "blowup" in capsys.readouterr().err
 
+    def test_state_cap_boundary_exit_codes(self, tmp_path, capsys):
+        # the d=4 Pareto instance has 81 canonical states
+        inst_path = tmp_path / "p4.json"
+        run_cli("gen", "pareto", "--d", "4", "--seed", "0", "--out", str(inst_path))
+        assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "80") == 2
+        assert "blowup" in capsys.readouterr().err
+        assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "81") == 0
+
     @staticmethod
     def _identity_quadratic(path, d):
         save_instance(

@@ -14,11 +14,13 @@ from seqtest.dp import (
     PolicyUndefinedError,
     QuadratureCapError,
     QuadratureSpec,
+    Rollout,
     StateSpaceError,
     _bits,
     _gaussian_decision_values,
     decision_reward,
     evaluate_policy,
+    full_information_rollouts,
     gaussian_tree_size,
     policy_records,
     q_value,
@@ -27,7 +29,11 @@ from seqtest.dp import (
     solve_dp_discrete,
     solve_dp_gaussian,
 )
-from seqtest.generators import brute_force_policy_oracle, gen_lower_bound_single
+from seqtest.generators import (
+    brute_force_policy_oracle,
+    gen_discrete_pareto,
+    gen_lower_bound_single,
+)
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
@@ -462,20 +468,29 @@ class TestIndexListSolveMatchesOracle:
         assert table.entries == RecursiveDiscreteOracle(inst).entries
 
     def test_state_cap_raises_at_same_count(self):
+        # states are counted when first reached, so a solve raises exactly
+        # when the cap is below its state count. The guard used to count
+        # finished states only (as the oracle still does), and caps just
+        # below the count then returned every state.
         rng = np.random.default_rng(5)
         for kind in REWARD_KINDS:
             inst = structured_discrete_instance(rng, kind, k_max=16)
-            n_states = len(RecursiveDiscreteOracle(inst).entries)
-            # the guard counts finished states, so the smallest cap that
-            # passes lies below n_states; sweep them all
-            for cap in range(n_states + 1):
-                try:
-                    RecursiveDiscreteOracle(inst, state_cap=cap)
-                except StateSpaceError:
+            entries = RecursiveDiscreteOracle(inst).entries
+            n_states = len(entries)
+            for cap in range(n_states + 2):
+                if cap < n_states:
                     with pytest.raises(StateSpaceError, match="blowup"):
                         solve_dp_discrete(inst, state_cap=cap)
                 else:
-                    assert len(solve_dp_discrete(inst, state_cap=cap)[1]) == n_states
+                    assert solve_dp_discrete(inst, state_cap=cap)[1].entries == entries
+
+    def test_state_cap_boundary_on_pareto(self):
+        # binary Pareto instances reach all 3^d canonical states
+        for d in (3, 4, 5):
+            inst = gen_discrete_pareto(d=d, seed=0, cost=0.05)
+            with pytest.raises(StateSpaceError, match="blowup"):
+                solve_dp_discrete(inst, state_cap=3**d - 1)
+            assert len(solve_dp_discrete(inst, state_cap=3**d)[1]) == 3**d
 
 
 class TestSolveDpGaussian:
@@ -697,6 +712,63 @@ def sample_outcomes(instance, rng, n):
 # (d, nodes per test) for the oracle comparisons; d=1 is the case the removed
 # single-test fast path used to cover
 ORACLE_CASES = [(1, 16), (1, 5), (2, 8), (2, 3), (3, 5), (3, 4)]
+
+
+class TestFullInformationRollouts:
+    @staticmethod
+    def check(inst, xs, support_index=None):
+        """Every row tests 0..d-1, decides the lowest-index argmax of the
+        realized reward, and is priced as that single rollout."""
+        tests, decision, order, net = full_information_rollouts(inst, xs, support_index)
+        d = inst.d
+        ks = [None] * len(xs) if support_index is None else support_index
+        for t, (x, k) in enumerate(zip(xs, ks)):
+            rewards = [inst.reward_value(x, j, k) for j in range(len(inst.decisions))]
+            j = int(np.argmax(rewards))
+            assert decision[t] == j
+            assert tests[t] == d and order[t].tolist() == list(range(d))
+            roll = Rollout(tests=tuple(range(d)), decision=j)
+            assert net[t] == rollout_net_reward(inst, x, roll, k)
+        return decision
+
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_discrete_support_rows(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        for _ in range(8):
+            inst = structured_discrete_instance(rng, kind)
+            support = inst.model.support
+            self.check(inst, support[::-1], np.arange(len(support))[::-1])
+
+    def test_indicator_outside_decision_set_decides_zero(self):
+        inst = single_test_instance((1.0, 3.0, 2.0), (0.4, 0.3, 0.3))
+        decision = self.check(inst, inst.model.support, np.arange(3))
+        assert decision.tolist() == [1, 0, 2]
+
+    def test_costs_added_in_test_order(self):
+        # numpy sums 8 or more costs pairwise; a rollout adds them one by one
+        inst = gen_discrete_pareto(d=8, seed=0, cost=0.05)
+        self.check(inst, inst.model.support, np.arange(inst.model.support_size))
+
+    def test_gaussian_quadratic(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 8):
+            inst = random_quadratic_instance(rng, d)
+            self.check(inst, sample_outcomes(inst, rng, 64))
+        # x = 0 is equidistant from both decisions: the lower index wins
+        tie = quadratic_1d_instance(decisions=(1.0, -1.0))
+        assert self.check(tie, np.array([[0.0], [0.5], [-0.5]])).tolist() == [0, 0, 1]
+
+    def test_no_rows(self):
+        rng = np.random.default_rng(2)
+        gaussian = random_quadratic_instance(rng, 3)
+        discrete = structured_discrete_instance(rng, "table")
+        for inst, xs, ks in (
+            (gaussian, np.empty((0, 3)), None),
+            (discrete, discrete.model.support[:0], np.arange(0)),
+        ):
+            tests, decision, order, net = full_information_rollouts(inst, xs, ks)
+            assert tests.shape == decision.shape == net.shape == (0,)
+            assert order.shape == (0, inst.d)
 
 
 class TestBatchedTreeMatchesRecursion:
