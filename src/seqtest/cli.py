@@ -235,9 +235,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # domain validation and numerical failures
         print(f"error: {exc}", file=sys.stderr)
         return 2

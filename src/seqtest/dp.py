@@ -19,10 +19,10 @@ coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
 posterior marginal, and the returned policy re-runs the same backward induction
 from whatever real-valued state it is queried at. A Gaussian's conditional
 covariance depends only on which entries are observed, not on their values, so
-the Cholesky factor of the observed block, the conditional covariance and its
-trace are computed once per observed mask; states sharing a mask are then
-evaluated together as numpy batches (posterior means by one triangular solve
-over all of them). Rollouts advance all episodes level by level, grouped by
+the gain Sigma_ab Sigma_bb^-1, the conditional covariance and its trace are
+computed once per observed mask; states sharing a mask are then evaluated
+together as numpy batches (the gain gives the posterior means of all of them
+in one pass). Rollouts advance all episodes level by level, grouped by
 their current mask, in batches of bounded size, and keep no per-state memo, so
 memory does not grow with the number of episodes. The full tree has
 sum_k d!/(d-k)! n^k nodes for n nodes per test; a solve whose tree exceeds the
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .models import (
     DiscreteOutcomeModel,
@@ -50,10 +49,12 @@ from .models import (
     ScalarPmf,
     TestState,
     apply_observation,
+    conditional_means,
     consistent_support_indices,
+    gaussian_conditioning,
     marginal_over_test,
     posterior_gaussian,
-    spd_factor,
+    sample,
 )
 
 # action = ("test", test_index) or ("decide", decision_index)
@@ -496,13 +497,13 @@ def gaussian_tree_size(d: int, nodes_per_test: int) -> int:
 @dataclass(frozen=True)
 class _MaskConditioning:
     """The part of the posterior given an observed mask that does not depend
-    on the observed values: the conditional covariance of a Gaussian depends
-    only on which entries are observed."""
+    on the observed values (see ``models.gaussian_conditioning``): the gain
+    that maps observed values to conditional means, and the conditional
+    covariance's trace and per-index scales."""
 
     obs: list
     miss: list
-    factor: object  # cho_factor of Sigma[obs, obs]; None unless obs and miss
-    sigma_ab: Optional[np.ndarray]  # Sigma[miss, obs]
+    gain: Optional[np.ndarray]  # Sigma_ab Sigma_bb^-1; None unless obs and miss
     trace: float  # trace of the conditional covariance
     scales: tuple  # sqrt(2 * conditional variance) per missing index
 
@@ -540,17 +541,13 @@ class GaussianTreePolicy:
         cov = self.instance.model.covariance
         obs = _bits(mask)
         miss = [i for i in range(self.instance.d) if not mask >> i & 1]
-        factor = sigma_ab = None
+        gain = None
         if obs and miss:
-            sigma_ab = cov[np.ix_(miss, obs)]
-            factor = spd_factor(cov[np.ix_(obs, obs)])
-            cov = cov[np.ix_(miss, miss)] - sigma_ab @ cho_solve(factor, sigma_ab.T)
-            cov = (cov + cov.T) / 2.0
+            gain, cov = gaussian_conditioning(cov, obs, miss)
         cond = _MaskConditioning(
             obs=obs,
             miss=miss,
-            factor=factor,
-            sigma_ab=sigma_ab,
+            gain=gain,
             trace=float(np.trace(cov)) if miss else 0.0,
             scales=tuple(math.sqrt(2.0 * float(cov[p, p])) for p in range(len(miss))),
         )
@@ -568,9 +565,8 @@ class GaussianTreePolicy:
         c = self._conditioning(obs_mask)
         mean = self.instance.model.mean
         means = None
-        if c.factor is not None:
-            centred = (values - mean[c.obs]).T
-            means = mean[c.miss] + (c.sigma_ab @ cho_solve(c.factor, centred)).T
+        if c.gain is not None:
+            means = conditional_means(mean, c.obs, c.miss, c.gain, values)
         elif c.miss:
             means = np.broadcast_to(mean, (n, len(c.miss)))
         dec_values = _quadratic_decision_values(
@@ -766,8 +762,7 @@ def evaluate_policy(
         return PolicyValue(value=float(total), stderr=0.0)
     if rng is None:
         rng = np.random.default_rng(0)
-    chol = np.linalg.cholesky(instance.model.covariance)
-    draws = rng.standard_normal((mc_episodes, instance.d)) @ chol.T + instance.model.mean
+    draws = sample(instance.model, rng, mc_episodes)
     _, decisions, order = policy.rollouts(draws)
     rewards = rollout_net_rewards(instance, draws, order, decisions)
     return PolicyValue(

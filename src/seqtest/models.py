@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class InstanceError(ValueError):
@@ -366,22 +365,35 @@ def posterior_discrete(model: DiscreteOutcomeModel, s: TestState) -> DiscreteOut
     return DiscreteOutcomeModel(support=model.support[idx], probs=model.probs[idx] / mass)
 
 
-def spd_factor(a: np.ndarray):
-    """Cholesky factor (for ``cho_solve``) of a symmetric positive-definite a;
-    refuse (rather than regularize) when a is numerically singular."""
-    if np.linalg.cond(a) > SINGULARITY_CONDITION_CAP:
+def gaussian_conditioning(cov: np.ndarray, obs: Sequence[int], miss: Sequence[int]):
+    """Schur-complement conditioning of a Gaussian with covariance ``cov`` on
+    the entries ``obs`` (both ``obs`` and ``miss`` nonempty).
+
+    Returns the gain G = Sigma_ab Sigma_bb^-1 (|miss|, |obs|) and the
+    symmetrized conditional covariance Sigma_aa - G Sigma_ba. Neither depends
+    on the observed values; ``conditional_means`` applies G to them. Refuses
+    (rather than regularizes) a numerically singular observed block."""
+    sigma_bb = cov[np.ix_(obs, obs)]
+    if np.linalg.cond(sigma_bb) > SINGULARITY_CONDITION_CAP:
         raise IllConditionedError(
             "observed block is numerically singular (condition > 1e12)"
         )
-    try:
-        return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond()
-        raise IllConditionedError(str(exc)) from exc
+    sigma_ab = cov[np.ix_(miss, obs)]
+    gain = np.linalg.solve(sigma_bb, sigma_ab.T).T
+    cond_cov = cov[np.ix_(miss, miss)] - gain @ sigma_ab.T
+    return gain, (cond_cov + cond_cov.T) / 2.0
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive-definite a via Cholesky."""
-    return cho_solve(spd_factor(a), b)
+def conditional_means(mean: np.ndarray, obs, miss, gain: np.ndarray, values: np.ndarray):
+    """mean[miss] + (values - mean[obs]) G^T for ``values`` (n, |obs|), given the
+    gain G of ``gaussian_conditioning``. The product is accumulated over the
+    observed entries in ascending order, so each row's bits do not depend on n
+    (a BLAS matmul's do: it switches kernels with the batch shape)."""
+    centred = values - mean[obs]
+    acc = centred[:, :1] * gain[:, 0]
+    for j in range(1, len(obs)):
+        acc += centred[:, j : j + 1] * gain[:, j]
+    return mean[miss] + acc
 
 
 def posterior_gaussian(model: GaussianOutcomeModel, s: TestState) -> GaussianOutcomeModel:
@@ -397,16 +409,11 @@ def posterior_gaussian(model: GaussianOutcomeModel, s: TestState) -> GaussianOut
     if not obs:
         return model
     miss = list(s.missing_indices)
-    values = np.array([s.entries[i] for i in obs], dtype=float)
-    cov = model.covariance
     if not miss:
         return GaussianOutcomeModel(mean=np.empty(0), covariance=np.empty((0, 0)))
-    sigma_bb = cov[np.ix_(obs, obs)]
-    sigma_ab = cov[np.ix_(miss, obs)]
-    solved = _spd_solve(sigma_bb, np.column_stack([values - model.mean[obs], sigma_ab.T]))
-    mean = model.mean[miss] + sigma_ab @ solved[:, 0]
-    cond_cov = cov[np.ix_(miss, miss)] - sigma_ab @ solved[:, 1:]
-    cond_cov = (cond_cov + cond_cov.T) / 2.0
+    gain, cond_cov = gaussian_conditioning(model.covariance, obs, miss)
+    values = np.array([[s.entries[i] for i in obs]], dtype=float)
+    mean = conditional_means(model.mean, obs, miss, gain, values)[0]
     return GaussianOutcomeModel(mean=mean, covariance=cond_cov)
 
 
