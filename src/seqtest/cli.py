@@ -162,7 +162,7 @@ def _cmd_solve(args) -> int:
     else:
         quadrature = QuadratureSpec.from_params(vars(args))
         policy, table = solve_dp_gaussian(instance, quadrature, args.state_cap)
-        kind, which = table.entries[table.root_key][1]
+        kind, which = table.root_action
         out = {"value": table.root_value, "action": f"{kind}:{which}"}
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -1,18 +1,18 @@
 """Clairvoyant dynamic programming over partially observed test states.
 
-Discrete instances are solved exactly by recursing forward from the all-missing
-state and memoizing on the canonical state key: the set of support points
-consistent with the observations so far. Two states with the same consistent
-set induce the same posterior, hence the same value; tests whose outcome is
-already determined by the consistent set are dominated (nonnegative cost, zero
-information) and are excluded from the action max, which keeps every stored
-best action legal regardless of which coordinates produced the key. Each
-state carries its ascending list of consistent support indices and its mass
-through the recursion; a child's list is filtered from its parent's, and only
-when the child is not yet memoized. Masses are summed sequentially in
-ascending index order (``m += p_k``), the order independent implementations
-use, so values agree bitwise. Neither ``np.sum`` (pairwise summation) nor the
-built-in ``sum`` (compensated from Python 3.12) may replace that loop.
+Discrete instances are solved exactly over canonical states: the set S of
+support points consistent with the observations so far, which fixes the
+posterior and hence the value. A state is keyed by its closure, the value
+each test takes on all of S (or none), packed as a mixed-radix integer; S is
+the AND of its determined tests' value masks, so the key is exact. Tests that
+S already determines are dominated (nonnegative cost, no information) and
+never enter the action max. States are discovered level by level from the
+root as arrays of member lists, and each state's mass and best immediate
+decision are computed when it is found; masses add p_k one at a time in
+ascending k (``m += p_k``), the order independent implementations use, never
+pairwise as ``np.sum`` or a matmul would. States are then evaluated in array
+passes, children first. The policy walks per-test child tables (state x value
+-> state), and the table's per-state dict is built only when asked for.
 
 Gaussian instances are solved approximately on a scenario tree: each tested
 coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
@@ -35,7 +35,9 @@ exact float comparisons; the tie rules make results deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -73,23 +75,47 @@ class PolicyUndefinedError(RuntimeError):
     """A rollout reached a state the policy's model cannot represent."""
 
 
-@dataclass
 class ValueTable:
-    """Memoized value function: canonical state key -> (value, best action)."""
+    """Value function over canonical states, as arrays indexed by state with
+    the root at 0: best value, action (the test to perform, or -1 to decide)
+    and best decision. ``entries`` is the dict view canonical key -> (value,
+    action, decision), built on first access; ``keys_of(states)`` returns the
+    keys of a sequence of states."""
 
-    entries: dict
-    root_key: object
+    def __init__(self, value, action, decision, keys_of):
+        self.value, self.action, self.decision = value, action, decision
+        self._keys_of = keys_of
+        self._entries = None
+
+    def action_of(self, s: int) -> Action:
+        a = int(self.action[s])
+        return ("test", a) if a >= 0 else ("decide", int(self.decision[s]))
+
+    @property
+    def root_key(self):
+        return self._keys_of([0])[0]
 
     @property
     def root_value(self) -> float:
-        return self.entries[self.root_key][0]
+        return float(self.value[0])
 
     @property
     def root_action(self) -> Action:
-        return self.entries[self.root_key][1]
+        return self.action_of(0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.value)
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            shared: dict = {}  # one action tuple per test and per decision
+            self._entries = {}
+            columns = (self.value.tolist(), self.action.tolist(), self.decision.tolist())
+            for key, v, a, j in zip(self._keys_of(range(len(self))), *columns):
+                act = ("test", a) if a >= 0 else ("decide", j)
+                self._entries[key] = (v, shared.setdefault(act, act), j)
+        return self._entries
 
 
 @dataclass(frozen=True)
@@ -155,46 +181,44 @@ def _reward_table(instance: ProblemInstance) -> Optional[np.ndarray]:
 
 
 class DiscretePolicy:
-    """Deterministic policy over canonical discrete states.
-
-    States are keyed by the bitmask (over the policy model's support indices)
-    of points consistent with the observations so far. ``trace`` rolls the
+    """Deterministic policy over the canonical states of a discrete solve,
+    numbered as in its value table. ``child[i][s, v]`` is the state reached
+    from state s by observing the v-th smallest value of test i: s itself if
+    s determines that value, -1 if no point of s has it. ``trace`` rolls the
     policy out on a realized outcome vector; when an observed value is
     impossible under the policy's model the rollout falls back to the best
     decision at the deepest consistent state.
     """
 
-    def __init__(self, instance: ProblemInstance, table: ValueTable, value_masks: list):
+    root_key = 0
+
+    def __init__(self, instance: ProblemInstance, table: ValueTable, child: list, values: list):
         self.instance = instance
         self.table = table
-        self._value_masks = value_masks  # per test: {float value -> bitmask}
-
-    @property
-    def root_key(self) -> int:
-        return self.table.root_key
+        self._child = child
+        self._slot = [{v: slot for slot, v in enumerate(vals.tolist())} for vals in values]
 
     def action(self, key: int) -> Action:
-        return self.table.entries[key][1]
+        return self.table.action_of(key)
 
     def value(self, key: int) -> float:
-        return self.table.entries[key][0]
+        return float(self.table.value[key])
 
-    def fallback_decision(self, key: int) -> int:
-        return self.table.entries[key][2]
+    def advance(self, key: int, test: int, value: float) -> int:
+        """State after observing ``value`` on ``test``; -1 if impossible."""
+        slot = self._slot[test].get(float(value))
+        return -1 if slot is None else int(self._child[test][key, slot])
 
     def key_for_state(self, s: TestState) -> int:
-        idx = consistent_support_indices(self.instance.model, s)
-        key = 0
-        for k in idx:
-            key |= 1 << int(k)
+        key = self.root_key
+        for i in s.observed_indices:
+            key = self.advance(key, i, s.entries[i])
+            if key < 0:
+                raise PolicyUndefinedError("no support point is consistent with the state")
         return key
 
     def action_for_state(self, s: TestState) -> Action:
         return self.action(self.key_for_state(s))
-
-    def advance(self, key: int, test: int, value: float) -> int:
-        """New key after observing ``value`` on ``test``; 0 if impossible."""
-        return key & self._value_masks[test].get(float(value), 0)
 
     def rollouts(self, xs: np.ndarray, on_missing: str = "fallback"):
         """Roll the policy out on every outcome row of ``xs`` (n, d).
@@ -215,150 +239,268 @@ class DiscretePolicy:
 
     def trace(self, x: Sequence[float], on_missing: str = "fallback") -> Rollout:
         """Roll the policy out on outcome vector ``x``."""
-        key = self.root_key
-        tests = []
+        key, tests = self.root_key, []
         while True:
-            kind, which = self.action(key)
-            if kind == "decide":
-                return Rollout(tests=tuple(tests), decision=which)
+            which = int(self.table.action[key])
+            if which < 0:
+                return Rollout(tests=tuple(tests), decision=int(self.table.decision[key]))
             tests.append(which)
-            child = self.advance(key, which, float(x[which]))
-            if child == 0:
+            child = self.advance(key, which, x[which])
+            if child < 0:
                 if on_missing == "error":
                     raise PolicyUndefinedError(
                         f"observed value {x[which]!r} on test {which} is outside "
                         "the policy model's support"
                     )
-                return Rollout(tests=tuple(tests), decision=self.fallback_decision(key), fallback=True)
+                decision = int(self.table.decision[key])
+                return Rollout(tests=tuple(tests), decision=decision, fallback=True)
             key = child
 
 
-def _best_decision_discrete(probs, idxs, mass, table, ranking):
-    """(value, decision index) of the best immediate decision at a state.
+class _Closures:
+    """Canonical keys of consistent sets. Test i's distinct values, ascending,
+    are its value slots 1..n_i. The closure of a set gives each test the slot
+    that all its members share, or 0; it is packed as the mixed-radix code
+    sum_i slot_i prod_{j<i} (n_j + 1), in int64 when every code fits and as
+    exact Python ints (dtype=object) otherwise. A reachable set is the AND of
+    its determined tests' value masks, so sets and codes correspond 1:1."""
 
-    ``idxs`` ascending. With a reward table, expectations are computed as
-    (probs[idxs]/mass) dot table rows so that independent implementations of
-    the same contraction agree bitwise. For indicator-match rewards the best
-    decision is the posterior mode among support points in the decision set,
-    lower decision index first on ties. ``ranking`` is ``(rank, ranked)``:
-    ``rank[k]`` is support point k's position in that order (``len(rank)``
-    when k is outside the decision set), ``ranked[r]`` the (probability,
-    decision) at position r.
+    def __init__(self, support: np.ndarray):
+        self.values, self.slots, self.radix, total = [], [], [], 1
+        for col in support.T:
+            values, inverse = np.unique(col, return_inverse=True)
+            self.values.append(values)
+            self.slots.append((inverse + 1).astype(np.min_scalar_type(len(values))))
+            self.radix.append(total)
+            total *= len(values) + 1
+        self.dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+
+    def slot(self, codes: np.ndarray, i: int) -> np.ndarray:
+        """Test i's slot in each code (0: undetermined)."""
+        return ((codes // self.radix[i]) % (len(self.values[i]) + 1)).astype(np.int64)
+
+    def of(self, ptr: np.ndarray, mem: np.ndarray):
+        """(code, number of determined tests) of each CSR member list."""
+        codes = np.zeros(len(ptr) - 1, dtype=self.dtype)
+        ndet = np.zeros(len(ptr) - 1, dtype=np.int32)
+        for slots, radix in zip(self.slots, self.radix):
+            s = slots[mem]
+            lo = np.minimum.reduceat(s, ptr[:-1])
+            det = lo == np.maximum.reduceat(s, ptr[:-1])
+            codes += (lo * det).astype(self.dtype) * radix
+            ndet += det
+        return codes, ndet
+
+    def keys(self, codes: np.ndarray) -> list:
+        """Bitmask over support indices of each code's set: the AND of its
+        determined tests' value masks (slot 0 masks nothing)."""
+        masks = [[(1 << len(self.slots[0])) - 1] + [0] * len(v) for v in self.values]
+        for per_slot, slots in zip(masks, self.slots):
+            for k, s in enumerate(slots.tolist()):
+                per_slot[s] |= 1 << k
+        rows = zip(*(self.slot(codes, i).tolist() for i in range(len(masks))))
+        return [functools.reduce(operator.and_, map(list.__getitem__, masks, row)) for row in rows]
+
+
+# Most members of undetermined parents that a discrete solve groups at once;
+# larger sets of parents are split, which bounds the solve's scratch memory.
+_MEMBER_CHUNK = 1 << 18
+
+
+def _check_cap(n_states: int, state_cap: int) -> None:
+    if n_states > state_cap:
+        raise StateSpaceError(f"state-space blowup guard: more than {state_cap} canonical states")
+
+
+def _gather(ptr: np.ndarray, mem: np.ndarray, rows: np.ndarray):
+    """The CSR lists ``rows`` of the CSR lists (ptr, mem), in that order."""
+    lens = ptr[rows + 1] - ptr[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out, mem[np.arange(out[-1]) + np.repeat(ptr[rows] - out[:-1], lens)]
+
+
+def _lookup(known: tuple, codes: np.ndarray) -> np.ndarray:
+    """State of each code under ``known`` (sorted codes, their states); -1 if absent."""
+    at = np.minimum(np.searchsorted(known[0], codes), len(known[0]) - 1)
+    return np.where(known[0][at] == codes, known[1][at], -1)
+
+
+def _masses(probs: np.ndarray, ptr: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Probability mass of each CSR member list, adding ``p_k`` one at a time
+    in ascending k as ``m += p_k`` does (a running sum along each list);
+    ``np.sum`` (pairwise) and a matmul round differently."""
+    lens = np.diff(ptr)
+    mass = np.empty(len(lens))
+    for n in np.unique(lens).tolist():
+        rows = np.flatnonzero(lens == n)
+        terms = probs[mem[ptr[rows][:, None] + np.arange(n)]]
+        mass[rows] = np.add.accumulate(terms, axis=1)[:, -1]
+    return mass
+
+
+def _best_decisions(probs, ptr, mem, mass, table, ranking):
+    """(value, decision index) of the best immediate decision at each CSR
+    member list (ascending support indices) of mass ``mass``.
+
+    With a reward table: (probs[idx]/mass) dot table rows, one contraction per
+    list, since BLAS sums in an order that depends on the list's length. For
+    indicator-match: the posterior mode among support points in the decision
+    set, lower decision index first on ties, i.e. the member of lowest
+    ``rank``; ``ranked_p``/``ranked_j`` give the (probability, decision) at
+    each rank, and (0, 0) past the last.
     """
-    if table is not None:
-        idx_arr = np.asarray(idxs, dtype=np.intp)
-        w = probs[idx_arr] / mass
-        exp = w @ table[idx_arr]
-        j = int(np.argmax(exp))
-        return float(exp[j]), j
-    rank, ranked = ranking
-    r = min(map(rank.__getitem__, idxs))
-    if r == len(rank):
-        return 0.0, 0
-    p, j = ranked[r]
-    return p / mass, j
+    if table is None:
+        rank, ranked_p, ranked_j = ranking
+        r = np.minimum.reduceat(rank[mem], ptr[:-1])
+        return ranked_p[r] / mass, ranked_j[r]
+    value, decision = np.empty(len(mass)), np.empty(len(mass), dtype=np.int32)
+    for s, (a, b) in enumerate(zip(ptr[:-1].tolist(), ptr[1:].tolist())):
+        idx = mem[a:b].astype(np.intp)
+        exp = (probs[idx] / mass[s]) @ table[idx]
+        decision[s] = j = int(np.argmax(exp))
+        value[s] = exp[j]
+    return value, decision
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # states of no mass get NaN values
 def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
     """Exact optimal policy and value table for a discrete instance.
 
-    Raises :class:`StateSpaceError` when the number of canonical states would
-    exceed ``state_cap``.
+    Raises :class:`StateSpaceError`, before any state is evaluated, when the
+    number of canonical states exceeds ``state_cap``. States made only of
+    zero-probability support points have no mass; their values are NaN and
+    they add nothing to their parents.
     """
     model = instance.model
     if not isinstance(model, DiscreteOutcomeModel):
         raise InstanceError("solve_dp_discrete requires a discrete model")
-    support = model.support
-    K, d = model.support_size, model.d
+    K, d, probs = model.support_size, model.d, model.probs
     table = _reward_table(instance)
-    plist = model.probs.tolist()
     ranking = None
     if instance.reward.kind == "indicator-match":
         # support points in the decision set, by probability then decision
         dec_index = {y: j for j, y in enumerate(instance.decisions)}
-        point_decision = [dec_index.get(tuple(y), -1) for y in support.tolist()]
-        order = sorted(
-            (k for k in range(K) if point_decision[k] >= 0),
-            key=lambda k: (-plist[k], point_decision[k]),
+        point_decision = np.array(
+            [dec_index.get(tuple(y), -1) for y in model.support.tolist()], dtype=np.int32
         )
-        rank = [K] * K
-        for r, k in enumerate(order):
-            rank[k] = r
-        ranking = (rank, [(plist[k], point_decision[k]) for k in order])
+        order = np.flatnonzero(point_decision >= 0)
+        order = order[np.lexsort((point_decision[order], -probs[order]))]
+        rank = np.full(K, len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        ranked_j = np.append(point_decision[order], np.int32(0))
+        ranking = (rank, np.append(probs[order], 0.0), ranked_j)
     elif table is None:
         raise InstanceError(
             f"reward kind {instance.reward.kind!r} is not supported by the discrete DP"
         )
-    neg_costs = [-c for c in instance.costs.tolist()]
+    closures = _Closures(model.support)
+    radix = [len(v) + 1 for v in closures.values]
 
-    # per (test, value) consistency masks over support indices, and each
-    # test's column with one float object per distinct value (the columns
-    # stay alive for the whole solve)
-    value_masks, cols = [], []
-    for col in support.T.tolist():
-        masks: dict = {}
-        for k, v in enumerate(col):
-            masks[v] = masks.get(v, 0) | (1 << k)
-        value_masks.append(masks)
-        shared = {v: v for v in masks}
-        cols.append([shared[v] for v in col])
-    # (value, mask) pairs per test, in ascending value order
-    test_values = [sorted(m.items()) for m in value_masks]
-    # memo entries share one action tuple per test and per decision
-    test_actions = [("test", i) for i in range(d)]
-    decide_actions = [("decide", j) for j in range(len(instance.decisions))]
-
-    memo: dict = {}
-    mass_memo: dict = {}
-
-    def solve(mask: int, idxs: list, mass_s: float) -> float:
-        # evaluates a state not yet in the memo; ``idxs`` are its support
-        # indices (ascending), ``mass_s`` their probability mass. Every state
-        # but the root enters the mass memo when first reached, before it is
-        # solved, so len(mass_memo) + 1 states have been reached here
-        if len(mass_memo) >= state_cap:
-            raise StateSpaceError(
-                f"state-space blowup guard: more than {state_cap} canonical states"
-            )
-        dec_val, dec_j = _best_decision_discrete(model.probs, idxs, mass_s, table, ranking)
-        best_val, best_act = dec_val, decide_actions[dec_j]
+    # Discover states level by level from the root; the frontier keeps its
+    # member lists, from which its masses and best decisions are computed.
+    # A child's pre-key (its parent's code with the tested slot set) names
+    # its set, so only children with an unknown pre-key get their closure
+    # computed. ``known`` maps sorted codes and pre-keys to states. Child
+    # tables are written per level, one block per test.
+    _check_cap(1, state_cap)
+    ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
+    code, ndet = closures.of(ptr, mem)
+    codes, ndets, found, blocks = [code], [ndet], [], [[] for _ in range(d)]
+    known = (code, np.zeros(1, dtype=np.int64))
+    n, first = 1, 0  # states so far; the frontier's first state
+    while True:
+        mass = _masses(probs, ptr, mem)
+        found.append((mass,) + _best_decisions(probs, ptr, mem, mass, table, ranking))
+        level = []  # member lists of the states found on this level
         for i in range(d):
-            children = []
-            for v, vmask in test_values[i]:
-                child = mask & vmask
-                if child:
-                    children.append((child, v))
-            if len(children) == 1:
-                continue  # coordinate already determined by the consistent set
-            col = cols[i]
-            q = neg_costs[i]
-            for child, v in children:
-                entry = memo.get(child)
-                if entry is not None:
-                    q += (mass_memo[child] / mass_s) * entry[0]
-                    continue
-                child_idxs = [k for k in idxs if col[k] == v]
-                m = 0.0
-                for k in child_idxs:
-                    m += plist[k]
-                mass_memo[child] = m
-                q += (m / mass_s) * solve(child, child_idxs, m)
-            if q > best_val:
-                best_val, best_act = q, test_actions[i]
-        memo[mask] = (best_val, best_act, dec_j)
-        return best_val
+            own = closures.slot(code, i)
+            block = np.full((len(code), radix[i] - 1), -1, dtype=np.int32)
+            blocks[i].append(block)
+            det, und = np.flatnonzero(own), np.flatnonzero(own == 0)
+            block[det, own[det] - 1] = first + det
+            if not und.size:
+                continue
+            # members of the undetermined parents, in chunks of about
+            # _MEMBER_CHUNK, grouped by their slot on test i, ascending
+            # support index within a group
+            lens = ptr[und + 1] - ptr[und]
+            chunk = (np.cumsum(lens) - lens) // _MEMBER_CHUNK
+            for part in np.split(und, np.flatnonzero(np.diff(chunk)) + 1):
+                gptr, gmem = _gather(ptr, mem, part)
+                key = np.repeat(np.arange(len(part)) * radix[i], np.diff(gptr))
+                key += closures.slots[i][gmem]
+                by_key = np.argsort(key, kind="stable")
+                key, gmem = key[by_key], gmem[by_key]
+                starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                parent, slot = part[key[starts] // radix[i]], key[starts] % radix[i]
+                pre = code[parent] + slot.astype(code.dtype) * closures.radix[i]
+                child = _lookup(known, pre)
+                miss = np.flatnonzero(child < 0)
+                if miss.size:
+                    mptr, mmem = _gather(np.r_[starts, len(gmem)], gmem, miss)
+                    ccode, cndet = closures.of(mptr, mmem)
+                    cstate = _lookup(known, ccode)
+                    fresh = np.flatnonzero(cstate < 0)
+                    _, at, inverse = np.unique(ccode[fresh], return_index=True, return_inverse=True)
+                    by_at = np.argsort(at)  # new states in order of discovery
+                    cstate[fresh] = np.argsort(by_at)[inverse] + n
+                    rows = fresh[at[by_at]]
+                    n += len(rows)
+                    _check_cap(n, state_cap)
+                    codes.append(ccode[rows])
+                    ndets.append(cndet[rows])
+                    level.append(_gather(mptr, mmem, rows))
+                    alias = np.flatnonzero(ccode != pre[miss])  # pre-keys that are not codes
+                    add = np.concatenate([ccode[rows], pre[miss][alias]])
+                    add_states = np.concatenate([cstate[rows], cstate[alias]])
+                    order = np.argsort(add, kind="stable")
+                    at = np.searchsorted(known[0], add[order])
+                    known = tuple(
+                        np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states))
+                    )
+                    child[miss] = cstate
+                block[parent, slot - 1] = child
+        if not level:
+            break
+        first += len(code)
+        code = np.concatenate(codes[-len(level):])
+        ptr = np.zeros(len(code) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(p) for p, _ in level]), out=ptr[1:])
+        mem = np.concatenate([m for _, m in level])
+    codes, ndet = np.concatenate(codes), np.concatenate(ndets)
+    mass, value, decision = (np.concatenate(column) for column in zip(*found))
+    child = []
+    for i in range(d):  # one test's blocks at a time
+        child.append(np.concatenate(blocks[i]))
+        blocks[i] = None
+    ptr = mem = known = found = level = None  # discovery scratch, freed before evaluating
 
-    root = (1 << K) - 1
-    root_mass = 0.0
-    for p in plist:
-        root_mass += p
-    solve(root, list(range(K)), root_mass)
-    # the recursive closure references itself; unbinding it frees the solve's
-    # scratch state (mass memo, closures) on return instead of at a later
-    # cyclic garbage collection, which could come after the next solve
-    solve = None
-    vtable = ValueTable(entries=memo, root_key=root)
-    return DiscretePolicy(instance, vtable, value_masks), vtable
+    # Evaluate by descending number of determined tests: a child determines
+    # the tested value on top of its parent's, so it comes first. q adds the
+    # children in ascending value order, and a test replaces the incumbent
+    # only when strictly better, tests in ascending index.
+    action = np.full(n, -1, dtype=np.int32)
+    neg_costs = [-c for c in instance.costs.tolist()]
+    by_det = np.argsort(-ndet, kind="stable")
+    for g in np.split(by_det, np.flatnonzero(np.diff(ndet[by_det])) + 1):
+        best, act = value[g], action[g]
+        for i in range(d):
+            rows = np.flatnonzero(closures.slot(codes[g], i) == 0)  # test i undetermined
+            if rows.size:
+                q, mass_s = np.full(len(rows), neg_costs[i]), mass[g[rows]]
+                for c in child[i][g[rows]].T:
+                    m = np.where(c >= 0, mass[c], 0.0)  # a child of no mass adds nothing
+                    np.add(q, m / mass_s * value[c], out=q, where=m > 0)
+                win = q > best[rows]
+                best[rows[win]], act[rows[win]] = q[win], i
+        value[g], action[g] = best, act
+
+    def keys_of(states):
+        return closures.keys(codes[np.asarray(states, dtype=np.intp)])
+
+    vtable = ValueTable(value, action, decision, keys_of)
+    return DiscretePolicy(instance, vtable, child, closures.values), vtable
 
 
 def policy_records(policy: DiscretePolicy) -> list:
@@ -682,8 +824,11 @@ def solve_dp_gaussian(
             f"scenario-tree budget: {size} nodes (d={instance.d}, "
             f"{quadrature.nodes_per_test} nodes per test) exceed the state cap {state_cap}"
         )
-    root_key = (0, ())
-    table = ValueTable(entries={root_key: policy.node(*root_key)}, root_key=root_key)
+    value, (kind, which), decision = policy.node(0, ())
+    table = ValueTable(
+        np.array([value]), np.array([which if kind == "test" else -1]), np.array([decision]),
+        lambda states: [(0, ())] * len(states),
+    )
     return policy, table
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dp import _bits
 from .envs import GaussianEnvironment, RegretTrace, subset_label
-from .models import GaussianOutcomeModel, InstanceError, instance_hash
+from .models import GaussianOutcomeModel, InstanceError
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -357,7 +357,7 @@ def run_ocmesp(
     trace = RegretTrace(
         agent="ocmesp",
         seed=env.seed,
-        instance_hash=instance_hash(instance),
+        instance_hash=env.instance_hash,
         phase=phase,
         tests_performed=tests_performed,
         decision=decisions,

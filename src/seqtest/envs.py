@@ -52,6 +52,7 @@ class DiscreteEnvironment:
         if not isinstance(instance.model, DiscreteOutcomeModel):
             raise ValueError("DiscreteEnvironment requires a discrete instance")
         self.instance = instance
+        self.instance_hash = instance_hash(instance)
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._clair = None
@@ -80,6 +81,7 @@ class GaussianEnvironment:
         if not isinstance(instance.model, GaussianOutcomeModel):
             raise ValueError("GaussianEnvironment requires a Gaussian instance")
         self.instance = instance
+        self.instance_hash = instance_hash(instance)
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._chol = np.linalg.cholesky(instance.model.covariance)
@@ -198,14 +200,13 @@ def rollout_trace(
     rest committed. Observations are recorded from ``xs``, the realized
     outcomes, when given (``order`` may be None otherwise)."""
     tests, decision, order, net = rollout
-    instance = env.instance
     return RegretTrace(
         agent=agent,
         seed=env.seed,
-        instance_hash=instance_hash(instance),
+        instance_hash=env.instance_hash,
         phase=["explore"] * n_explore + ["commit"] * (len(net) - n_explore),
         tests_performed=tests,
-        decision=decision_labels(instance, decision),
+        decision=decision_labels(env.instance, decision),
         realized_reward=net,
         clairvoyant_reward=clairvoyant_net,
         observations=None if xs is None else rollout_observations(xs, order),
@@ -333,11 +334,13 @@ def write_aggregate_csv(traces: Sequence[RegretTrace], path) -> None:
 
 
 def decision_labels(instance: ProblemInstance, idx) -> list:
-    """Trace label of each decision index in ``idx``."""
-    labels = [
-        "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
-        for y in instance.decisions
-    ]
+    """Trace label of each decision index in ``idx``; only the decisions that
+    occur are formatted."""
+    idx = np.asarray(idx, dtype=int).tolist()
+    labels = {}
+    for j in set(idx):
+        y = instance.decisions[j]
+        labels[j] = "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
     return [labels[j] for j in idx]
 
 

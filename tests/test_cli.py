@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import seqtest.cli as cli
+import seqtest.dp as dp
 from seqtest.cli import main
 from seqtest.models import (
     GaussianOutcomeModel,
@@ -97,6 +98,21 @@ class TestSolve:
         assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "80") == 2
         assert "blowup" in capsys.readouterr().err
         assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "81") == 0
+
+    def test_solve_reads_value_table_arrays(self, tmp_path, capsys, monkeypatch):
+        # value, action and state count come from the table's arrays; only
+        # --dump-policy needs the per-state entries view
+        inst_path = tmp_path / "p4.json"
+        run_cli("gen", "pareto", "--d", "4", "--seed", "0", "--out", str(inst_path))
+        capsys.readouterr()
+
+        def refuse(table):
+            raise AssertionError("the entries view was built")
+
+        monkeypatch.setattr(dp.ValueTable, "entries", property(refuse))
+        assert run_cli("solve", "--instance", str(inst_path)) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["states"] == 81 and out["action"].startswith("test:")
 
     @staticmethod
     def _identity_quadratic(path, d):

@@ -217,6 +217,22 @@ class TestSolveDpDiscrete:
         assert table.root_action == ("decide", 0)
         assert table.root_value == 2.0
 
+    def test_zero_probability_point_adds_nothing(self):
+        # x = 2 has probability 0: its state has no mass, and its undefined
+        # value must not stop the test from being worth its cost
+        inst = ProblemInstance(
+            model=DiscreteOutcomeModel(
+                support=np.array([[0.0], [1.0], [2.0]]), probs=np.array([0.5, 0.5, 0.0])
+            ),
+            costs=np.array([0.01]),
+            decisions=((0.0,), (1.0,), (2.0,)),
+            reward=RewardSpec(kind="indicator-match"),
+        )
+        policy, table = solve_dp_discrete(inst)
+        assert table.root_action == ("test", 0)
+        assert abs(table.root_value - 0.99) <= 1e-12
+        assert [policy.trace(x).decision for x in ([0.0], [1.0])] == [0, 1]
+
     def test_state_cap_guard(self, rng):
         inst = random_discrete_instance(rng, d_max=3, k_max=8)
         with pytest.raises(StateSpaceError, match="blowup"):
@@ -491,6 +507,83 @@ class TestIndexListSolveMatchesOracle:
             with pytest.raises(StateSpaceError, match="blowup"):
                 solve_dp_discrete(inst, state_cap=3**d - 1)
             assert len(solve_dp_discrete(inst, state_cap=3**d)[1]) == 3**d
+
+
+def oracle_rollout(instance, entries, x):
+    """(tests, decision, fallback) of the policy stored in the oracle's
+    ``entries`` (bitmask keys), walked on outcome ``x`` one mask at a time."""
+    support = instance.model.support
+    key = (1 << instance.model.support_size) - 1
+    tests = []
+    while True:
+        _, (kind, which), best_decision = entries[key]
+        if kind == "decide":
+            return tuple(tests), which, False
+        tests.append(which)
+        child = 0
+        for k in _bits(key):
+            if support[k, which] == x[which]:
+                child |= 1 << k
+        if not child:
+            return tuple(tests), best_decision, True
+        key = child
+
+
+class TestArrayPolicyMatchesOracle:
+    def test_rollouts_follow_oracle_entries(self):
+        # the policy walks child tables indexed by state and value slot; the
+        # oracle walks bitmasks, so a wrong child, slot or fallback shows
+        rng = np.random.default_rng(2024)
+        fell_back = tested = 0
+        for kind in REWARD_KINDS:
+            for _ in range(8):
+                inst = structured_discrete_instance(rng, kind)
+                policy, _ = solve_dp_discrete(inst)
+                entries = RecursiveDiscreteOracle(inst).entries
+                # support rows, then rows with an unseen value (4.5) or an
+                # unseen combination of seen values
+                values = np.array([0.0, 1.0, 2.0, 3.0, 4.5, -0.0])
+                extra = values[rng.integers(0, len(values), size=(24, inst.d))]
+                xs = np.vstack([inst.model.support, extra])
+                tests, decision, order, fallback = policy.rollouts(xs)
+                for t, x in enumerate(xs):
+                    want_tests, want_decision, want_fallback = oracle_rollout(inst, entries, x)
+                    assert tuple(order[t, : tests[t]]) == want_tests
+                    assert np.all(order[t, tests[t] :] == -1)
+                    assert (decision[t], fallback[t]) == (want_decision, want_fallback)
+                fell_back += int(fallback.sum())
+                tested += int((tests > 0).sum())
+        assert fell_back > 0 and tested > 0
+
+    def test_object_codes_when_int64_overflows(self):
+        # 7 tests with 600 distinct values each: (600 + 1)^7 > 2^63, so the
+        # closure codes are exact Python ints
+        rng = np.random.default_rng(600)
+        k, d = 600, 7
+        support = np.column_stack([rng.permutation(k) * 0.5 for _ in range(d)])
+        inst = ProblemInstance(
+            model=DiscreteOutcomeModel(support=support, probs=np.full(k, 1.0 / k)),
+            costs=np.linspace(0.01, 0.07, d),
+            decisions=(0, 1, 2),
+            reward=RewardSpec(kind="table", table=rng.uniform(-1.0, 1.0, size=(k, 3))),
+        )
+        assert dp._Closures(support).dtype is object
+        policy, table = solve_dp_discrete(inst)
+        assert len(table) == k + 1
+        entries = RecursiveDiscreteOracle(inst).entries
+        assert table.entries == entries
+        for x in support[:50]:
+            roll = policy.trace(x)
+            assert oracle_rollout(inst, entries, x) == (roll.tests, roll.decision, False)
+
+    def test_entries_view_built_only_on_access(self):
+        inst = gen_discrete_pareto(d=4, seed=0, cost=0.05)
+        policy, table = solve_dp_discrete(inst)
+        assert len(table) == 81
+        assert table.root_action == policy.action(policy.root_key)
+        policy.rollouts(inst.model.support)
+        assert table._entries is None
+        assert len(table.entries) == 81 and table._entries is not None
 
 
 class TestSolveDpGaussian:
