@@ -149,7 +149,7 @@ def _cmd_solve(args) -> int:
         }
         if args.dump_policy:
             with _atomic_open(args.dump_policy) as fh:
-                json.dump(policy_records(policy), fh, indent=1)
+                json.dump(policy_records(policy), fh, indent=1, allow_nan=False)
                 fh.write("\n")
     elif instance.reward.kind == "entropy":
         subset = solve_mesp_offline(

@@ -169,8 +169,7 @@ def _reward_table(instance: ProblemInstance) -> Optional[np.ndarray]:
         return instance.reward.table
     if kind == "quadratic":
         support = instance.model.support
-        dec = np.array([list(y) for y in instance.decisions], dtype=float)
-        diff = support[:, None, :] - dec[None, :, :]
+        diff = support[:, None, :] - _decision_matrix(instance)[None, :, :]
         return -np.einsum("kjd,kjd->kj", diff, diff)
     return None
 
@@ -504,7 +503,8 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
 
 
 def policy_records(policy: DiscretePolicy) -> list:
-    """JSON-ready policy dump: one record per canonical discrete state."""
+    """JSON-ready policy dump: one record per canonical discrete state; a
+    state of no mass has value None (JSON null), not NaN."""
     records = []
     for mask in sorted(policy.table.entries):
         value, (kind, which), _ = policy.table.entries[mask]
@@ -512,7 +512,7 @@ def policy_records(policy: DiscretePolicy) -> list:
             {
                 "state_key": "|".join(str(k) for k in _bits(mask)),
                 "action": f"{kind}:{which}",
-                "value": value,
+                "value": None if math.isnan(value) else value,
             }
         )
     return records

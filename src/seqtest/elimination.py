@@ -13,7 +13,9 @@ The plug-in objective for a subset S is
     lambda * (|S|/2 * log(2*pi*e) + 1/2 * logdet(Sigma_hat[S, S])) - sum costs,
 the Gaussian-entropy closed form weighted against the subset's test costs.
 Per-episode regret compares true-Sigma objectives of the played and optimal
-subsets (realized entropy is not observable episode by episode).
+subsets (realized entropy is not observable episode by episode); the agent
+prices them with the batched kernel of its plug-in objectives, and
+``solve_mesp_offline`` stays the scalar, independent reference.
 
 The candidates' derived state (Q, the size groups that batch each episode's
 plug-in objectives into one Cholesky per size, and the selection order) comes
@@ -166,6 +168,8 @@ class CandidateSet:
 
     @classmethod
     def initial(cls, d: int) -> "CandidateSet":
+        if d > 20:
+            raise ValueError(f"the candidate power set is capped at d <= 20, got d={d}")
         state = cls(
             d=d,
             candidates=list(range(1 << d)),  # power set, sizes 0 and 1 included
@@ -240,8 +244,13 @@ def candidate_objectives(state: CandidateSet, lam: float, costs) -> Optional[np.
     skipped for the round)."""
     if not np.all(state.pair_counts[state._pair_index]):
         return None  # some needed pair never sampled yet
+    return _objectives(state, state.sigma_hat(), lam, costs)
+
+
+def _objectives(state: CandidateSet, sigma: np.ndarray, lam: float, costs) -> Optional[np.ndarray]:
+    """``entropy_objective`` of every candidate under ``sigma``, bitwise, by
+    candidate position; None when some block is not positive definite."""
     costs = np.asarray(costs, dtype=float)
-    sigma = state.sigma_hat()
     values = np.empty(len(state.candidates))
     for m, positions, idx in state._groups:
         cost = np.zeros(len(positions))
@@ -299,78 +308,60 @@ def run_ocmesp(
     instance = env.instance
     if not isinstance(instance.model, GaussianOutcomeModel):
         raise InstanceError("run_ocmesp requires a Gaussian instance")
-    true_sigma = instance.model.covariance
-    true_obj = {
-        s: entropy_objective(s, true_sigma, config.lam, config.costs)
-        for s in _subsets(config.d)
-    }
-    optimal_subset = _best_subset(true_obj.items())
-    optimal_value = true_obj[optimal_subset]
-
     T = config.horizon
-    xs = env.outcomes(T)
     state = CandidateSet.initial(config.d)
+    # on the initial power set a candidate's position is its mask
+    true_sigma = instance.model.covariance
+    true_obj = _objectives(state, true_sigma, config.lam, config.costs)
+    if true_obj is None:
+        raise InstanceError("a principal block of the covariance is not positive definite")
+    optimal_subset = _best_subset(
+        (tuple(_bits(mask)), v) for mask, v in enumerate(true_obj.tolist())
+    )
+    optimal_value = entropy_objective(optimal_subset, true_sigma, config.lam, config.costs)
 
-    phase, decisions, subset_col, pair_col = [], [], [], []
-    n_candidates = np.empty(T, dtype=int)
-    u_col = np.empty(T)
-    elim_col = np.empty(T, dtype=int)
-    tests_performed = np.empty(T, dtype=int)
-    realized = np.empty(T)
-    observations = [] if collect_observations else None
-
+    xs = env.outcomes(T)
+    played = np.empty(T, dtype=np.int64)
+    pair_col = [""] * T
+    n_candidates = np.ones(T, dtype=np.int64)
+    elim_col = np.zeros(T, dtype=np.int64)
     t = 0
     while t < T and len(state.candidates) > 1:
         pair, subset_mask = select_next_subset(state)
         update_estimates(state, subset_mask, xs[t], t + 1)
         before = state.eliminated_total
         eliminate(state, t + 1, config)
-        bits = tuple(_bits(subset_mask))
-        realized[t] = true_obj[bits]
-        tests_performed[t] = len(bits)
-        phase.append("explore")
-        decisions.append("")
-        subset_col.append(subset_label(bits))
-        pair_col.append(f"{pair[0]}|{pair[1]}")
+        played[t] = subset_mask
+        pair_col[t] = f"{pair[0]}|{pair[1]}"
         n_candidates[t] = len(state.candidates)
-        u_col[t] = confidence_width(t + 1, config)
         elim_col[t] = state.eliminated_total - before
-        if observations is not None:
-            observations.append({i: float(xs[t, i]) for i in bits})
         t += 1
+    played[t:] = state.candidates[0]  # the survivor, once one is left
 
-    if t < T:
-        survivor = tuple(_bits(state.candidates[0]))
-        k = T - t
-        realized[t:] = true_obj[survivor]
-        tests_performed[t:] = len(survivor)
-        phase += ["commit"] * k
-        decisions += [""] * k
-        subset_col += [subset_label(survivor)] * k
-        pair_col += [""] * k
-        n_candidates[t:] = 1
-        u_col[t:] = [confidence_width(u + 1, config) for u in range(t, T)]
-        elim_col[t:] = 0
-        if observations is not None:
-            observations += [{i: float(xs[u, i]) for i in survivor} for u in range(t, T)]
-
+    masks = played.tolist()
+    members = {m: _bits(m) for m in set(masks)}
+    labels = {m: subset_label(bits) for m, bits in members.items()}
     trace = RegretTrace(
         agent="ocmesp",
         seed=env.seed,
         instance_hash=env.instance_hash,
-        phase=phase,
-        tests_performed=tests_performed,
-        decision=decisions,
-        realized_reward=realized,
+        phase=["explore"] * t + ["commit"] * (T - t),
+        tests_performed=np.array([len(members[m]) for m in masks], dtype=np.int64),
+        decision=[""] * T,
+        realized_reward=true_obj[played],
         clairvoyant_reward=np.full(T, optimal_value),
         extras={
             "pair_chosen": pair_col,
-            "subset_played": subset_col,
-            "n_candidates": list(n_candidates),
-            "U_t": list(u_col),
-            "eliminated_count": list(elim_col),
+            "subset_played": [labels[m] for m in masks],
+            "n_candidates": n_candidates,
+            "U_t": np.array([confidence_width(u + 1, config) for u in range(T)]),
+            "eliminated_count": elim_col,
         },
-        observations=observations,
+        observations=(
+            [{i: float(xs[u, i]) for i in members[m]} for u, m in enumerate(masks)]
+            if collect_observations
+            else None
+        ),
         metadata={
             "optimal_subset": list(optimal_subset),
             "pd_skips": state.pd_skips,

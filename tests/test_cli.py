@@ -10,6 +10,7 @@ import seqtest.cli as cli
 import seqtest.dp as dp
 from seqtest.cli import main
 from seqtest.models import (
+    DiscreteOutcomeModel,
     GaussianOutcomeModel,
     ProblemInstance,
     RewardSpec,
@@ -69,6 +70,32 @@ class TestSolve:
         assert run_cli("solve", "--instance", str(inst_path), "--dump-policy", str(dump)) == 0
         records = json.loads(dump.read_text())
         assert {"state_key", "action", "value"} == set(records[0])
+
+    def test_policy_dump_is_strict_json(self, tmp_path, capsys):
+        # the third point has no mass, so the state it alone makes up has no
+        # value: the dump writes null there, never NaN
+        inst_path = tmp_path / "z.json"
+        save_instance(
+            ProblemInstance(
+                model=DiscreteOutcomeModel(
+                    support=np.array([[0.0], [1.0], [2.0]]), probs=np.array([0.5, 0.5, 0.0])
+                ),
+                costs=np.array([0.1]),
+                decisions=(0, 1),
+                reward=RewardSpec(kind="table", table=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])),
+            ),
+            inst_path,
+        )
+        dump = tmp_path / "policy.json"
+        assert run_cli("solve", "--instance", str(inst_path), "--dump-policy", str(dump)) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        records = json.loads(dump.read_text(), parse_constant=refuse)
+        values = {r["state_key"]: r["value"] for r in records}
+        assert values["2"] is None
+        assert values["0"] == 1.0 and values["1"] == 1.0
 
     def test_failed_policy_dump_leaves_old_file(self, tmp_path, capsys, monkeypatch):
         # the records serialize partway, then fail; the old dump must survive
@@ -225,6 +252,21 @@ class TestSimulate:
             "--horizon", "16", "--seeds", "0", "--out", str(tmp_path / "r"),
         )
         assert code == 2
+
+
+    def test_ocmesp_beyond_power_set_cap_exit_2(self, tmp_path, capsys):
+        # 2^21 candidates would not fit; the agent refuses before allocating
+        inst_path = tmp_path / "g21.json"
+        run_cli("gen", "gaussian-lowrank", "--d", "21", "--seed", "0", "--out", str(inst_path))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run_cli(
+            "simulate", "--instance", str(inst_path), "--agent", "ocmesp",
+            "--horizon", "64", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path / "r"),
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "d <= 20" in capsys.readouterr().err
 
 
 class TestReport:

@@ -8,6 +8,7 @@ import pytest
 
 from seqtest.elimination import (
     LOG_2PI_E,
+    _objectives,
     CandidateSet,
     NotPositiveDefiniteError,
     OcmespConfig,
@@ -606,3 +607,64 @@ class TestCandidateSetMatchesListOracle:
         assert state.pairs == []
         with pytest.raises(ValueError, match="no pairs remain"):
             select_next_subset(state)
+
+
+class TestTrueObjectives:
+    """The agent prices its regret reference with the batched kernel its
+    plug-in objectives use; ``entropy_objective`` and ``solve_mesp_offline``
+    stay the independent scalar reference."""
+
+    def test_kernel_on_power_set_matches_scalar(self, rng):
+        # on the initial power set a candidate's position is its mask
+        for d in range(1, 13):
+            a = rng.standard_normal((d, d))
+            sigma = a @ a.T + 0.5 * np.eye(d)
+            costs = rng.choice(ORDER_SENSITIVE_COSTS, d)
+            values = _objectives(CandidateSet.initial(d), sigma, 1.3, costs)
+            scalar = np.array(
+                [entropy_objective(_bits(m), sigma, 1.3, costs) for m in range(1 << d)]
+            )
+            assert values.tobytes() == scalar.tobytes()  # bitwise
+
+    @pytest.mark.parametrize(
+        "d, seed, cost, c, horizon, converges",
+        [(4, 1, 1.7, 1e9, 4096, True), (8, 7, 1.8, 2e9, 512, False)],
+    )
+    def test_rewards_match_scalar_reference(self, d, seed, cost, c, horizon, converges):
+        inst = gen_gaussian_lowrank(d=d, seed=seed, lam=1.0, cost=cost)
+        cov = inst.model.covariance
+        cfg = make_config(
+            d=d, sigma=float(inst.model.condition_number), costs=inst.costs,
+            horizon=horizon, c=c,
+        )
+        trace = run_ocmesp(GaussianEnvironment(inst, seed=0), cfg).trace
+        assert (trace.metadata["converged_at"] is not None) == converges
+        scalar = {}
+        for label in set(trace.extras["subset_played"]):
+            subset = [int(i) for i in label.split("|")] if label else []
+            scalar[label] = entropy_objective(subset, cov, 1.0, inst.costs)
+        expected = np.array([scalar[label] for label in trace.extras["subset_played"]])
+        assert trace.realized_reward.tobytes() == expected.tobytes()  # bitwise
+        best = solve_mesp_offline(cov, 1.0, inst.costs)
+        assert trace.metadata["optimal_subset"] == list(best)
+        assert np.all(trace.clairvoyant_reward == entropy_objective(best, cov, 1.0, inst.costs))
+
+    def test_exact_tie_goes_to_lowest_subset(self):
+        # the singletons have equal variance and cost, so they tie exactly
+        cov = np.array([[1.0, 0.99], [0.99, 1.0]])
+        inst = ProblemInstance(
+            model=GaussianOutcomeModel(mean=np.zeros(2), covariance=cov),
+            costs=np.ones(2),
+            decisions=(),
+            reward=RewardSpec(kind="entropy", lam=1.0),
+        )
+        costs = np.ones(2)
+        assert entropy_objective((0,), cov, 1.0, costs) == entropy_objective((1,), cov, 1.0, costs)
+        cfg = make_config(d=2, sigma=float(inst.model.condition_number), costs=costs, horizon=16)
+        res = run_ocmesp(GaussianEnvironment(inst, seed=0), cfg)
+        assert res.trace.metadata["optimal_subset"] == [0]
+        assert solve_mesp_offline(cov, 1.0, costs) == (0,)
+
+    def test_power_set_cap(self):
+        with pytest.raises(ValueError, match="d <= 20"):
+            CandidateSet.initial(21)
