@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dp import (
+    DEFAULT_STATE_CAP,
     QuadratureSpec,
     full_information_rollouts,
     rollout_net_rewards,
@@ -64,7 +65,7 @@ class EtcConfig:
     override_n: Optional[int] = None
     assume_zero_mean: bool = False
     quadrature: QuadratureSpec = QuadratureSpec()
-    state_cap: int = 10**7
+    state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
         if self.horizon < 1:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import generators
 from .dp import (
+    DEFAULT_STATE_CAP,
     QuadratureSpec,
     policy_records,
     solve_dp_discrete,
@@ -31,6 +32,16 @@ from .harness import (
 )
 from .models import load_instance, save_instance
 
+# gen subcommand -> name of its function in ``generators``: names, not
+# functions, so the call goes to whatever the module binds at that time
+_GENERATORS = {
+    "pareto": "gen_discrete_pareto",
+    "single-lb": "gen_lower_bound_single",
+    "stacked-lb": "gen_lower_bound_stacked",
+    "gaussian-lowrank": "gen_gaussian_lowrank",
+    "gaussian-quadratic": "gen_gaussian_quadratic",
+}
+
 
 class UsageError(Exception):
     pass
@@ -44,51 +55,54 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag without a default is left out when not given, so the generator
+    # or the harness applies its own default
+    unset = {"argument_default": argparse.SUPPRESS}
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gsub = gen.add_subparsers(dest="generator", required=True)
 
-    p = gsub.add_parser("pareto", help="binary tests with Pareto-weighted outcomes")
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--shape", type=float, default=generators.PARETO_SHAPE_DEFAULT)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", type=float, default=0.05)
+    p = gsub.add_parser("pareto", help="binary tests with Pareto-weighted outcomes", **unset)
+    p.add_argument("--d", type=int)
+    p.add_argument("--shape", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cost", type=float)
     p.add_argument("--out", required=True)
 
-    p = gsub.add_parser("single-lb", help="single-test hard instance")
+    p = gsub.add_parser("single-lb", help="single-test hard instance", **unset)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--out", required=True)
 
-    p = gsub.add_parser("stacked-lb", help="two-test stacked hard instance")
+    p = gsub.add_parser("stacked-lb", help="two-test stacked hard instance", **unset)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--support-size", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--out", required=True)
 
-    p = gsub.add_parser("gaussian-lowrank", help="Sigma = LL^T + I entropy instance")
-    p.add_argument("--d", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--cost", type=float, default=0.0)
+    p = gsub.add_parser("gaussian-lowrank", help="Sigma = LL^T + I entropy instance", **unset)
+    p.add_argument("--d", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--cost", type=float)
     p.add_argument("--out", required=True)
 
-    p = gsub.add_parser("gaussian-quadratic", help="Gaussian instance with quadratic loss")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", type=float, default=0.1)
-    p.add_argument("--grid-points", type=int, default=5)
-    p.add_argument("--grid-span", type=float, default=2.0)
+    p = gsub.add_parser("gaussian-quadratic", help="Gaussian instance with quadratic loss", **unset)
+    p.add_argument("--d", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cost", type=float)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--grid-span", type=float)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("solve", help="clairvoyant solution of an instance")
+    p = sub.add_parser("solve", help="clairvoyant solution of an instance", **unset)
     p.add_argument("--instance", required=True)
     p.add_argument("--dump-policy", default=None, help="write the policy records JSON here")
-    p.add_argument("--state-cap", type=int, default=10**7)
-    p.add_argument("--nodes-per-test", type=int, default=16)
-    p.add_argument("--max-depth", type=int, default=6)
+    p.add_argument("--state-cap", type=int)
+    p.add_argument("--nodes-per-test", type=int)
+    p.add_argument("--max-depth", type=int)
 
-    p = sub.add_parser("simulate", help="run an agent over seeded replications")
+    p = sub.add_parser("simulate", help="run an agent over seeded replications", **unset)
     p.add_argument("--instance", required=True)
     p.add_argument("--agent", required=True, choices=AGENTS)
     p.add_argument("--horizon", type=int, required=True)
@@ -96,74 +110,55 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallel replications (default: available processors)")
-    p.add_argument("--support-hint", type=int, default=None)
-    p.add_argument("--sigma-hint", type=float, default=None)
-    p.add_argument("--override-N", dest="override_n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--bernstein-c", type=float, default=1.0)
-    p.add_argument("--nodes-per-test", type=int, default=16)
-    p.add_argument("--max-depth", type=int, default=6)
+    p.add_argument("--support-hint", type=int)
+    p.add_argument("--sigma-hint", type=float)
+    p.add_argument("--override-N", dest="override_n", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--bernstein-c", type=float)
+    p.add_argument("--nodes-per-test", type=int)
+    p.add_argument("--max-depth", type=int)
     p.add_argument("--assume-zero-mean", action="store_true")
-    p.add_argument("--state-cap", type=int, default=10**7)
-    p.add_argument("--emit-dataset", action="store_true")
+    p.add_argument("--state-cap", type=int)
+    p.add_argument("--emit-dataset", action="store_true", default=False)
 
     p = sub.add_parser("report", help="summarize trace directories")
     p.add_argument("--dir", required=True)
     return parser
 
 
+def _given(args, *skip) -> dict:
+    """The flags given on the command line, but those named in ``skip``."""
+    return {k: v for k, v in vars(args).items() if k not in ("command",) + skip}
+
+
 def _cmd_gen(args) -> int:
-    if args.generator == "pareto":
-        inst = generators.gen_discrete_pareto(
-            d=args.d, shape=args.shape, seed=args.seed, cost=args.cost
-        )
-    elif args.generator == "single-lb":
-        inst = generators.gen_lower_bound_single(eps=args.eps, which=args.which)
-    elif args.generator == "stacked-lb":
-        inst = generators.gen_lower_bound_stacked(
-            eps=args.eps, support_size=args.support_size, pattern=args.pattern
-        )
-    elif args.generator == "gaussian-lowrank":
-        inst = generators.gen_gaussian_lowrank(
-            d=args.d, seed=args.seed, lam=args.lam, cost=args.cost
-        )
-    else:
-        inst = generators.gen_gaussian_quadratic(
-            d=args.d, seed=args.seed, cost=args.cost,
-            grid_points=args.grid_points, grid_span=args.grid_span,
-        )
-    save_instance(inst, args.out)
+    generate = getattr(generators, _GENERATORS[args.generator])
+    save_instance(generate(**_given(args, "generator", "out")), args.out)
     print(args.out)
     return 0
 
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    if instance.is_discrete:
-        policy, table = solve_dp_discrete(instance, state_cap=args.state_cap)
-        kind, which = table.root_action
-        out = {
-            "value": table.root_value,
-            "action": f"{kind}:{which}",
-            "states": len(table),
-        }
-        if args.dump_policy:
-            with _atomic_open(args.dump_policy) as fh:
-                json.dump(policy_records(policy), fh, indent=1, allow_nan=False)
-                fh.write("\n")
-    elif instance.reward.kind == "entropy":
-        subset = solve_mesp_offline(
-            instance.model.covariance, instance.reward.lam, instance.costs
-        )
-        value = entropy_objective(
-            subset, instance.model.covariance, instance.reward.lam, instance.costs
-        )
-        out = {"value": value, "subset": list(subset)}
+    budget = _given(args, "instance", "dump_policy")
+    state_cap = budget.pop("state_cap", DEFAULT_STATE_CAP)
+    if instance.reward.kind == "entropy":
+        cov, lam, costs = instance.model.covariance, instance.reward.lam, instance.costs
+        subset = solve_mesp_offline(cov, lam, costs)
+        out = {"value": entropy_objective(subset, cov, lam, costs), "subset": list(subset)}
     else:
-        quadrature = QuadratureSpec.from_params(vars(args))
-        policy, table = solve_dp_gaussian(instance, quadrature, args.state_cap)
+        if instance.is_discrete:
+            policy, table = solve_dp_discrete(instance, state_cap)
+        else:
+            policy, table = solve_dp_gaussian(instance, QuadratureSpec(**budget), state_cap)
         kind, which = table.root_action
         out = {"value": table.root_value, "action": f"{kind}:{which}"}
+        if instance.is_discrete:
+            out["states"] = len(table)
+            if args.dump_policy:
+                with _atomic_open(args.dump_policy) as fh:
+                    json.dump(policy_records(policy), fh, indent=1, allow_nan=False)
+                    fh.write("\n")
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -174,20 +169,6 @@ def _cmd_simulate(args) -> int:
         seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
     except ValueError as exc:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
-    params = {
-        "delta": args.delta,
-        "bernstein_c": args.bernstein_c,
-        "nodes_per_test": args.nodes_per_test,
-        "max_depth": args.max_depth,
-        "assume_zero_mean": args.assume_zero_mean,
-        "state_cap": args.state_cap,
-    }
-    if args.support_hint is not None:
-        params["support_hint"] = args.support_hint
-    if args.sigma_hint is not None:
-        params["sigma_hint"] = args.sigma_hint
-    if args.override_n is not None:
-        params["override_n"] = args.override_n
     config = ExperimentConfig(
         instance=instance,
         agent=args.agent,
@@ -195,7 +176,9 @@ def _cmd_simulate(args) -> int:
         seeds=seeds,
         out_dir=Path(args.out),
         jobs=args.jobs,
-        agent_params=params,
+        agent_params=_given(
+            args, "instance", "agent", "horizon", "seeds", "out", "jobs", "emit_dataset"
+        ),
         emit_dataset=args.emit_dataset,
         instance_source=args.instance,
     )

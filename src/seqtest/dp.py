@@ -62,6 +62,10 @@ from .models import (
 # action = ("test", test_index) or ("decide", decision_index)
 Action = Tuple[str, int]
 
+# default solve budget: canonical states of a discrete solve, or nodes of a
+# Gaussian scenario tree (QuadratureSpec holds the default quadrature)
+DEFAULT_STATE_CAP = 10**7
+
 
 class StateSpaceError(RuntimeError):
     """The number of canonical states exceeded the configured cap."""
@@ -145,12 +149,6 @@ class QuadratureSpec:
             raise QuadratureCapError("nodes_per_test must be >= 1")
         if self.max_depth < 1:
             raise QuadratureCapError("max_depth must be >= 1")
-
-    @classmethod
-    def from_params(cls, params: dict) -> "QuadratureSpec":
-        """Spec from the ``nodes_per_test``/``max_depth`` entries of
-        ``params``; fields it does not set keep their defaults."""
-        return cls(**{k: int(params[k]) for k in ("nodes_per_test", "max_depth") if k in params})
 
 
 def _bits(mask: int) -> list:
@@ -363,7 +361,7 @@ def _best_decisions(probs, ptr, mem, mass, table, ranking):
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # states of no mass get NaN values
-def solve_dp_discrete(instance: ProblemInstance, state_cap: int = 10**7):
+def solve_dp_discrete(instance: ProblemInstance, state_cap: int = DEFAULT_STATE_CAP):
     """Exact optimal policy and value table for a discrete instance.
 
     Raises :class:`StateSpaceError`, before any state is evaluated, when the
@@ -528,7 +526,7 @@ def q_value(
     s: TestState,
     test: int,
     value_lookup: Callable[[TestState], float],
-    nodes_per_test: int = 16,
+    nodes_per_test: int = QuadratureSpec.nodes_per_test,
 ) -> float:
     """Expected remaining reward for performing ``test`` at state ``s``:
     -c_test plus the posterior-weighted value of the successor states."""
@@ -808,7 +806,7 @@ class GaussianTreePolicy:
 def solve_dp_gaussian(
     instance: ProblemInstance,
     quadrature: Optional[QuadratureSpec] = None,
-    state_cap: int = 10**7,
+    state_cap: int = DEFAULT_STATE_CAP,
 ):
     """Approximate optimal policy for a Gaussian instance via the scenario tree.
 

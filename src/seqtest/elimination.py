@@ -62,7 +62,7 @@ class OcmespConfig:
     lam: float
     costs: np.ndarray
     horizon: int
-    bernstein_c: float = 1.0
+    bernstein_c: float
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

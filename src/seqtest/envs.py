@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dp import (
-    QuadratureSpec,
+    DEFAULT_STATE_CAP,
     Rollout,
     rollout_net_reward,
     rollout_net_rewards,
@@ -61,7 +61,7 @@ class DiscreteEnvironment:
         """Next ``n`` support indices from the episode stream."""
         return sample_support_indices(self.instance.model, self._rng, n)
 
-    def clairvoyant(self, state_cap: int = 10**7):
+    def clairvoyant(self, state_cap: int = DEFAULT_STATE_CAP):
         """(policy, (tests, decision, order, net)): the clairvoyant policy
         (solved once, under ``state_cap``) and its priced rollout on every
         support point, row k for support point k."""
@@ -92,13 +92,11 @@ class GaussianEnvironment:
         z = self._rng.standard_normal((n, self.instance.d))
         return z @ self._chol.T + self.instance.model.mean
 
-    def clairvoyant_policy(
-        self, quadrature: Optional[QuadratureSpec] = None, state_cap: int = 10**7
-    ):
+    def clairvoyant_policy(self, quadrature=None, state_cap: int = DEFAULT_STATE_CAP):
+        """The clairvoyant tree policy, solved once (under the default
+        ``QuadratureSpec`` when ``quadrature`` is None)."""
         if self._clair_policy is None:
-            self._clair_policy, _ = solve_dp_gaussian(
-                self.instance, quadrature or QuadratureSpec(), state_cap
-            )
+            self._clair_policy, _ = solve_dp_gaussian(self.instance, quadrature, state_cap)
         return self._clair_policy
 
 
@@ -238,8 +236,8 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
     )
 
 
-# rows formatted per chunk by the trace and aggregate writers: bounds the
-# formatted strings held at once whatever the horizon
+# rows formatted per chunk by the CSV writers: bounds the formatted strings
+# held at once whatever the horizon
 _WRITE_CHUNK = 1 << 8
 
 
@@ -308,11 +306,16 @@ def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
     the literal ``NA`` for entries the agent never observed."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
+
+    def columns(a, b):
+        rows = trace.observations[a:b]
+        return [list(map(str, range(a + 1, b + 1)))] + [
+            [_fmt(obs[i]) if i in obs else "NA" for obs in rows] for i in range(d)
+        ]
+
     with _atomic_open(path) as fh:
         fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
-        for t, obs in enumerate(trace.observations):
-            cells = [_fmt(obs[i]) if i in obs else "NA" for i in range(d)]
-            fh.write(",".join([str(t + 1)] + cells) + "\n")
+        _write_rows(fh, len(trace.observations), columns)
 
 
 def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):

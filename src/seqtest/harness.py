@@ -25,7 +25,7 @@ from .agents import (
     run_etc_doubling,
     run_etc_gaussian,
 )
-from .dp import QuadratureSpec, rollout_net_rewards
+from .dp import DEFAULT_STATE_CAP, QuadratureSpec, rollout_net_rewards
 from .elimination import OcmespConfig, run_ocmesp
 from .envs import (
     DiscreteEnvironment,
@@ -38,20 +38,24 @@ from .envs import (
     write_dataset_csv,
     write_trace_csv,
 )
-from .models import (
-    DiscreteOutcomeModel,
-    InstanceError,
-    ProblemInstance,
-    instance_hash,
-)
+from .models import InstanceError, ProblemInstance, instance_hash
 
-AGENTS = ("etc-discrete", "etc-gaussian", "etc-doubling", "ocmesp", "clairvoyant")
+# the instance kinds each agent runs on: discrete, or gaussian-<reward kind>
+_RUNS_ON = {
+    "etc-discrete": ("discrete",),
+    "etc-gaussian": ("gaussian-quadratic",),
+    "etc-doubling": ("discrete", "gaussian-quadratic"),
+    "ocmesp": ("gaussian-entropy",),
+    "clairvoyant": ("discrete", "gaussian-quadratic"),
+}
+AGENTS = tuple(_RUNS_ON)
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment: an instance, an agent with its parameters, a horizon,
-    and the replication seeds."""
+    and the replication seeds. Building one refuses an agent that cannot run
+    on the instance, so a mismatch fails before any replication starts."""
 
     instance: ProblemInstance
     agent: str
@@ -66,6 +70,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.agent not in AGENTS:
             raise ValueError(f"unknown agent {self.agent!r}; choose from {AGENTS}")
+        kind = "discrete" if self.instance.is_discrete else f"gaussian-{self.instance.reward.kind}"
+        if kind not in _RUNS_ON[self.agent]:
+            runs_on = " or ".join(_RUNS_ON[self.agent])
+            raise InstanceError(f"agent {self.agent!r} runs on {runs_on} instances, not {kind}")
+        if self.agent == "etc-doubling" and self.agent_params.get("override_n") is not None:
+            raise ValueError("override_n does not apply to etc-doubling: each batch finds its N")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         seeds = tuple(int(s) for s in self.seeds)
@@ -77,57 +87,38 @@ class ExperimentConfig:
 
 
 def resolved_agent_params(config: ExperimentConfig) -> dict:
-    """Agent parameters with defaults filled in (echoed for provenance)."""
-    p = dict(config.agent_params)
+    """Every agent parameter of the run: those ``agent_params`` sets, and the
+    default of each one it leaves out (echoed for provenance). The defaults
+    are written here only; the CLI passes on just the flags it is given."""
     instance = config.instance
-    if config.agent in ("etc-discrete", "etc-doubling") and isinstance(
-        instance.model, DiscreteOutcomeModel
-    ):
-        p.setdefault("support_hint", instance.model.support_size)
-    if not isinstance(instance.model, DiscreteOutcomeModel):
-        p.setdefault("sigma_hint", float(instance.model.condition_number))
-    if config.agent == "ocmesp":
-        p.setdefault("delta", 0.1)
-        p.setdefault("bernstein_c", 1.0)
-    if config.agent in ("etc-gaussian", "clairvoyant", "etc-doubling") and not isinstance(
-        instance.model, DiscreteOutcomeModel
-    ):
-        p.setdefault("nodes_per_test", 16)
-        p.setdefault("max_depth", 6)
-    p.setdefault("state_cap", 10**7)
-    return p
+    params = {
+        "delta": 0.1,
+        "bernstein_c": 1.0,
+        "nodes_per_test": QuadratureSpec.nodes_per_test,
+        "max_depth": QuadratureSpec.max_depth,
+        "assume_zero_mean": False,
+        "state_cap": DEFAULT_STATE_CAP,
+    }
+    if not instance.is_discrete:
+        params["sigma_hint"] = float(instance.model.condition_number)
+    elif config.agent in ("etc-discrete", "etc-doubling"):
+        params["support_hint"] = instance.model.support_size
+    params.update(config.agent_params)
+    return params
 
 
-def _etc_config(config: ExperimentConfig, params: dict) -> EtcConfig:
-    """EtcConfig from ``resolved_agent_params``."""
-    return EtcConfig(
-        horizon=config.horizon,
-        support_size_hint=params.get("support_hint"),
-        condition_number=params.get("sigma_hint"),
-        override_n=params.get("override_n"),
-        assume_zero_mean=bool(params.get("assume_zero_mean", False)),
-        quadrature=QuadratureSpec.from_params(params),
-        state_cap=int(params["state_cap"]),
-    )
-
-
-def _run_clairvoyant(config: ExperimentConfig, seed: int, collect: bool, params: dict) -> RegretTrace:
-    instance = config.instance
-    T = config.horizon
-    state_cap = int(params["state_cap"])
-    if isinstance(instance.model, DiscreteOutcomeModel):
+def _run_clairvoyant(env, horizon: int, quadrature, state_cap: int, collect: bool) -> RegretTrace:
+    if isinstance(env, DiscreteEnvironment):
         # tabulated per support point, gathered per episode
-        env = DiscreteEnvironment(instance, seed)
         _, (tests, dec, order, net) = env.clairvoyant(state_cap)
-        idx = env.outcome_indices(T)
-        xs = instance.model.support[idx] if collect else None
+        idx = env.outcome_indices(horizon)
+        xs = env.instance.model.support[idx] if collect else None
         rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
     else:
-        env = GaussianEnvironment(instance, seed)
-        policy = env.clairvoyant_policy(QuadratureSpec.from_params(params), state_cap)
-        xs = env.outcomes(T)
+        policy = env.clairvoyant_policy(quadrature, state_cap)
+        xs = env.outcomes(horizon)
         tests, dec, order = policy.rollouts(xs)
-        rollout = (tests, dec, order, rollout_net_rewards(instance, xs, order, dec))
+        rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
     return rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None)
 
 
@@ -137,12 +128,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
     params = resolved_agent_params(config)
     collect = config.emit_dataset
     agent = config.agent
-    if agent == "clairvoyant":
-        return _run_clairvoyant(config, seed, collect, params)
+    env = (DiscreteEnvironment if instance.is_discrete else GaussianEnvironment)(instance, seed)
     if agent == "ocmesp":
-        if instance.reward.kind != "entropy":
-            raise InstanceError("the ocmesp agent requires an entropy-reward instance")
-        env = GaussianEnvironment(instance, seed)
         ocfg = OcmespConfig(
             sigma=float(params["sigma_hint"]),
             d=instance.d,
@@ -153,18 +140,23 @@ def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
             bernstein_c=float(params["bernstein_c"]),
         )
         return run_ocmesp(env, ocfg, collect_observations=collect).trace
-    etc_config = _etc_config(config, params)
+    quadrature = QuadratureSpec(int(params["nodes_per_test"]), int(params["max_depth"]))
+    state_cap = int(params["state_cap"])
+    if agent == "clairvoyant":
+        return _run_clairvoyant(env, config.horizon, quadrature, state_cap, collect)
+    etc_config = EtcConfig(
+        horizon=config.horizon,
+        support_size_hint=params.get("support_hint"),
+        condition_number=params.get("sigma_hint"),
+        override_n=params.get("override_n"),
+        assume_zero_mean=bool(params["assume_zero_mean"]),
+        quadrature=quadrature,
+        state_cap=state_cap,
+    )
     if agent == "etc-discrete":
-        env = DiscreteEnvironment(instance, seed)
         return run_etc_discrete(env, etc_config, collect_observations=collect).trace
     if agent == "etc-gaussian":
-        env = GaussianEnvironment(instance, seed)
         return run_etc_gaussian(env, etc_config, collect_observations=collect).trace
-    # etc-doubling
-    if isinstance(instance.model, DiscreteOutcomeModel):
-        env = DiscreteEnvironment(instance, seed)
-    else:
-        env = GaussianEnvironment(instance, seed)
     return run_etc_doubling(env, etc_config, collect_observations=collect).trace
 
 
@@ -244,6 +236,23 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
 # ---------------------------------------------------------------------------
 
 
+# bytes read per step when seeking back from the end of a file for its last line
+_TAIL_BLOCK = 1 << 12
+
+
+def _last_line(path) -> str:
+    """The last line of a text file, read in blocks back from its end until
+    they hold the newline before it (not the whole of a long aggregate.csv)."""
+    with open(path, "rb") as fh:
+        pos, tail = fh.seek(0, os.SEEK_END), b""
+        while pos and tail.rfind(b"\n", 0, len(tail) - 1) < 0:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+    return tail.rstrip(b"\n").rsplit(b"\n", 1)[-1].decode("utf-8")
+
+
 def collect_run_summaries(root) -> list:
     """One summary per finished run directory under ``root`` (a run directory
     holds aggregate.csv next to effective-config.json)."""
@@ -253,8 +262,7 @@ def collect_run_summaries(root) -> list:
             continue
         with open(Path(dirpath) / "effective-config.json", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        with open(Path(dirpath) / "aggregate.csv", encoding="utf-8") as fh:
-            last = fh.readlines()[-1].rstrip("\n").split(",")
+        last = _last_line(Path(dirpath) / "aggregate.csv").split(",")
         summaries.append(
             {
                 "path": dirpath,

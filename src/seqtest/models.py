@@ -286,6 +286,8 @@ class ProblemInstance:
         )
         object.__setattr__(self, "decisions", decisions)
         if self.reward.kind == "entropy":
+            if not isinstance(self.model, GaussianOutcomeModel):
+                raise InstanceError("entropy rewards require a Gaussian model")
             if decisions:
                 raise InstanceError("entropy-reward instances take an empty decision set")
         else:

@@ -8,7 +8,9 @@ import pytest
 
 import seqtest.cli as cli
 import seqtest.dp as dp
+import seqtest.generators as generators
 from seqtest.cli import main
+from seqtest.harness import ExperimentConfig, run_replications
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
@@ -48,6 +50,23 @@ class TestGen:
         code = run_cli("gen", "single-lb", "--eps", "1.5", "--which", "1", "--out", str(out))
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, generate",
+        [
+            (["pareto"], lambda: generators.gen_discrete_pareto()),
+            (["single-lb", "--eps", "0.2", "--which", "2"],
+             lambda: generators.gen_lower_bound_single(eps=0.2, which=2)),
+            (["stacked-lb", "--eps", "0.2", "--support-size", "8", "--pattern", "1010"],
+             lambda: generators.gen_lower_bound_stacked(eps=0.2, support_size=8, pattern="1010")),
+            (["gaussian-lowrank"], lambda: generators.gen_gaussian_lowrank()),
+            (["gaussian-quadratic"], lambda: generators.gen_gaussian_quadratic()),
+        ],
+    )
+    def test_required_flags_only_take_generator_defaults(self, tmp_path, argv, generate):
+        assert run_cli("gen", *argv, "--out", str(tmp_path / "cli.json")) == 0
+        save_instance(generate(), tmp_path / "lib.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
     def test_unknown_generator_exit_1(self, capsys):
         assert run_cli("gen", "nope", "--out", "x.json") == 1
@@ -245,14 +264,71 @@ class TestSimulate:
         assert code == 1
 
     def test_agent_instance_mismatch_exit_2(self, tmp_path, capsys):
+        # refused when the config is built: no seed runs, no run directory
+        for agent, gen_argv in (
+            ("ocmesp", ["pareto", "--d", "3", "--seed", "2"]),
+            ("etc-discrete", ["gaussian-quadratic", "--d", "2"]),
+            ("etc-gaussian", ["gaussian-lowrank", "--d", "3"]),
+        ):
+            inst_path = tmp_path / f"{agent}.json"
+            run_cli("gen", *gen_argv, "--out", str(inst_path))
+            capsys.readouterr()
+            code = run_cli(
+                "simulate", "--instance", str(inst_path), "--agent", agent,
+                "--horizon", "16", "--seeds", "0,1", "--out", str(tmp_path / "r"),
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"agent '{agent}' runs on" in err and "Traceback" not in err
+            assert not (tmp_path / "r").exists()
+
+
+    @pytest.mark.parametrize(
+        "agent, gen_argv",
+        [
+            ("etc-discrete", ["pareto", "--d", "3", "--seed", "2"]),
+            ("clairvoyant", ["pareto", "--d", "3", "--seed", "2"]),
+            ("etc-gaussian", ["gaussian-quadratic", "--d", "2"]),
+            ("ocmesp", ["gaussian-lowrank", "--d", "4", "--cost", "1.8"]),
+        ],
+    )
+    def test_effective_config_matches_library_defaults(
+        self, tmp_path, monkeypatch, capsys, agent, gen_argv
+    ):
+        # the CLI without optional flags and the library with no agent
+        # parameters resolve the same defaults, in one place
+        monkeypatch.chdir(tmp_path)
+        run_cli("gen", *gen_argv, "--out", "inst.json")
+        assert run_cli(
+            "simulate", "--instance", "inst.json", "--agent", agent, "--horizon", "16",
+            "--seeds", "0,1", "--jobs", "1", "--out", "cli",
+        ) == 0
+        report = run_replications(
+            ExperimentConfig(
+                instance=load_instance("inst.json"), agent=agent, horizon=16, seeds=(0, 1),
+                out_dir=tmp_path / "lib", jobs=1, agent_params={},
+                instance_source="inst.json",
+            )
+        )
+        assert report.ok
+        cli_config = (tmp_path / "cli" / "effective-config.json").read_bytes()
+        assert cli_config == (tmp_path / "lib" / "effective-config.json").read_bytes()
+        assert set(json.loads(cli_config)["agent_params"]) >= {
+            "delta", "bernstein_c", "nodes_per_test", "max_depth", "assume_zero_mean", "state_cap"
+        }
+
+    def test_override_n_with_doubling_refused(self, tmp_path, capsys):
         inst_path = tmp_path / "p.json"
         run_cli("gen", "pareto", "--d", "3", "--seed", "2", "--out", str(inst_path))
+        capsys.readouterr()
         code = run_cli(
-            "simulate", "--instance", str(inst_path), "--agent", "ocmesp",
-            "--horizon", "16", "--seeds", "0", "--out", str(tmp_path / "r"),
+            "simulate", "--instance", str(inst_path), "--agent", "etc-doubling",
+            "--horizon", "64", "--seeds", "0", "--jobs", "1", "--override-N", "40",
+            "--out", str(tmp_path / "r"),
         )
         assert code == 2
-
+        assert "override_n" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_ocmesp_beyond_power_set_cap_exit_2(self, tmp_path, capsys):
         # 2^21 candidates would not fit; the agent refuses before allocating

@@ -26,6 +26,7 @@ from seqtest.generators import (
     brute_force_policy_oracle,
     gen_discrete_pareto,
     gen_gaussian_lowrank,
+    gen_gaussian_quadratic,
     gen_lower_bound_single,
     gen_lower_bound_stacked,
 )
@@ -311,9 +312,19 @@ def aggregate_csv_reference(traces):
     return out
 
 
+def dataset_csv_reference(trace, d):
+    """The row-by-row dataset writer the column-wise one replaced."""
+    out = ",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n"
+    for t, obs in enumerate(trace.observations):
+        cells = [_fmt_reference(obs[i]) if i in obs else "NA" for i in range(d)]
+        out += ",".join([str(t + 1)] + cells) + "\n"
+    return out
+
+
 class TestColumnWriters:
     EDGE = [-0.0, 5e-324, 1e308, 0.1, -2.5e-17, 1.0 / 3.0, 0.0]
     GAPS = [0.0, 5e-324, 0.1, -2.5e-17, 1.0 / 3.0]  # keep cumulative regret finite
+    OBSERVED = [0.1, np.float64(-0.0), 5e-324, 2, np.float64(1.0 / 3.0)]
 
     def _trace(self, T, seed=0):
         rng = np.random.default_rng(seed)
@@ -336,6 +347,10 @@ class TestColumnWriters:
                 "flags": np.arange(T) % 3 == 0,
                 "counts": np.arange(T, dtype=np.int32),
             },
+            observations=[  # three tests, each observed on some episodes
+                {i: self.OBSERVED[(t + i) % 5] for i in range(3) if (t >> i) & 1 == 0}
+                for t in range(T)
+            ],
         )
 
     @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 9])
@@ -345,15 +360,19 @@ class TestColumnWriters:
         trace, other = self._trace(T), self._trace(T, seed=1)
         write_trace_csv(trace, tmp_path / "t.csv")
         write_aggregate_csv([trace, other], tmp_path / "a.csv")
+        write_dataset_csv(trace, 3, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace, other]).encode()
+        assert (tmp_path / "d.csv").read_bytes() == dataset_csv_reference(trace, 3).encode()
 
     def test_default_chunk_matches_row_by_row_writer(self, tmp_path):
         trace = self._trace(envs._WRITE_CHUNK + 5)
         write_trace_csv(trace, tmp_path / "t.csv")
         write_aggregate_csv([trace], tmp_path / "a.csv")
+        write_dataset_csv(trace, 3, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
+        assert (tmp_path / "d.csv").read_bytes() == dataset_csv_reference(trace, 3).encode()
 
 
 class TestRunReplications:
@@ -437,6 +456,32 @@ class TestRunReplications:
         assert run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).ok
         assert sizes == [2, 2]
 
+    @pytest.mark.parametrize(
+        "agent, instance",
+        [
+            ("etc-discrete", lambda: gen_gaussian_quadratic(d=2, seed=0)),
+            ("ocmesp", lambda: gen_discrete_pareto(d=3, seed=2)),
+            ("etc-gaussian", lambda: gen_gaussian_lowrank(d=3, seed=0)),
+        ],
+    )
+    def test_agent_instance_mismatch_refused_when_built(self, agent, instance):
+        with pytest.raises(InstanceError, match=f"agent '{agent}' runs on"):
+            ExperimentConfig(instance=instance(), agent=agent, horizon=8, seeds=(0,))
+
+    def test_override_n_refused_with_doubling(self):
+        # every doubling batch derives its own N, so the override would be
+        # echoed into effective-config.json without changing the run
+        inst = gen_discrete_pareto(d=3, seed=2)
+        with pytest.raises(ValueError, match="override_n"):
+            ExperimentConfig(
+                instance=inst, agent="etc-doubling", horizon=64, seeds=(0,),
+                agent_params={"override_n": 40},
+            )
+        ExperimentConfig(
+            instance=inst, agent="etc-discrete", horizon=64, seeds=(0,),
+            agent_params={"override_n": 40},
+        )
+
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="distinct"):
             self._config(tmp_path, seeds=(1, 1))
@@ -472,6 +517,36 @@ class TestReportHelpers:
         assert ratios[0]["T"] == 64
         by_T = {s["horizon"]: s["final_mean"] for s in summaries}
         assert abs(ratios[0]["ratio"] - by_T[128] / by_T[64]) <= 1e-12
+
+    def test_last_row_read_from_the_tail(self, tmp_path, monkeypatch):
+        # an aggregate larger than the tail block, read with blocks that cut
+        # the last row at every offset and with the default block
+        T = 300
+        rng = np.random.default_rng(3)
+        traces = [
+            RegretTrace(
+                agent="etc-discrete", seed=s, instance_hash="h",
+                phase=["commit"] * T, tests_performed=np.zeros(T, dtype=int),
+                decision=["0"] * T, realized_reward=rng.random(T),
+                clairvoyant_reward=np.ones(T),
+            )
+            for s in range(2)
+        ]
+        run = tmp_path / "run"
+        run.mkdir()
+        write_aggregate_csv(traces, run / "aggregate.csv")
+        (run / "effective-config.json").write_text(
+            '{"agent": "etc-discrete", "horizon": 300, "instance_hash": "h", "seeds": [0, 1]}'
+        )
+        data = (run / "aggregate.csv").read_bytes()
+        assert len(data) > harness._TAIL_BLOCK
+        last = data.decode().splitlines()[-1].split(",")
+        want = (float(last[1]), float(last[2]))
+        row = len(data.decode().splitlines()[-1])
+        for block in list(range(1, row + 4)) + [64, harness._TAIL_BLOCK]:
+            monkeypatch.setattr(harness, "_TAIL_BLOCK", block)
+            (summary,) = collect_run_summaries(tmp_path)
+            assert (summary["final_mean"], summary["final_sd"]) == want, block
 
     def test_empty_directory_has_no_summaries(self, tmp_path):
         assert collect_run_summaries(tmp_path) == []

@@ -339,6 +339,16 @@ class TestModelValidation:
         with pytest.raises(InstanceError, match="bounded"):
             RewardSpec(kind="table", table=np.array([[np.inf, 0.0]]))
 
+    def test_entropy_reward_requires_gaussian_model(self):
+        model = DiscreteOutcomeModel(support=np.array([[0.0], [1.0]]), probs=np.array([0.5, 0.5]))
+        with pytest.raises(InstanceError, match="Gaussian model"):
+            ProblemInstance(
+                model=model,
+                costs=np.zeros(1),
+                decisions=(),
+                reward=RewardSpec(kind="entropy", lam=1.0),
+            )
+
     def test_entropy_instances_take_no_decisions(self):
         model = GaussianOutcomeModel(mean=np.zeros(1), covariance=np.eye(1))
         with pytest.raises(InstanceError):
