@@ -43,6 +43,7 @@ from .agents import (
     EmpiricalModel,
     EtcConfig,
     doubling_batches,
+    run_clairvoyant,
     run_doubling,
     run_etc_discrete,
     run_etc_doubling,

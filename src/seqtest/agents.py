@@ -1,4 +1,5 @@
-"""Explore-Then-Commit agents and the doubling-trick wrapper.
+"""Explore-Then-Commit agents, the doubling-trick wrapper, and the
+clairvoyant reference agent.
 
 Both agents explore by performing every test for the first N episodes (so the
 logged exploration data has no missingness and the plug-in estimates are
@@ -16,6 +17,8 @@ same decision).
 The doubling wrapper restarts a fresh known-horizon agent on episode batches
 of length 2^0, 2^1, 2^2, ... (final batch truncated), carrying no state across
 batches, which turns the fixed-horizon agent into an anytime one.
+
+Every agent runs as ``run_<agent>(env, config, collect_observations)``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .envs import (
 from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
-    InstanceError,
     ProblemInstance,
     RewardSpec,
 )
@@ -56,7 +58,8 @@ class EtcConfig:
 
     ``support_size_hint`` feeds the discrete schedule (the |P| the formula
     assumes known); ``condition_number`` feeds the Gaussian one. ``override_n``
-    replaces the derived N (still clamped to [1, T]).
+    replaces the derived N (still clamped to T). The schedules are defined for
+    |P| >= 1 and sigma >= 1, so other values are refused when the config is built.
     """
 
     horizon: int
@@ -68,8 +71,10 @@ class EtcConfig:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        for name in ("horizon", "support_size_hint", "condition_number", "override_n", "state_cap"):
+            value = getattr(self, name)
+            if value is not None and not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _int_cbrt(x: int) -> int:
@@ -84,7 +89,7 @@ def _int_cbrt(x: int) -> int:
 
 def discrete_exploration_episodes(config: EtcConfig) -> int:
     if config.override_n is not None:
-        return min(max(int(config.override_n), 1), config.horizon)
+        return min(int(config.override_n), config.horizon)
     if config.support_size_hint is None:
         raise ValueError("the discrete ETC schedule requires support_size_hint (|P|)")
     n = _int_cbrt(int(config.support_size_hint) * config.horizon**2)
@@ -93,7 +98,7 @@ def discrete_exploration_episodes(config: EtcConfig) -> int:
 
 def gaussian_exploration_episodes(config: EtcConfig) -> int:
     if config.override_n is not None:
-        return min(max(int(config.override_n), 1), config.horizon)
+        return min(int(config.override_n), config.horizon)
     if config.condition_number is None:
         raise ValueError("the Gaussian ETC schedule requires condition_number (sigma)")
     sigma = float(config.condition_number)
@@ -248,8 +253,6 @@ def run_etc_gaussian(
     records an estimation failure and tests everything for the remainder.
     """
     instance = env.instance
-    if instance.reward.kind != "quadratic":
-        raise InstanceError("run_etc_gaussian requires a quadratic-reward instance")
     T = config.horizon
     n0 = gaussian_exploration_episodes(config)
     xs = env.outcomes(T)
@@ -303,6 +306,25 @@ def run_etc_gaussian(
         xs if collect_observations else None, metadata,
     )
     return EtcRunResult(trace=trace, policy=policy, empirical=estimate, metadata=metadata)
+
+
+def run_clairvoyant(env, config: EtcConfig, collect_observations: bool = False) -> EtcRunResult:
+    """The clairvoyant policy, solved on the true model under the config's
+    budget, played every episode (its regret is 0 by definition)."""
+    collect = collect_observations
+    if isinstance(env, DiscreteEnvironment):
+        # tabulated per support point, gathered per episode
+        policy, (tests, dec, order, net) = env.clairvoyant(config.state_cap)
+        idx = env.outcome_indices(config.horizon)
+        xs = env.instance.model.support[idx] if collect else None
+        rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
+    else:
+        policy = env.clairvoyant_policy(config.quadrature, config.state_cap)
+        xs = env.outcomes(config.horizon)
+        tests, dec, order = policy.rollouts(xs)
+        rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
+    trace = rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None)
+    return EtcRunResult(trace=trace, policy=policy, empirical=None, metadata=trace.metadata)
 
 
 # ---------------------------------------------------------------------------

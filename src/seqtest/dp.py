@@ -145,10 +145,9 @@ class QuadratureSpec:
     max_depth: int = 6
 
     def __post_init__(self):
-        if self.nodes_per_test < 1:
-            raise QuadratureCapError("nodes_per_test must be >= 1")
-        if self.max_depth < 1:
-            raise QuadratureCapError("max_depth must be >= 1")
+        for name in ("nodes_per_test", "max_depth"):
+            if not getattr(self, name) >= 1:
+                raise QuadratureCapError(f"{name} must be >= 1")
 
 
 def _bits(mask: int) -> list:
@@ -662,10 +661,6 @@ class GaussianTreePolicy:
     def __init__(self, instance: ProblemInstance, quadrature: QuadratureSpec):
         if not isinstance(instance.model, GaussianOutcomeModel):
             raise InstanceError("GaussianTreePolicy requires a Gaussian model")
-        if instance.d > quadrature.max_depth:
-            raise QuadratureCapError(
-                f"dimension {instance.d} exceeds max_depth {quadrature.max_depth}"
-            )
         _require_quadratic(instance)
         self.instance = instance
         self.quadrature = quadrature
@@ -803,6 +798,19 @@ class GaussianTreePolicy:
         )
 
 
+def check_tree_budget(d: int, quadrature: QuadratureSpec, state_cap: int) -> None:
+    """Refuse a scenario tree deeper than ``quadrature.max_depth`` or of more than
+    ``state_cap`` nodes; both depend only on d and the budget, so runs check them when built."""
+    if d > quadrature.max_depth:
+        raise QuadratureCapError(f"dimension {d} exceeds max_depth {quadrature.max_depth}")
+    size = gaussian_tree_size(d, quadrature.nodes_per_test)
+    if size > state_cap:
+        raise StateSpaceError(
+            f"scenario-tree budget: {size} nodes (d={d}, "
+            f"{quadrature.nodes_per_test} nodes per test) exceed the state cap {state_cap}"
+        )
+
+
 def solve_dp_gaussian(
     instance: ProblemInstance,
     quadrature: Optional[QuadratureSpec] = None,
@@ -810,18 +818,13 @@ def solve_dp_gaussian(
 ):
     """Approximate optimal policy for a Gaussian instance via the scenario tree.
 
-    Raises :class:`StateSpaceError` before evaluating anything when the full
-    tree has more than ``state_cap`` nodes. The returned table holds the root
-    entry only; the policy re-evaluates every other state on demand.
+    Raises before evaluating anything when the tree is over budget (see
+    ``check_tree_budget``). The returned table holds the root entry only; the
+    policy re-evaluates every other state on demand.
     """
     quadrature = quadrature or QuadratureSpec()
+    check_tree_budget(instance.d, quadrature, state_cap)
     policy = GaussianTreePolicy(instance, quadrature)
-    size = gaussian_tree_size(instance.d, quadrature.nodes_per_test)
-    if size > state_cap:
-        raise StateSpaceError(
-            f"scenario-tree budget: {size} nodes (d={instance.d}, "
-            f"{quadrature.nodes_per_test} nodes per test) exceed the state cap {state_cap}"
-        )
     value, (kind, which), decision = policy.node(0, ())
     table = ValueTable(
         np.array([value]), np.array([which if kind == "test" else -1]), np.array([decision]),

@@ -37,9 +37,17 @@ import numpy as np
 
 from .dp import _bits
 from .envs import GaussianEnvironment, RegretTrace, subset_label
-from .models import GaussianOutcomeModel, InstanceError
+from .models import InstanceError
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+
+# largest d whose 2^d subsets are enumerated (candidates, offline search)
+MAX_POWER_SET_D = 20
+
+
+def _check_power_set(d: int) -> None:
+    if d > MAX_POWER_SET_D:
+        raise ValueError(f"the power set of [d] is capped at d <= {MAX_POWER_SET_D}, got d={d}")
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -65,6 +73,9 @@ class OcmespConfig:
     bernstein_c: float
 
     def __post_init__(self):
+        _check_power_set(self.d)
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not self.lam > 0.0:
@@ -115,7 +126,7 @@ def solve_mesp_offline(
 ) -> tuple:
     """Exhaustive maximizer of the entropy objective over all subsets (or over
     the given-cardinality slice). Ties go to the lexicographically smallest
-    subset. Capped at d <= 20."""
+    subset. Capped at d <= MAX_POWER_SET_D."""
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
     return _best_subset(
         (s, entropy_objective(s, sigma_matrix, lam, costs))
@@ -125,9 +136,8 @@ def solve_mesp_offline(
 
 def _subsets(d: int, cardinality: Optional[int] = None):
     """Index tuples of every subset of [d] (or of the given-cardinality slice)
-    by size, then lexicographically. Capped at d <= 20."""
-    if d > 20:
-        raise ValueError(f"exhaustive search is capped at d <= 20, got d={d}")
+    by size, then lexicographically. Capped at d <= MAX_POWER_SET_D."""
+    _check_power_set(d)
     for m in range(d + 1):
         if cardinality is None or m == cardinality:
             yield from itertools.combinations(range(d), m)
@@ -168,8 +178,7 @@ class CandidateSet:
 
     @classmethod
     def initial(cls, d: int) -> "CandidateSet":
-        if d > 20:
-            raise ValueError(f"the candidate power set is capped at d <= 20, got d={d}")
+        _check_power_set(d)
         state = cls(
             d=d,
             candidates=list(range(1 << d)),  # power set, sizes 0 and 1 included
@@ -306,8 +315,6 @@ def run_ocmesp(
     """Iterative elimination to the horizon; once a single candidate survives
     it is played for every remaining episode (exploration stops)."""
     instance = env.instance
-    if not isinstance(instance.model, GaussianOutcomeModel):
-        raise InstanceError("run_ocmesp requires a Gaussian instance")
     T = config.horizon
     state = CandidateSet.initial(config.d)
     # on the initial power set a candidate's position is its mask

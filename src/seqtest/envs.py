@@ -146,15 +146,20 @@ class RegretTrace:
     extras: dict = field(default_factory=dict)
     observations: Optional[list] = None  # per-episode {test index -> value}
     metadata: dict = field(default_factory=dict)
-    simple_regret: np.ndarray = None
-    cumulative_regret: np.ndarray = None
+    simple_regret: np.ndarray = field(init=False)
+    cumulative_regret: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.simple_regret is None:
-            self.simple_regret = self.clairvoyant_reward - self.realized_reward
-        if self.cumulative_regret is None:
-            self.cumulative_regret = np.cumsum(self.simple_regret)
-        self.validate()
+        n = self.episodes
+        columns = {
+            "phase": self.phase, "tests_performed": self.tests_performed,
+            "decision": self.decision, "clairvoyant_reward": self.clairvoyant_reward,
+        }
+        for name, col in [*columns.items(), *self.extras.items()]:
+            if len(col) != n:
+                raise ValueError(f"trace column {name} has length {len(col)}, expected {n}")
+        self.simple_regret = self.clairvoyant_reward - self.realized_reward
+        self.cumulative_regret = np.cumsum(self.simple_regret)
 
     @property
     def episodes(self) -> int:
@@ -163,25 +168,6 @@ class RegretTrace:
     @property
     def final_cumulative_regret(self) -> float:
         return float(self.cumulative_regret[-1])
-
-    def validate(self) -> None:
-        n = self.episodes
-        lengths = {
-            "phase": len(self.phase),
-            "tests_performed": len(self.tests_performed),
-            "decision": len(self.decision),
-            "clairvoyant_reward": len(self.clairvoyant_reward),
-            "simple_regret": len(self.simple_regret),
-            "cumulative_regret": len(self.cumulative_regret),
-        }
-        for name, ln in lengths.items():
-            if ln != n:
-                raise ValueError(f"trace column {name} has length {ln}, expected {n}")
-        for name, col in self.extras.items():
-            if len(col) != n:
-                raise ValueError(f"extra column {name} has length {len(col)}, expected {n}")
-        if n and np.max(np.abs(np.cumsum(self.simple_regret) - self.cumulative_regret)) > 1e-9:
-            raise ValueError("cumulative_regret is not the running sum of simple_regret")
 
 
 def rollout_trace(
@@ -325,8 +311,9 @@ def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
     return stacked.mean(axis=0), stacked.std(axis=0, ddof=0)
 
 
-def write_aggregate_csv(traces: Sequence[RegretTrace], path) -> None:
-    mean, sd = aggregate_cumulative_regret(traces)
+def write_aggregate_csv(aggregate, path) -> None:
+    """Write the (mean, sd) of ``aggregate_cumulative_regret``, one row per episode."""
+    mean, sd = aggregate
 
     def columns(a, b):
         return [list(map(str, range(a + 1, b + 1))), _fmt_column(mean[a:b]), _fmt_column(sd[a:b])]

@@ -21,11 +21,12 @@ import numpy as np
 
 from .agents import (
     EtcConfig,
+    run_clairvoyant,
     run_etc_discrete,
     run_etc_doubling,
     run_etc_gaussian,
 )
-from .dp import DEFAULT_STATE_CAP, QuadratureSpec, rollout_net_rewards
+from .dp import DEFAULT_STATE_CAP, QuadratureSpec, check_tree_budget
 from .elimination import OcmespConfig, run_ocmesp
 from .envs import (
     DiscreteEnvironment,
@@ -33,29 +34,30 @@ from .envs import (
     RegretTrace,
     _atomic_open,
     aggregate_cumulative_regret,
-    rollout_trace,
     write_aggregate_csv,
     write_dataset_csv,
     write_trace_csv,
 )
 from .models import InstanceError, ProblemInstance, instance_hash
 
-# the instance kinds each agent runs on: discrete, or gaussian-<reward kind>
-_RUNS_ON = {
-    "etc-discrete": ("discrete",),
-    "etc-gaussian": ("gaussian-quadratic",),
-    "etc-doubling": ("discrete", "gaussian-quadratic"),
-    "ocmesp": ("gaussian-entropy",),
-    "clairvoyant": ("discrete", "gaussian-quadratic"),
+# agent -> (instance kinds it runs on: discrete or gaussian-<reward kind>, the name of
+# its runner here, looked up when a seed runs: the call goes to what the module binds then)
+_AGENTS = {
+    "etc-discrete": (("discrete",), "run_etc_discrete"),
+    "etc-gaussian": (("gaussian-quadratic",), "run_etc_gaussian"),
+    "etc-doubling": (("discrete", "gaussian-quadratic"), "run_etc_doubling"),
+    "ocmesp": (("gaussian-entropy",), "run_ocmesp"),
+    "clairvoyant": (("discrete", "gaussian-quadratic"), "run_clairvoyant"),
 }
-AGENTS = tuple(_RUNS_ON)
+AGENTS = tuple(_AGENTS)
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: an instance, an agent with its parameters, a horizon,
-    and the replication seeds. Building one refuses an agent that cannot run
-    on the instance, so a mismatch fails before any replication starts."""
+    """One experiment: an instance, an agent with its parameters, a horizon and
+    the replication seeds. Building one resolves the parameters once (``params``)
+    and builds the agent's typed config (``agent_config``) from them, so a run
+    outside the agent's domain fails before any replication starts."""
 
     instance: ProblemInstance
     agent: str
@@ -66,24 +68,26 @@ class ExperimentConfig:
     agent_params: dict = field(default_factory=dict)
     emit_dataset: bool = False
     instance_source: str = ""
+    params: dict = field(init=False)
+    agent_config: object = field(init=False)  # EtcConfig, or OcmespConfig for ocmesp
 
     def __post_init__(self):
         if self.agent not in AGENTS:
             raise ValueError(f"unknown agent {self.agent!r}; choose from {AGENTS}")
         kind = "discrete" if self.instance.is_discrete else f"gaussian-{self.instance.reward.kind}"
-        if kind not in _RUNS_ON[self.agent]:
-            runs_on = " or ".join(_RUNS_ON[self.agent])
+        if kind not in _AGENTS[self.agent][0]:
+            runs_on = " or ".join(_AGENTS[self.agent][0])
             raise InstanceError(f"agent {self.agent!r} runs on {runs_on} instances, not {kind}")
         if self.agent == "etc-doubling" and self.agent_params.get("override_n") is not None:
             raise ValueError("override_n does not apply to etc-doubling: each batch finds its N")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         seeds = tuple(int(s) for s in self.seeds)
         if len(set(seeds)) != len(seeds) or not seeds:
             raise ValueError("seeds must be nonempty and distinct")
-        object.__setattr__(self, "seeds", seeds)
+        self.seeds = seeds
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        self.params = resolved_agent_params(self)
+        self.agent_config = _agent_config(self)
 
 
 def resolved_agent_params(config: ExperimentConfig) -> dict:
@@ -107,57 +111,34 @@ def resolved_agent_params(config: ExperimentConfig) -> dict:
     return params
 
 
-def _run_clairvoyant(env, horizon: int, quadrature, state_cap: int, collect: bool) -> RegretTrace:
-    if isinstance(env, DiscreteEnvironment):
-        # tabulated per support point, gathered per episode
-        _, (tests, dec, order, net) = env.clairvoyant(state_cap)
-        idx = env.outcome_indices(horizon)
-        xs = env.instance.model.support[idx] if collect else None
-        rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
-    else:
-        policy = env.clairvoyant_policy(quadrature, state_cap)
-        xs = env.outcomes(horizon)
-        tests, dec, order = policy.rollouts(xs)
-        rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
-    return rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None)
+def _agent_config(config: ExperimentConfig):
+    """The typed config of the run's agent, built from ``config.params``, whose
+    constructor checks every value; a Gaussian tree's budget is checked here."""
+    instance, params = config.instance, config.params
+    if config.agent == "ocmesp":
+        return OcmespConfig(
+            sigma=params["sigma_hint"], d=instance.d, delta=params["delta"],
+            lam=instance.reward.lam, costs=instance.costs, horizon=config.horizon,
+            bernstein_c=params["bernstein_c"],
+        )
+    etc_config = EtcConfig(
+        horizon=config.horizon, support_size_hint=params.get("support_hint"),
+        condition_number=params.get("sigma_hint"), override_n=params.get("override_n"),
+        assume_zero_mean=params["assume_zero_mean"],
+        quadrature=QuadratureSpec(params["nodes_per_test"], params["max_depth"]),
+        state_cap=params["state_cap"],
+    )
+    if not instance.is_discrete:
+        check_tree_budget(instance.d, etc_config.quadrature, etc_config.state_cap)
+    return etc_config
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
     """Run one replication of the configured agent."""
     instance = config.instance
-    params = resolved_agent_params(config)
-    collect = config.emit_dataset
-    agent = config.agent
     env = (DiscreteEnvironment if instance.is_discrete else GaussianEnvironment)(instance, seed)
-    if agent == "ocmesp":
-        ocfg = OcmespConfig(
-            sigma=float(params["sigma_hint"]),
-            d=instance.d,
-            delta=float(params["delta"]),
-            lam=float(instance.reward.lam),
-            costs=instance.costs,
-            horizon=config.horizon,
-            bernstein_c=float(params["bernstein_c"]),
-        )
-        return run_ocmesp(env, ocfg, collect_observations=collect).trace
-    quadrature = QuadratureSpec(int(params["nodes_per_test"]), int(params["max_depth"]))
-    state_cap = int(params["state_cap"])
-    if agent == "clairvoyant":
-        return _run_clairvoyant(env, config.horizon, quadrature, state_cap, collect)
-    etc_config = EtcConfig(
-        horizon=config.horizon,
-        support_size_hint=params.get("support_hint"),
-        condition_number=params.get("sigma_hint"),
-        override_n=params.get("override_n"),
-        assume_zero_mean=bool(params["assume_zero_mean"]),
-        quadrature=quadrature,
-        state_cap=state_cap,
-    )
-    if agent == "etc-discrete":
-        return run_etc_discrete(env, etc_config, collect_observations=collect).trace
-    if agent == "etc-gaussian":
-        return run_etc_gaussian(env, etc_config, collect_observations=collect).trace
-    return run_etc_doubling(env, etc_config, collect_observations=collect).trace
+    run = globals()[_AGENTS[config.agent][1]]
+    return run(env, config.agent_config, config.emit_dataset).trace
 
 
 def _worker(payload):
@@ -189,7 +170,7 @@ def effective_config_dict(config: ExperimentConfig) -> dict:
         "emit_dataset": config.emit_dataset,
         "instance_source": config.instance_source,
         "instance_hash": instance_hash(config.instance),
-        "agent_params": resolved_agent_params(config),
+        "agent_params": config.params,
     }
 
 
@@ -210,8 +191,8 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     failures = {seed: out for seed, status, out in results if status == "error"}
 
     report = ReplicationReport(traces=traces, failures=failures)
-    ordered = [traces[s] for s in sorted(traces)]
-    if not failures and ordered:
+    if not failures:
+        ordered = [traces[s] for s in sorted(traces)]
         report.mean_cumulative, report.sd_cumulative = aggregate_cumulative_regret(ordered)
 
     if config.out_dir is not None:
@@ -223,11 +204,9 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
         for seed in sorted(traces):
             write_trace_csv(traces[seed], out / f"trace_seed{seed}.csv")
             if config.emit_dataset:
-                write_dataset_csv(
-                    traces[seed], config.instance.d, out / f"dataset_seed{seed}.csv"
-                )
-        if not failures and ordered:
-            write_aggregate_csv(ordered, out / "aggregate.csv")
+                write_dataset_csv(traces[seed], config.instance.d, out / f"dataset_seed{seed}.csv")
+        if not failures:
+            write_aggregate_csv((report.mean_cumulative, report.sd_cumulative), out / "aggregate.csv")
     return report
 
 

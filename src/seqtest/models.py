@@ -79,10 +79,6 @@ class TestState:
     def missing_indices(self) -> tuple:
         return tuple(i for i, e in enumerate(self.entries) if e is None)
 
-    @property
-    def fully_observed(self) -> bool:
-        return all(e is not None for e in self.entries)
-
 
 def initial_state(d: int) -> TestState:
     """All-missing state of dimension ``d`` (a fresh subject)."""

@@ -345,6 +345,100 @@ class TestSimulate:
         assert "d <= 20" in capsys.readouterr().err
 
 
+# instance (gen argv), agent and agent parameters of a run outside the
+# agent's domain, refused when the config is built
+INSTANCES = {
+    "lowrank4": ["gaussian-lowrank", "--d", "4", "--cost", "1.8"],
+    "lowrank21": ["gaussian-lowrank", "--d", "21", "--seed", "0"],
+    "pareto3": ["pareto", "--d", "3", "--seed", "2"],
+    "quad2": ["gaussian-quadratic", "--d", "2"],
+}
+REFUSED = [
+    ("lowrank4", "ocmesp", {"delta": 2.0}),
+    ("lowrank4", "ocmesp", {"bernstein_c": 0.0}),
+    ("lowrank4", "ocmesp", {"sigma_hint": 0.5}),
+    ("lowrank21", "ocmesp", {}),  # 2^21 candidates
+    ("pareto3", "etc-discrete", {"support_hint": -5}),
+    ("pareto3", "etc-discrete", {"support_hint": 0}),
+    ("pareto3", "etc-discrete", {"override_n": 0}),
+    ("pareto3", "etc-discrete", {"override_n": -3}),
+    ("pareto3", "etc-discrete", {"state_cap": 0}),
+    ("quad2", "etc-gaussian", {"sigma_hint": -2.0}),
+    ("quad2", "etc-gaussian", {"nodes_per_test": 0}),
+    ("quad2", "etc-gaussian", {"max_depth": 1}),
+    ("quad2", "etc-gaussian", {"state_cap": 544}),  # the d=2 tree has 545 nodes
+]
+ACCEPTED = [
+    ("lowrank4", "ocmesp", {"delta": 0.999}),
+    ("lowrank4", "ocmesp", {"sigma_hint": 1.0}),
+    ("quad2", "etc-gaussian", {"sigma_hint": 1.0}),
+    ("quad2", "etc-gaussian", {"max_depth": 2, "state_cap": 545}),
+    ("pareto3", "etc-discrete", {"support_hint": 1}),
+    ("pareto3", "etc-discrete", {"override_n": 1}),
+    ("pareto3", "etc-discrete", {"state_cap": 1}),
+]
+
+
+def _cases(table) -> list:
+    return [
+        pytest.param(
+            instance, agent, params,
+            id="-".join([agent, instance] + [f"{k}={v}" for k, v in params.items()]),
+        )
+        for instance, agent, params in table
+    ]
+
+
+def _flags(params) -> list:
+    flag = {"support_hint": "--support-hint", "override_n": "--override-N"}
+    return [
+        arg for name, value in params.items()
+        for arg in (flag.get(name, "--" + name.replace("_", "-")), str(value))
+    ]
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("instances")
+    for name, gen_argv in INSTANCES.items():
+        assert run_cli("gen", *gen_argv, "--out", str(root / f"{name}.json")) == 0
+    return root
+
+
+class TestBuildTimeRefusal:
+    @pytest.mark.parametrize("instance, agent, params", _cases(REFUSED))
+    def test_library_refuses(self, instance_files, instance, agent, params):
+        with pytest.raises((ValueError, dp.StateSpaceError)):
+            ExperimentConfig(
+                instance=load_instance(instance_files / f"{instance}.json"), agent=agent,
+                horizon=16, seeds=(0, 1), agent_params=params,
+            )
+
+    @pytest.mark.parametrize("instance, agent, params", _cases(REFUSED))
+    def test_cli_refuses(self, tmp_path, capsys, instance_files, instance, agent, params):
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run_cli(
+            "simulate", "--instance", str(instance_files / f"{instance}.json"),
+            "--agent", agent, "--horizon", "16", "--seeds", "0,1", "--jobs", "1",
+            *_flags(params), "--out", str(tmp_path / "r"),
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("instance, agent, params", _cases(ACCEPTED))
+    def test_boundary_values_accepted(self, instance_files, instance, agent, params):
+        config = ExperimentConfig(
+            instance=load_instance(instance_files / f"{instance}.json"), agent=agent,
+            horizon=16, seeds=(0, 1), agent_params=params,
+        )
+        assert {k: config.params[k] for k in params} == params
+
+
 class TestReport:
     def test_report_prints_ratio(self, tmp_path, capsys):
         inst_path = tmp_path / "s.json"

@@ -265,7 +265,7 @@ class TestTraceArtifacts:
         np.testing.assert_allclose(mean, tr.cumulative_regret, atol=1e-12)
         assert np.all(sd == 0.0)  # identical replications have sd 0
         path = tmp_path / "agg.csv"
-        write_aggregate_csv([tr, tr], path)
+        write_aggregate_csv(aggregate_cumulative_regret([tr, tr]), path)
         assert len(path.read_text().splitlines()) == tr.episodes + 1
 
     def test_aggregate_is_arithmetic_mean(self):
@@ -359,7 +359,7 @@ class TestColumnWriters:
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 3)
         trace, other = self._trace(T), self._trace(T, seed=1)
         write_trace_csv(trace, tmp_path / "t.csv")
-        write_aggregate_csv([trace, other], tmp_path / "a.csv")
+        write_aggregate_csv(aggregate_cumulative_regret([trace, other]), tmp_path / "a.csv")
         write_dataset_csv(trace, 3, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace, other]).encode()
@@ -368,7 +368,7 @@ class TestColumnWriters:
     def test_default_chunk_matches_row_by_row_writer(self, tmp_path):
         trace = self._trace(envs._WRITE_CHUNK + 5)
         write_trace_csv(trace, tmp_path / "t.csv")
-        write_aggregate_csv([trace], tmp_path / "a.csv")
+        write_aggregate_csv(aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
         write_dataset_csv(trace, 3, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
@@ -376,7 +376,8 @@ class TestColumnWriters:
 
 
 class TestRunReplications:
-    def _config(self, tmp_path, jobs=1, seeds=(0, 1, 2), horizon=64, emit_dataset=False):
+    def _config(self, tmp_path, jobs=1, seeds=(0, 1, 2), horizon=64, emit_dataset=False,
+                **agent_params):
         inst = gen_discrete_pareto(d=3, seed=2, cost=0.05)
         return ExperimentConfig(
             instance=inst,
@@ -385,6 +386,7 @@ class TestRunReplications:
             seeds=seeds,
             out_dir=tmp_path,
             jobs=jobs,
+            agent_params=agent_params,
             emit_dataset=emit_dataset,
             instance_source="gen:pareto-d3",
         )
@@ -426,12 +428,26 @@ class TestRunReplications:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_failed_seed_reported_not_dropped(self, tmp_path):
-        config = self._config(tmp_path / "fail")
-        config.agent_params["state_cap"] = 1  # forces the DP blowup guard
+        # a valid cap, but the DP finds more states than it: every seed fails
+        config = self._config(tmp_path / "fail", state_cap=1)
         report = run_replications(config)
         assert set(report.failures) == {0, 1, 2}
         assert "blowup" in report.failures[0]
         assert report.mean_cumulative is None
+
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2, 3)])
+    def test_parameters_resolved_once_per_run(self, tmp_path, monkeypatch, seeds):
+        calls = []
+        resolve = harness.resolved_agent_params
+
+        def counted(config):
+            calls.append(config.agent)
+            return resolve(config)
+
+        monkeypatch.setattr(harness, "resolved_agent_params", counted)
+        report = run_replications(self._config(tmp_path / "run", seeds=seeds))
+        assert report.ok
+        assert calls == ["etc-discrete"]
 
     def test_pool_no_larger_than_seed_count(self, tmp_path, monkeypatch):
         # a fork-started pool starts every worker up front, so it is sized
@@ -534,7 +550,7 @@ class TestReportHelpers:
         ]
         run = tmp_path / "run"
         run.mkdir()
-        write_aggregate_csv(traces, run / "aggregate.csv")
+        write_aggregate_csv(aggregate_cumulative_regret(traces), run / "aggregate.csv")
         (run / "effective-config.json").write_text(
             '{"agent": "etc-discrete", "horizon": 300, "instance_hash": "h", "seeds": [0, 1]}'
         )
