@@ -88,9 +88,14 @@ class GaussianEnvironment:
         self._clair_policy = None
 
     def outcomes(self, n: int) -> np.ndarray:
-        """Next ``n`` outcome vectors, shape (n, d)."""
+        """Next ``n`` outcome vectors, shape (n, d): mean + L z, the product
+        summed over z's columns in ascending order (as ``conditional_means``
+        does), so no row depends on n as a matmul's would."""
         z = self._rng.standard_normal((n, self.instance.d))
-        return z @ self._chol.T + self.instance.model.mean
+        x = z[:, :1] * self._chol[:, 0]
+        for k in range(1, self.instance.d):
+            x += z[:, k : k + 1] * self._chol[:, k]
+        return x + self.instance.model.mean
 
     def clairvoyant_policy(self, quadrature=None, state_cap: int = DEFAULT_STATE_CAP):
         """The clairvoyant tree policy, solved once (under the default

@@ -21,6 +21,7 @@ from seqtest.dp import QuadratureSpec, full_information_rollouts
 from seqtest.envs import DiscreteEnvironment, GaussianEnvironment
 from seqtest.generators import (
     gen_discrete_pareto,
+    gen_gaussian_lowrank,
     gen_gaussian_quadratic,
     gen_lower_bound_single,
 )
@@ -305,6 +306,17 @@ class TestDoublingVsKnownT:
             DiscreteEnvironment(inst, seed=7), EtcConfig(horizon=64, support_size_hint=2)
         ).trace
         np.testing.assert_array_equal(known.clairvoyant_reward, doubled.clairvoyant_reward)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_gaussian_draws_do_not_depend_on_batch_shape(self, d):
+        # doubling batches must see the rows a known-horizon agent sees, bit
+        # for bit; a BLAS matmul's rows depend on the batch shape
+        inst = gen_gaussian_lowrank(d=d, seed=0)
+        T = 4096
+        at_once = GaussianEnvironment(inst, seed=0).outcomes(T)
+        env = GaussianEnvironment(inst, seed=0)
+        batched = np.concatenate([env.outcomes(b) for b in doubling_batches(T)])
+        np.testing.assert_array_equal(batched, at_once)
 
     def test_run_doubling_generic_factory(self):
         calls = []
