@@ -345,14 +345,15 @@ class TestSimulate:
         assert "d <= 20" in capsys.readouterr().err
 
 
-# instance (gen argv), agent and agent parameters of a run outside the
-# agent's domain, refused when the config is built
+# gen argv of the instances the refusal table runs on
 INSTANCES = {
     "lowrank4": ["gaussian-lowrank", "--d", "4", "--cost", "1.8"],
     "lowrank21": ["gaussian-lowrank", "--d", "21", "--seed", "0"],
     "pareto3": ["pareto", "--d", "3", "--seed", "2"],
     "quad2": ["gaussian-quadratic", "--d", "2"],
 }
+# (instance, agent, agent parameters) of runs outside the agent's domain,
+# refused when the config is built, and of runs at the domain's boundary
 REFUSED = [
     ("lowrank4", "ocmesp", {"delta": 2.0}),
     ("lowrank4", "ocmesp", {"bernstein_c": 0.0}),
