@@ -8,6 +8,7 @@ from .models import (
     IllConditionedError,
     ImpossibleStateError,
     InstanceError,
+    ParameterError,
     ProblemInstance,
     RewardSpec,
     TestState,

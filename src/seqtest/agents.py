@@ -47,6 +47,7 @@ from .envs import (
 from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
+    ParameterError,
     ProblemInstance,
     RewardSpec,
 )
@@ -74,7 +75,7 @@ class EtcConfig:
         for name in ("horizon", "support_size_hint", "condition_number", "override_n", "state_cap"):
             value = getattr(self, name)
             if value is not None and not value >= 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise ParameterError(name, f"must be >= 1, got {value}")
 
 
 def _int_cbrt(x: int) -> int:

@@ -30,7 +30,7 @@ from .harness import (
     run_replications,
     scaling_ratios,
 )
-from .models import load_instance, save_instance
+from .models import ParameterError, load_instance, save_instance
 
 # gen subcommand -> name of its function in ``generators``: names, not
 # functions, so the call goes to whatever the module binds at that time
@@ -41,6 +41,10 @@ _GENERATORS = {
     "gaussian-lowrank": "gen_gaussian_lowrank",
     "gaussian-quadratic": "gen_gaussian_quadratic",
 }
+
+
+# agent parameter -> the flag that sets it, where that is not the name in dashes
+_FLAGS = {"override_n": "--override-N"}
 
 
 class UsageError(Exception):
@@ -218,6 +222,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except ParameterError as exc:  # named by the flag that set it
+        name, rule = exc.args
+        print(f"error: {_FLAGS.get(name, '--' + name.replace('_', '-'))} {rule}", file=sys.stderr)
+        return 2
     except Exception as exc:  # domain validation and numerical failures
         print(f"error: {exc}", file=sys.stderr)
         return 2

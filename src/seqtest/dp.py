@@ -47,6 +47,7 @@ from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
     InstanceError,
+    ParameterError,
     ProblemInstance,
     ScalarPmf,
     TestState,
@@ -71,7 +72,7 @@ class StateSpaceError(RuntimeError):
     """The number of canonical states exceeded the configured cap."""
 
 
-class QuadratureCapError(ValueError):
+class QuadratureCapError(ParameterError):
     """Scenario-tree depth/width cap exceeded."""
 
 
@@ -147,7 +148,7 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("nodes_per_test", "max_depth"):
             if not getattr(self, name) >= 1:
-                raise QuadratureCapError(f"{name} must be >= 1")
+                raise QuadratureCapError(name, "must be >= 1")
 
 
 def _bits(mask: int) -> list:
@@ -802,7 +803,9 @@ def check_tree_budget(d: int, quadrature: QuadratureSpec, state_cap: int) -> Non
     """Refuse a scenario tree deeper than ``quadrature.max_depth`` or of more than
     ``state_cap`` nodes; both depend only on d and the budget, so runs check them when built."""
     if d > quadrature.max_depth:
-        raise QuadratureCapError(f"dimension {d} exceeds max_depth {quadrature.max_depth}")
+        raise QuadratureCapError(
+            "max_depth", f"must be >= the dimension {d}, got {quadrature.max_depth}"
+        )
     size = gaussian_tree_size(d, quadrature.nodes_per_test)
     if size > state_cap:
         raise StateSpaceError(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dp import _bits
 from .envs import GaussianEnvironment, RegretTrace, subset_label
-from .models import InstanceError
+from .models import InstanceError, ParameterError
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -75,15 +75,17 @@ class OcmespConfig:
     def __post_init__(self):
         _check_power_set(self.d)
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ParameterError("horizon", "must be >= 1")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+            raise ParameterError("delta", "must lie in (0, 1)")
         if not self.lam > 0.0:
             raise ValueError("lambda must be positive")
         if not self.bernstein_c > 0.0:
-            raise ValueError("bernstein_c must be positive")
+            raise ParameterError("bernstein_c", "must be positive")
         if self.sigma < 1.0:
-            raise ValueError("sigma is a condition-number bound, so sigma >= 1")
+            raise ParameterError(
+                "sigma", f"must be >= 1 (a condition-number bound), got {self.sigma}"
+            )
         object.__setattr__(self, "costs", np.array(self.costs, dtype=float))
         if self.costs.shape != (self.d,):
             raise ValueError(f"costs must have length d={self.d}")

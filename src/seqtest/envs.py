@@ -17,8 +17,9 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -227,9 +228,13 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
     )
 
 
-# rows formatted per chunk by the CSV writers: bounds the formatted strings
-# held at once whatever the horizon
-_WRITE_CHUNK = 1 << 8
+# rows formatted per chunk by the trace and aggregate writers, enough that
+# formatting each distinct value of a chunk once (``_fmt_column``) repays
+# finding them; the dataset writer, whose values rarely repeat, formats
+# _WRITE_ROWS per chunk. Every writer joins and writes _WRITE_ROWS rows at a
+# time, so the strings held at once are bounded whatever the horizon.
+_WRITE_CHUNK = 1 << 12
+_WRITE_ROWS = 1 << 8
 
 
 def _fmt(value) -> str:
@@ -254,32 +259,42 @@ def _atomic_open(path):
         raise
 
 
-def _fmt_column(col) -> list:
-    """``_fmt`` of every entry of ``col``; numeric arrays are formatted in bulk
-    (``tolist`` yields the Python int/float/bool whose repr ``_fmt`` prints)."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        return list(map(repr, col.tolist()))
-    return list(map(_fmt, col))
+def _fmt_column(col) -> Iterable[str]:
+    """``_fmt`` of every entry of ``col``. A numeric array is formatted one
+    distinct value at a time, distinct by bit pattern (so -0.0 and 0.0 stay
+    apart), and its cells index those labels; when most values are distinct
+    its cells are formatted one by one as they are read, so a chunk's strings
+    are not all held at once. ``tolist`` yields the Python int/float/bool
+    whose repr ``_fmt`` prints."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "biuf"):
+        return map(_fmt, col)
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return map(repr, col.tolist())
+    labels = np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)
+    return labels[inverse].tolist()
 
 
-def _write_rows(fh, n: int, columns) -> None:
-    """Write ``n`` CSV rows, column by column in chunks of ``_WRITE_CHUNK``
-    rows; ``columns(a, b)`` returns the formatted cells of rows a..b-1, one
-    list per column."""
-    for a in range(0, n, _WRITE_CHUNK):
-        b = min(n, a + _WRITE_CHUNK)
-        fh.write("\n".join(map(",".join, zip(*columns(a, b)))) + "\n")
+def _write_rows(fh, n: int, columns, chunk: int) -> None:
+    """Write ``n`` CSV rows, formatted column by column in chunks of ``chunk``
+    rows and written ``_WRITE_ROWS`` rows at a time; ``columns(a, b)`` returns
+    the formatted cells of rows a..b-1, one iterable per column."""
+    rows = chain.from_iterable(
+        zip(*columns(a, min(n, a + chunk))) for a in range(0, n, chunk)
+    )
+    for _ in range(0, n, _WRITE_ROWS):
+        fh.write("\n".join(map(",".join, islice(rows, _WRITE_ROWS))) + "\n")
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
     cols = list(TRACE_COLUMNS) + list(trace.extras)
-    tests = np.asarray(trace.tests_performed)
+    tests = np.asarray(trace.tests_performed, dtype=np.int64)
 
     def columns(a, b):
         return [
-            list(map(str, range(a + 1, b + 1))),
+            map(str, range(a + 1, b + 1)),
             trace.phase[a:b],
-            list(map(str, map(int, tests[a:b].tolist()))),
+            _fmt_column(tests[a:b]),
             trace.decision[a:b],
             _fmt_column(trace.realized_reward[a:b]),
             _fmt_column(trace.clairvoyant_reward[a:b]),
@@ -289,7 +304,7 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
     with _atomic_open(path) as fh:
         fh.write(",".join(cols) + "\n")
-        _write_rows(fh, trace.episodes, columns)
+        _write_rows(fh, trace.episodes, columns, _WRITE_CHUNK)
 
 
 def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
@@ -300,13 +315,13 @@ def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
 
     def columns(a, b):
         rows = trace.observations[a:b]
-        return [list(map(str, range(a + 1, b + 1)))] + [
+        return [map(str, range(a + 1, b + 1))] + [
             [_fmt(obs[i]) if i in obs else "NA" for obs in rows] for i in range(d)
         ]
 
     with _atomic_open(path) as fh:
         fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
-        _write_rows(fh, len(trace.observations), columns)
+        _write_rows(fh, len(trace.observations), columns, _WRITE_ROWS)
 
 
 def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
@@ -321,11 +336,11 @@ def write_aggregate_csv(aggregate, path) -> None:
     mean, sd = aggregate
 
     def columns(a, b):
-        return [list(map(str, range(a + 1, b + 1))), _fmt_column(mean[a:b]), _fmt_column(sd[a:b])]
+        return [map(str, range(a + 1, b + 1)), _fmt_column(mean[a:b]), _fmt_column(sd[a:b])]
 
     with _atomic_open(path) as fh:
         fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
-        _write_rows(fh, len(mean), columns)
+        _write_rows(fh, len(mean), columns, _WRITE_CHUNK)
 
 
 def decision_labels(instance: ProblemInstance, idx) -> list:

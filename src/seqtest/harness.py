@@ -38,7 +38,7 @@ from .envs import (
     write_dataset_csv,
     write_trace_csv,
 )
-from .models import InstanceError, ProblemInstance, instance_hash
+from .models import InstanceError, ParameterError, ProblemInstance, instance_hash
 
 # agent -> (instance kinds it runs on: discrete or gaussian-<reward kind>, the name of
 # its runner here, looked up when a seed runs: the call goes to what the module binds then)
@@ -51,13 +51,25 @@ _AGENTS = {
 }
 AGENTS = tuple(_AGENTS)
 
+# every agent parameter a run takes: those resolved_agent_params gives a
+# default, the instance-derived hints, and override_n, which has none
+AGENT_PARAMS = (
+    "delta", "bernstein_c", "nodes_per_test", "max_depth", "assume_zero_mean",
+    "state_cap", "sigma_hint", "support_hint", "override_n",
+)
+# a typed-config field -> the agent parameter it is built from, where the names differ
+_PARAM_OF_FIELD = {
+    "support_size_hint": "support_hint", "condition_number": "sigma_hint", "sigma": "sigma_hint",
+}
+
 
 @dataclass
 class ExperimentConfig:
     """One experiment: an instance, an agent with its parameters, a horizon and
     the replication seeds. Building one resolves the parameters once (``params``)
     and builds the agent's typed config (``agent_config``) from them, so a run
-    outside the agent's domain fails before any replication starts."""
+    outside the agent's domain fails before any replication starts; a
+    ``ParameterError`` then names the parameter as ``params`` does."""
 
     instance: ProblemInstance
     agent: str
@@ -87,13 +99,24 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.params = resolved_agent_params(self)
-        self.agent_config = _agent_config(self)
+        try:
+            self.agent_config = _agent_config(self)
+        except ParameterError as exc:
+            name, rule = exc.args
+            exc.args = (_PARAM_OF_FIELD.get(name, name), rule)
+            raise
 
 
 def resolved_agent_params(config: ExperimentConfig) -> dict:
     """Every agent parameter of the run: those ``agent_params`` sets, and the
     default of each one it leaves out (echoed for provenance). The defaults
-    are written here only; the CLI passes on just the flags it is given."""
+    are written here only; the CLI passes on just the flags it is given. A
+    name outside ``AGENT_PARAMS`` is refused, not silently ignored."""
+    unknown = sorted(set(config.agent_params) - set(AGENT_PARAMS))
+    if unknown:
+        raise ValueError(
+            f"unknown agent parameters {unknown}; known: {', '.join(AGENT_PARAMS)}"
+        )
     instance = config.instance
     params = {
         "delta": 0.1,

@@ -28,6 +28,14 @@ class InstanceError(ValueError):
     """An instance, model, or instance file violates its invariants."""
 
 
+class ParameterError(ValueError):
+    """A parameter outside its domain; ``args`` are its name, as the raising
+    config calls it, and the rule it breaks."""
+
+    def __str__(self) -> str:
+        return " ".join(self.args)
+
+
 class ImpossibleStateError(ValueError):
     """A state has zero probability mass under the model (observation
     outside the model's support)."""

@@ -37,7 +37,7 @@ from seqtest.harness import (
     run_seed,
     scaling_ratios,
 )
-from seqtest.models import InstanceError, initial_state
+from seqtest.models import InstanceError, ParameterError, initial_state
 
 
 class TestSimpleRegret:
@@ -355,8 +355,11 @@ class TestColumnWriters:
 
     @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 9])
     def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch, T):
-        # a chunk of 3 rows puts chunk boundaries inside every trace with T > 3
-        monkeypatch.setattr(envs, "_WRITE_CHUNK", 3)
+        # chunks of 4 rows written 3 at a time put both boundaries inside every
+        # trace with T > 4; a 4-row chunk with at most 2 distinct values (the
+        # tests, flags and some reward columns) takes the distinct-value path
+        monkeypatch.setattr(envs, "_WRITE_CHUNK", 4)
+        monkeypatch.setattr(envs, "_WRITE_ROWS", 3)
         trace, other = self._trace(T), self._trace(T, seed=1)
         write_trace_csv(trace, tmp_path / "t.csv")
         write_aggregate_csv(aggregate_cumulative_regret([trace, other]), tmp_path / "a.csv")
@@ -373,6 +376,90 @@ class TestColumnWriters:
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
         assert (tmp_path / "d.csv").read_bytes() == dataset_csv_reference(trace, 3).encode()
+
+    def _count_labels(self, monkeypatch) -> list:
+        """Counts, into the returned one-item list, the values ``envs`` formats with repr."""
+        calls = [0]
+
+        def counted(value):
+            calls[0] += 1
+            return repr(value)
+
+        monkeypatch.setattr(envs, "repr", counted, raising=False)
+        return calls
+
+    def test_few_distinct_values_across_chunks(self, tmp_path, monkeypatch):
+        # 6 distinct rewards, -0.0 and 0.0 among them in every chunk, over 3 chunk
+        # boundaries; each chunk formats each distinct value once
+        T = 3 * envs._WRITE_CHUNK + 17
+        clair = np.resize(np.array(self.EDGE[:1] + self.GAPS), T)
+        gaps = np.resize(np.array([0.0, -0.0, 0.5]), T)
+        trace = RegretTrace(
+            agent="etc-discrete", seed=0, instance_hash="h",
+            phase=["explore"] * 10 + ["commit"] * (T - 10),
+            tests_performed=np.resize(np.arange(4), T), decision=["1"] * T,
+            realized_reward=clair - gaps, clairvoyant_reward=clair,
+        )
+        calls = self._count_labels(monkeypatch)
+        cells = list(envs._fmt_column(trace.clairvoyant_reward[: envs._WRITE_CHUNK]))
+        assert calls[0] == 6 and {"-0.0", "0.0"} <= set(cells)
+        assert cells == [_fmt_reference(v) for v in clair[: envs._WRITE_CHUNK]]
+        write_trace_csv(trace, tmp_path / "t.csv")
+        write_aggregate_csv(aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
+        assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
+        assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
+
+    def test_all_distinct_floats_fall_back(self, tmp_path, monkeypatch):
+        T = 2 * envs._WRITE_CHUNK + 3
+        rewards = np.random.default_rng(3).standard_normal(T)
+        calls = self._count_labels(monkeypatch)
+        assert list(envs._fmt_column(rewards)) == [_fmt_reference(v) for v in rewards]
+        assert calls[0] == T
+        other = rewards[::-1].copy()
+        write_aggregate_csv((rewards, other), tmp_path / "a.csv")
+        expected = "episode,mean_cumulative_regret,sd_cumulative_regret\n" + "".join(
+            f"{t + 1},{_fmt_reference(rewards[t])},{_fmt_reference(other[t])}\n" for t in range(T)
+        )
+        assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("distinct, formatted", [(2048, 2048), (2049, 4096)])
+    def test_fallback_threshold(self, monkeypatch, distinct, formatted):
+        # a 4,096-row chunk keeps the distinct-value path while at most half
+        # its values are distinct
+        values = np.resize(np.arange(distinct) / 7.0, 4096)
+        calls = self._count_labels(monkeypatch)
+        assert list(envs._fmt_column(values)) == [_fmt_reference(v) for v in values]
+        assert calls[0] == formatted
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.resize(np.arange(-3, 4), 50),  # int64
+            np.resize(np.arange(5, dtype=np.int32), 50),
+            np.resize(np.arange(3, dtype=np.uint8), 50),
+            np.arange(50) % 3 == 0,
+            np.resize(np.array([0.1, -0.0, 0.0], dtype=np.float32), 50),
+            np.array([], dtype=float),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["int64", "int32", "uint8", "bool", "float32", "empty-float", "empty-int"],
+    )
+    def test_numeric_dtypes_match_reference(self, col):
+        assert list(envs._fmt_column(col)) == [_fmt_reference(v) for v in col]
+
+    def test_int_trace_columns(self, tmp_path):
+        # tests_performed as an int32 array and as a list, next to list extras
+        T = envs._WRITE_CHUNK + 9
+        base = self._trace(T)
+        for tests in (base.tests_performed.astype(np.int32), list(base.tests_performed)):
+            trace = RegretTrace(
+                agent=base.agent, seed=0, instance_hash="h", phase=base.phase,
+                tests_performed=tests, decision=base.decision,
+                realized_reward=base.realized_reward, clairvoyant_reward=base.clairvoyant_reward,
+                extras=base.extras,
+            )
+            write_trace_csv(trace, tmp_path / "t.csv")
+            assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
 
 
 class TestRunReplications:
@@ -471,6 +558,38 @@ class TestRunReplications:
         assert run_replications(self._config(tmp_path / "run", jobs=8, seeds=(0, 1))).ok
         assert run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).ok
         assert sizes == [2, 2]
+
+    def test_unknown_parameter_refused(self):
+        # a misspelt delta must not run with the default and echo the typo
+        with pytest.raises(ValueError, match=r"unknown agent parameters \['detla'\]") as info:
+            ExperimentConfig(
+                instance=gen_gaussian_lowrank(d=4, seed=0, cost=1.8), agent="ocmesp",
+                horizon=16, seeds=(0,), agent_params={"detla": 0.5},
+            )
+        assert all(name in str(info.value) for name in harness.AGENT_PARAMS)
+
+    @pytest.mark.parametrize(
+        "agent, params",
+        [
+            ("etc-gaussian", {"sigma_hint": -2.0}),
+            ("etc-gaussian", {"nodes_per_test": 0}),
+            ("ocmesp", {"sigma_hint": 0.5}),
+            ("etc-discrete", {"support_hint": 0}),
+        ],
+    )
+    def test_refusal_names_the_parameter(self, agent, params):
+        # the typed configs' fields are condition_number, sigma and support_size_hint
+        (name,) = params
+        instance = {
+            "etc-gaussian": gen_gaussian_quadratic(d=2),
+            "ocmesp": gen_gaussian_lowrank(d=4, seed=0, cost=1.8),
+            "etc-discrete": gen_discrete_pareto(d=3, seed=2),
+        }[agent]
+        with pytest.raises(ParameterError) as info:
+            ExperimentConfig(
+                instance=instance, agent=agent, horizon=16, seeds=(0,), agent_params=params
+            )
+        assert info.value.args[0] == name and str(info.value).startswith(name + " ")
 
     @pytest.mark.parametrize(
         "agent, instance",
