@@ -118,6 +118,7 @@ class EmpiricalModel:
 
     vectors: np.ndarray  # distinct observed outcome vectors, lexicographic
     counts: np.ndarray
+    support_index: np.ndarray  # each vector's index in the true support
 
     @property
     def episodes(self) -> int:
@@ -137,23 +138,26 @@ class GaussianEstimate:
     episodes: int
 
 
-def _empirical_discrete(vectors: np.ndarray) -> EmpiricalModel:
-    uniq, counts = np.unique(vectors, axis=0, return_counts=True)
-    return EmpiricalModel(vectors=uniq, counts=counts)
+def _empirical_discrete(support: np.ndarray, sampled: np.ndarray) -> EmpiricalModel:
+    """The support points at indices ``sampled``, counted: the distinct ones
+    in lexicographic row order (as ``np.unique(axis=0)`` orders distinct
+    rows) with their counts."""
+    counts = np.bincount(sampled, minlength=len(support))
+    seen = np.flatnonzero(counts)
+    seen = seen[np.lexsort(support[seen].T[::-1])]
+    return EmpiricalModel(vectors=support[seen], counts=counts[seen], support_index=seen)
 
 
 def _empirical_instance(instance: ProblemInstance, empirical: EmpiricalModel) -> ProblemInstance:
     """The agent-side instance: estimated model, true costs/decisions/reward."""
-    model = empirical.to_outcome_model()
     reward = instance.reward
     if reward.kind == "table":
-        # f is known a priori as a function; re-key its table to the
-        # empirical support (every observed vector is a true support row)
-        row_of = {tuple(r): k for k, r in enumerate(instance.model.support)}
-        rows = [reward.table[row_of[tuple(v)]] for v in empirical.vectors]
-        reward = RewardSpec(kind="table", table=np.array(rows))
+        # f is known a priori as a function; its table is re-keyed to the
+        # empirical support
+        reward = RewardSpec(kind="table", table=reward.table[empirical.support_index])
     return ProblemInstance(
-        model=model, costs=instance.costs, decisions=instance.decisions, reward=reward
+        model=empirical.to_outcome_model(), costs=instance.costs,
+        decisions=instance.decisions, reward=reward,
     )
 
 
@@ -186,7 +190,7 @@ def run_etc_discrete(
 
     policy = empirical = None
     if n_explore < T:
-        empirical = _empirical_discrete(model.support[idx[:n_explore]])
+        empirical = _empirical_discrete(model.support, idx[:n_explore])
         emp_instance = _empirical_instance(instance, empirical)
         policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
 

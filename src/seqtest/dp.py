@@ -6,13 +6,19 @@ posterior and hence the value. A state is keyed by its closure, the value
 each test takes on all of S (or none), packed as a mixed-radix integer; S is
 the AND of its determined tests' value masks, so the key is exact. Tests that
 S already determines are dominated (nonnegative cost, no information) and
-never enter the action max. States are discovered level by level from the
-root as arrays of member lists, and each state's mass and best immediate
-decision are computed when it is found; masses add p_k one at a time in
-ascending k (``m += p_k``), the order independent implementations use, never
-pairwise as ``np.sum`` or a matmul would. States are then evaluated in array
-passes, children first. The policy walks per-test child tables (state x value
--> state), and the table's per-state dict is built only when asked for.
+never enter the action max. A solve has two parts. The state graph depends
+on the support alone: states discovered level by level from the root as
+arrays of member lists, their codes, per-test child tables, and the state and
+test each was first reached from. The value pass depends on the pmf: each
+level's masses and best immediate decisions, computed on its member lists,
+then array passes over the states, children first. Masses add p_k one at a
+time in ascending k (``m += p_k``), the order independent implementations
+use, never pairwise as ``np.sum`` or a matmul would. The graph of the last
+support solved is kept, without its member lists, so a second solve on the
+same support (the plug-in pmf of an explore phase that saw every point)
+rebuilds each level's lists from the previous level's and discovers nothing.
+The policy walks the child tables (state x value -> state), and the table's
+per-state dict is built only when asked for.
 
 Gaussian instances are solved approximately on a scenario tree: each tested
 coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
@@ -317,10 +323,186 @@ def _gather(ptr: np.ndarray, mem: np.ndarray, rows: np.ndarray):
     return out, mem[np.arange(out[-1]) + np.repeat(ptr[rows] - out[:-1], lens)]
 
 
+def _chunks(lens: np.ndarray) -> list:
+    """Consecutive runs of the lists of lengths ``lens``, about _MEMBER_CHUNK members each."""
+    chunk = (np.cumsum(lens) - lens) // _MEMBER_CHUNK
+    return np.split(np.arange(len(lens)), np.flatnonzero(np.diff(chunk)) + 1)
+
+
 def _lookup(known: tuple, codes: np.ndarray) -> np.ndarray:
     """State of each code under ``known`` (sorted codes, their states); -1 if absent."""
     at = np.minimum(np.searchsorted(known[0], codes), len(known[0]) - 1)
     return np.where(known[0][at] == codes, known[1][at], -1)
+
+
+@dataclass
+class _StateGraph:
+    """The canonical states of a support, which do not depend on its pmf.
+    States are numbered level by level from the root; ``levels`` holds the
+    first state of each level, then the state count. A state after the root
+    was first reached from state ``parent`` by observing test ``test``."""
+
+    closures: _Closures
+    codes: np.ndarray
+    ndet: np.ndarray
+    child: list  # per test: state x value slot -> state (see DiscretePolicy)
+    levels: list
+    parent: np.ndarray
+    test: np.ndarray
+
+    def __post_init__(self):
+        # shared by every solve on the support and the policies they return
+        for array in (self.codes, self.ndet, self.parent, self.test, *self.child):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.levels[-1]
+
+    def replay(self, visit) -> None:
+        """Call ``visit(ptr, mem)`` on each level's CSR member lists, as
+        :func:`_discover` does, rebuilding a level's lists from the previous
+        level's: a state's members are its parent's members that take the
+        state's slot on the test that reached it."""
+        K = len(self.closures.slots[0])
+        ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
+        visit(ptr, mem)
+        slots = np.concatenate(self.closures.slots)  # test i's slot of point k at i * K + k
+        for prev, a, b in zip(self.levels, self.levels[1:-1], self.levels[2:]):
+            parent, test = self.parent[a:b] - prev, self.test[a:b]
+            own = np.empty(b - a, dtype=slots.dtype)  # each state's slot on its test
+            for i in np.unique(test).tolist():
+                at = np.flatnonzero(test == i)
+                own[at] = self.closures.slot(self.codes[a + at], i)
+            lens, mems = [], []
+            for part in _chunks(np.diff(ptr)[parent]):
+                gptr, gmem = _gather(ptr, mem, parent[part])
+                glens = np.diff(gptr)
+                at = np.repeat(test[part].astype(np.intp) * K, glens)
+                at += gmem
+                keep = slots[at] == np.repeat(own[part], glens)
+                lens.append(np.add.reduceat(keep, gptr[:-1], dtype=np.int64))
+                mems.append(gmem[keep])
+            ptr = np.zeros(b - a + 1, dtype=np.int64)
+            np.cumsum(np.concatenate(lens), out=ptr[1:])
+            mem = np.concatenate(mems)
+            visit(ptr, mem)
+
+
+def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
+    """The state graph of ``support``, discovered level by level from the
+    root; ``visit(ptr, mem)`` is called on each level's CSR member lists
+    (ascending support indices, one list per state in state order) before
+    the next level is found, and the lists are then freed.
+
+    A child's pre-key (its parent's code with the tested slot set) names its
+    set, so only children with an unknown pre-key get their closure
+    computed. ``known`` maps sorted codes and pre-keys to states. Child
+    tables are written per level, one block per test. Raises
+    :class:`StateSpaceError` as soon as more than ``state_cap`` states are
+    found."""
+    closures = _Closures(support)
+    K, d = support.shape
+    radix = [len(v) + 1 for v in closures.values]
+    test_dtype = np.min_scalar_type(d)
+    _check_cap(1, state_cap)
+    ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
+    code, ndet = closures.of(ptr, mem)
+    codes, ndets, blocks = [code], [ndet], [[] for _ in range(d)]
+    parents, tests = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=test_dtype)]
+    known = (code, np.zeros(1, dtype=np.int64))
+    n, levels = 1, [0]  # states so far; the first state of each level
+    while True:
+        visit(ptr, mem)
+        first = levels[-1]
+        level = []  # member lists of the states found on this level
+        for i in range(d):
+            own = closures.slot(code, i)
+            block = np.full((len(code), radix[i] - 1), -1, dtype=np.int32)
+            blocks[i].append(block)
+            det, und = np.flatnonzero(own), np.flatnonzero(own == 0)
+            block[det, own[det] - 1] = first + det
+            if not und.size:
+                continue
+            # members of the undetermined parents, in chunks of about
+            # _MEMBER_CHUNK, grouped by their slot on test i, ascending
+            # support index within a group
+            for part in _chunks(ptr[und + 1] - ptr[und]):
+                part = und[part]
+                gptr, gmem = _gather(ptr, mem, part)
+                key = np.repeat(np.arange(len(part)) * radix[i], np.diff(gptr))
+                key += closures.slots[i][gmem]
+                by_key = np.argsort(key, kind="stable")
+                key, gmem = key[by_key], gmem[by_key]
+                starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+                parent, slot = part[key[starts] // radix[i]], key[starts] % radix[i]
+                pre = code[parent] + slot.astype(code.dtype) * closures.radix[i]
+                child = _lookup(known, pre)
+                miss = np.flatnonzero(child < 0)
+                if miss.size:
+                    mptr, mmem = _gather(np.r_[starts, len(gmem)], gmem, miss)
+                    ccode, cndet = closures.of(mptr, mmem)
+                    cstate = _lookup(known, ccode)
+                    fresh = np.flatnonzero(cstate < 0)
+                    _, at, inverse = np.unique(ccode[fresh], return_index=True, return_inverse=True)
+                    by_at = np.argsort(at)  # new states in order of discovery
+                    cstate[fresh] = np.argsort(by_at)[inverse] + n
+                    rows = fresh[at[by_at]]
+                    n += len(rows)
+                    _check_cap(n, state_cap)
+                    codes.append(ccode[rows])
+                    ndets.append(cndet[rows])
+                    parents.append((first + parent[miss[rows]]).astype(np.int32))
+                    tests.append(np.full(len(rows), i, dtype=test_dtype))
+                    level.append(_gather(mptr, mmem, rows))
+                    alias = np.flatnonzero(ccode != pre[miss])  # pre-keys that are not codes
+                    add = np.concatenate([ccode[rows], pre[miss][alias]])
+                    add_states = np.concatenate([cstate[rows], cstate[alias]])
+                    order = np.argsort(add, kind="stable")
+                    at = np.searchsorted(known[0], add[order])
+                    known = tuple(
+                        np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states))
+                    )
+                    child[miss] = cstate
+                block[parent, slot - 1] = child
+        if not level:
+            break
+        levels.append(first + len(code))
+        code = np.concatenate(codes[-len(level):])
+        ptr = np.zeros(len(code) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(p) for p, _ in level]), out=ptr[1:])
+        mem = np.concatenate([m for _, m in level])
+    levels.append(n)
+    ptr = mem = known = level = None  # discovery scratch, freed before the tables are joined
+    child = []
+    for i in range(d):  # one test's blocks at a time
+        child.append(np.concatenate(blocks[i]))
+        blocks[i] = None
+    return _StateGraph(
+        closures, np.concatenate(codes), np.concatenate(ndets), child, levels,
+        np.concatenate(parents), np.concatenate(tests),
+    )
+
+
+# (support shape and bytes, _StateGraph) of the last support solved: a
+# second solve on the same support replays its graph instead of discovering it
+_last_graph = None
+
+
+def _state_graph(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
+    """The state graph of ``support``, calling ``visit`` on each level's
+    member lists: replayed from the last support solved when it is the same,
+    else discovered (and kept in its place)."""
+    global _last_graph
+    key = (support.shape, support.tobytes())
+    if _last_graph is not None and _last_graph[0] == key:
+        graph = _last_graph[1]
+        _check_cap(len(graph), state_cap)
+        graph.replay(visit)
+        return graph
+    _last_graph = None  # not kept alive through the discovery
+    graph = _discover(support, state_cap, visit)
+    _last_graph = (key, graph)
+    return graph
 
 
 def _masses(probs: np.ndarray, ptr: np.ndarray, mem: np.ndarray) -> np.ndarray:
@@ -367,7 +549,8 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = DEFAULT_STATE_
     Raises :class:`StateSpaceError`, before any state is evaluated, when the
     number of canonical states exceeds ``state_cap``. States made only of
     zero-probability support points have no mass; their values are NaN and
-    they add nothing to their parents.
+    they add nothing to their parents. A solve on the same support (shape
+    and bytes) as the previous solve reuses its state graph.
     """
     model = instance.model
     if not isinstance(model, DiscreteOutcomeModel):
@@ -391,87 +574,17 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = DEFAULT_STATE_
         raise InstanceError(
             f"reward kind {instance.reward.kind!r} is not supported by the discrete DP"
         )
-    closures = _Closures(model.support)
-    radix = [len(v) + 1 for v in closures.values]
+    found = []  # (mass, best decision value, best decision) per level
 
-    # Discover states level by level from the root; the frontier keeps its
-    # member lists, from which its masses and best decisions are computed.
-    # A child's pre-key (its parent's code with the tested slot set) names
-    # its set, so only children with an unknown pre-key get their closure
-    # computed. ``known`` maps sorted codes and pre-keys to states. Child
-    # tables are written per level, one block per test.
-    _check_cap(1, state_cap)
-    ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
-    code, ndet = closures.of(ptr, mem)
-    codes, ndets, found, blocks = [code], [ndet], [], [[] for _ in range(d)]
-    known = (code, np.zeros(1, dtype=np.int64))
-    n, first = 1, 0  # states so far; the frontier's first state
-    while True:
+    def visit(ptr, mem):
         mass = _masses(probs, ptr, mem)
         found.append((mass,) + _best_decisions(probs, ptr, mem, mass, table, ranking))
-        level = []  # member lists of the states found on this level
-        for i in range(d):
-            own = closures.slot(code, i)
-            block = np.full((len(code), radix[i] - 1), -1, dtype=np.int32)
-            blocks[i].append(block)
-            det, und = np.flatnonzero(own), np.flatnonzero(own == 0)
-            block[det, own[det] - 1] = first + det
-            if not und.size:
-                continue
-            # members of the undetermined parents, in chunks of about
-            # _MEMBER_CHUNK, grouped by their slot on test i, ascending
-            # support index within a group
-            lens = ptr[und + 1] - ptr[und]
-            chunk = (np.cumsum(lens) - lens) // _MEMBER_CHUNK
-            for part in np.split(und, np.flatnonzero(np.diff(chunk)) + 1):
-                gptr, gmem = _gather(ptr, mem, part)
-                key = np.repeat(np.arange(len(part)) * radix[i], np.diff(gptr))
-                key += closures.slots[i][gmem]
-                by_key = np.argsort(key, kind="stable")
-                key, gmem = key[by_key], gmem[by_key]
-                starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-                parent, slot = part[key[starts] // radix[i]], key[starts] % radix[i]
-                pre = code[parent] + slot.astype(code.dtype) * closures.radix[i]
-                child = _lookup(known, pre)
-                miss = np.flatnonzero(child < 0)
-                if miss.size:
-                    mptr, mmem = _gather(np.r_[starts, len(gmem)], gmem, miss)
-                    ccode, cndet = closures.of(mptr, mmem)
-                    cstate = _lookup(known, ccode)
-                    fresh = np.flatnonzero(cstate < 0)
-                    _, at, inverse = np.unique(ccode[fresh], return_index=True, return_inverse=True)
-                    by_at = np.argsort(at)  # new states in order of discovery
-                    cstate[fresh] = np.argsort(by_at)[inverse] + n
-                    rows = fresh[at[by_at]]
-                    n += len(rows)
-                    _check_cap(n, state_cap)
-                    codes.append(ccode[rows])
-                    ndets.append(cndet[rows])
-                    level.append(_gather(mptr, mmem, rows))
-                    alias = np.flatnonzero(ccode != pre[miss])  # pre-keys that are not codes
-                    add = np.concatenate([ccode[rows], pre[miss][alias]])
-                    add_states = np.concatenate([cstate[rows], cstate[alias]])
-                    order = np.argsort(add, kind="stable")
-                    at = np.searchsorted(known[0], add[order])
-                    known = tuple(
-                        np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states))
-                    )
-                    child[miss] = cstate
-                block[parent, slot - 1] = child
-        if not level:
-            break
-        first += len(code)
-        code = np.concatenate(codes[-len(level):])
-        ptr = np.zeros(len(code) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.diff(p) for p, _ in level]), out=ptr[1:])
-        mem = np.concatenate([m for _, m in level])
-    codes, ndet = np.concatenate(codes), np.concatenate(ndets)
+
+    graph = _state_graph(model.support, state_cap, visit)
+    closures, codes, ndet, child = graph.closures, graph.codes, graph.ndet, graph.child
     mass, value, decision = (np.concatenate(column) for column in zip(*found))
-    child = []
-    for i in range(d):  # one test's blocks at a time
-        child.append(np.concatenate(blocks[i]))
-        blocks[i] = None
-    ptr = mem = known = found = level = None  # discovery scratch, freed before evaluating
+    found = None
+    n = len(graph)
 
     # Evaluate by descending number of determined tests: a child determines
     # the tested value on top of its parent's, so it comes first. q adds the
@@ -852,14 +965,24 @@ def rollout_net_reward(instance: ProblemInstance, x, rollout: Rollout, support_i
 def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support_index=None) -> np.ndarray:
     """:func:`rollout_net_reward` of every episode of a batched rollout
     (``order`` and ``decisions`` as returned by a policy's ``rollouts``);
-    ``support_index`` gives each row's support index for table rewards."""
+    ``support_index`` gives each row's support index for table rewards.
+    Table and indicator-match rewards are priced as arrays; quadratic ones
+    row by row, since a batched -||x - y||^2 rounds differently from
+    ``reward_value``'s ``diff @ diff``."""
     test_cost = np.zeros(len(xs))
     for k in range(order.shape[1]):
         took = order[:, k] >= 0
         test_cost[took] += instance.costs[order[took, k]]
-    ks = [None] * len(xs) if support_index is None else support_index
-    reward = [instance.reward_value(x, int(j), k) for x, j, k in zip(xs, decisions, ks)]
-    return np.array(reward) - test_cost
+    kind, decisions = instance.reward.kind, np.asarray(decisions, dtype=np.intp)
+    if kind == "table" and support_index is not None:
+        reward = instance.reward.table[np.asarray(support_index, dtype=np.intp), decisions]
+    elif kind == "indicator-match":
+        match = np.asarray(xs, dtype=float) == _decision_matrix(instance)[decisions]
+        reward = match.all(axis=1).astype(float)
+    else:
+        ks = [None] * len(xs) if support_index is None else support_index
+        reward = np.array([instance.reward_value(x, int(j), k) for x, j, k in zip(xs, decisions, ks)])
+    return reward - test_cost
 
 
 def full_information_rollouts(instance: ProblemInstance, xs, support_index=None):

@@ -8,6 +8,7 @@ import pytest
 
 from seqtest.agents import (
     EtcConfig,
+    _empirical_discrete,
     _estimate_gaussian,
     discrete_exploration_episodes,
     doubling_batches,
@@ -174,6 +175,25 @@ class TestEtcDiscrete:
         n = res.trace.metadata["n_explore"]
         unseen = sum(obs == {0: 2.0} for obs in res.trace.observations[n:])
         assert res.trace.metadata["fallback_episodes"] == unseen > 0
+
+    def test_empirical_counts_match_unique_rows(self, rng):
+        # supports in random row order, explore windows too short to see
+        # every point: counting support indices gives np.unique's rows and
+        # counts, and each row's index in the true support
+        missed = unordered = 0
+        for _ in range(30):
+            k, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            codes = rng.choice(4**d, size=min(k, 4**d), replace=False)
+            support = np.array([[(c >> 2 * i) % 4 - 1.5 for i in range(d)] for c in codes])
+            sampled = rng.integers(0, len(support), size=int(rng.integers(1, 2 * len(support))))
+            emp = _empirical_discrete(support, sampled)
+            vectors, counts = np.unique(support[sampled], axis=0, return_counts=True)
+            assert emp.vectors.tobytes() == vectors.tobytes()
+            assert emp.counts.tolist() == counts.tolist()
+            assert np.array_equal(support[emp.support_index], emp.vectors)
+            missed += len(vectors) < len(support)
+            unordered += not np.array_equal(support, np.unique(support, axis=0))
+        assert missed > 0 and unordered > 0
 
 
 class TestEtcGaussian:

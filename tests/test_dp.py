@@ -509,6 +509,125 @@ class TestIndexListSolveMatchesOracle:
             assert len(solve_dp_discrete(inst, state_cap=3**d)[1]) == 3**d
 
 
+def _reweighted(instance, probs, rows=None):
+    """``instance`` with pmf ``probs`` (renormalized) on its support rows
+    ``rows`` (all of them by default), the table re-keyed to match."""
+    rows = np.arange(instance.model.support_size) if rows is None else np.asarray(rows)
+    reward = instance.reward
+    if reward.kind == "table":
+        reward = RewardSpec(kind="table", table=reward.table[rows])
+    probs = np.asarray(probs, dtype=float)
+    return ProblemInstance(
+        model=DiscreteOutcomeModel(support=instance.model.support[rows], probs=probs / probs.sum()),
+        costs=instance.costs, decisions=instance.decisions, reward=reward,
+    )
+
+
+@pytest.fixture
+def discoveries(monkeypatch):
+    """Starts with no graph kept; counts the solves that discover their
+    graph rather than replaying the last support's."""
+    monkeypatch.setattr(dp, "_last_graph", None)
+    calls = []
+    discover = dp._discover
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return discover(*args)
+
+    monkeypatch.setattr(dp, "_discover", counted)
+    return calls
+
+
+class TestStateGraphReuse:
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_replayed_graph_matches_fresh_solve(self, kind, discoveries):
+        # B reuses A's graph (same support, new pmf with zeros): its arrays
+        # equal B's solved from an empty cache, bit for bit
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        zeros = 0
+        for _ in range(10):
+            a = structured_discrete_instance(rng, kind)
+            weights = rng.integers(0, 3, size=a.model.support_size).astype(float)
+            weights[rng.integers(0, len(weights))] += 1.0
+            zeros += int((weights == 0).sum())
+            b = _reweighted(a, weights)
+            solve_dp_discrete(a)
+            n_discovered = len(discoveries)
+            _, replayed = solve_dp_discrete(b)
+            assert len(discoveries) == n_discovered
+            dp._last_graph = None
+            _, fresh = solve_dp_discrete(b)
+            assert len(discoveries) == n_discovered + 1
+            for name in ("value", "action", "decision"):
+                got, want = getattr(replayed, name), getattr(fresh, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert replayed.entries.keys() == fresh.entries.keys()
+        assert zeros > 0
+
+    def test_state_cap_checked_on_replay(self, discoveries):
+        inst = gen_discrete_pareto(d=4, seed=0, cost=0.05)
+        _, table = solve_dp_discrete(inst)
+        with pytest.raises(StateSpaceError, match="blowup"):
+            solve_dp_discrete(inst, state_cap=80)
+        _, again = solve_dp_discrete(inst, state_cap=81)
+        assert len(discoveries) == 1
+        assert len(again) == 81 and again.entries == table.entries
+
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_other_supports_discover_their_own(self, kind, discoveries):
+        # a strict subset of the support, then the same rows in another
+        # order: neither matches the kept graph's bytes
+        rng = np.random.default_rng(sum(map(ord, kind)) + 2)
+        inst = None
+        while inst is None or inst.model.support_size < 6:
+            inst = structured_discrete_instance(rng, kind, k_max=24)
+        k = inst.model.support_size
+        subset = np.sort(rng.choice(k, size=k - 2, replace=False))
+        for rows in (subset, rng.permutation(k)):
+            other = _reweighted(inst, inst.model.probs[rows], rows)
+            solve_dp_discrete(inst)
+            n_discovered = len(discoveries)
+            _, table = solve_dp_discrete(other)
+            assert len(discoveries) == n_discovered + 1
+            assert table.entries == RecursiveDiscreteOracle(other).entries
+
+
+class TestBatchedPricing:
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_equals_single_rollout_pricing(self, kind):
+        # random rollouts over support rows (and, for indicator-match, every
+        # decision vector and outcomes matching no decision); each batched
+        # price equals rollout_net_reward bit for bit
+        rng = np.random.default_rng(sum(map(ord, kind)) + 3)
+        matched = unmatched = 0
+        for _ in range(8):
+            inst = structured_discrete_instance(rng, kind)
+            support, d = inst.model.support, inst.d
+            n_y = len(inst.decisions)
+            ks = np.concatenate([np.arange(len(support)), rng.integers(0, len(support), 40)])
+            xs, decision = support[ks], rng.integers(0, n_y, size=len(ks))
+            if kind == "indicator-match":
+                dec = dp._decision_matrix(inst)
+                xs = np.vstack([xs, dec, np.full((1, d), 5.0)])
+                decision = np.concatenate([decision, np.arange(n_y), [0]])
+                ks = None
+            order = np.full(xs.shape, -1)
+            for t, n_tests in enumerate(rng.integers(0, d + 1, size=len(xs))):
+                order[t, :n_tests] = rng.permutation(d)[:n_tests]
+            net = rollout_net_rewards(inst, xs, order, decision, support_index=ks)
+            for t, x in enumerate(xs):
+                roll = Rollout(tests=tuple(order[t][order[t] >= 0].tolist()), decision=int(decision[t]))
+                k = None if ks is None else int(ks[t])
+                want = rollout_net_reward(inst, x, roll, support_index=k)
+                assert net[t].tobytes() == np.float64(want).tobytes()
+                if kind == "indicator-match":
+                    hit = inst.reward_value(x, int(decision[t])) == 1.0
+                    matched, unmatched = matched + hit, unmatched + (not hit)
+        if kind == "indicator-match":
+            assert matched > 0 and unmatched > 0
+
+
 def oracle_rollout(instance, entries, x):
     """(tests, decision, fallback) of the policy stored in the oracle's
     ``entries`` (bitmask keys), walked on outcome ``x`` one mask at a time."""
