@@ -13,10 +13,11 @@ test each was first reached from. The value pass depends on the pmf: each
 level's masses and best immediate decisions, computed on its member lists,
 then array passes over the states, children first. Masses add p_k one at a
 time in ascending k (``m += p_k``), the order independent implementations
-use, never pairwise as ``np.sum`` or a matmul would. The graph of the last
-support solved is kept, without its member lists, so a second solve on the
-same support (the plug-in pmf of an explore phase that saw every point)
-rebuilds each level's lists from the previous level's and discovers nothing.
+use, never pairwise as ``np.sum`` or a matmul would. The graphs of the last
+two supports solved are kept, without member lists, so a solve on one of
+them (the plug-in pmf of an explore phase that saw every point, or the true
+support after one that missed some) rebuilds each level's lists from the
+previous level's and discovers nothing.
 The policy walks the child tables (state x value -> state), and the table's
 per-state dict is built only when asked for.
 
@@ -483,25 +484,28 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
     )
 
 
-# (support shape and bytes, _StateGraph) of the last support solved: a
-# second solve on the same support replays its graph instead of discovering it
-_last_graph = None
+# (support shape and bytes, _StateGraph) of the last two supports solved, most
+# recent last; two, so an empirical solve on the points an explore phase saw
+# does not evict the true support, which the next seed's solve replays
+_graphs = []
+_KEPT_GRAPHS = 2
 
 
 def _state_graph(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
     """The state graph of ``support``, calling ``visit`` on each level's
-    member lists: replayed from the last support solved when it is the same,
-    else discovered (and kept in its place)."""
-    global _last_graph
+    member lists: replayed from a kept support when it is the same, else
+    discovered (and kept in place of the least recently used)."""
     key = (support.shape, support.tobytes())
-    if _last_graph is not None and _last_graph[0] == key:
-        graph = _last_graph[1]
-        _check_cap(len(graph), state_cap)
-        graph.replay(visit)
-        return graph
-    _last_graph = None  # not kept alive through the discovery
+    for at, (kept, graph) in enumerate(_graphs):
+        if kept == key:
+            _graphs.append(_graphs.pop(at))
+            _check_cap(len(graph), state_cap)
+            graph.replay(visit)
+            return graph
+    if len(_graphs) == _KEPT_GRAPHS:
+        del _graphs[0]  # not kept alive through the discovery
     graph = _discover(support, state_cap, visit)
-    _last_graph = (key, graph)
+    _graphs.append((key, graph))
     return graph
 
 
@@ -550,7 +554,8 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = DEFAULT_STATE_
     number of canonical states exceeds ``state_cap``. States made only of
     zero-probability support points have no mass; their values are NaN and
     they add nothing to their parents. A solve on the same support (shape
-    and bytes) as the previous solve reuses its state graph.
+    and bytes) as one of the two previous supports solved reuses its state
+    graph.
     """
     model = instance.model
     if not isinstance(model, DiscreteOutcomeModel):
@@ -1008,11 +1013,6 @@ def full_information_rollouts(instance: ProblemInstance, xs, support_index=None)
     order = np.tile(np.arange(d), (n, 1))
     net = rollout_net_rewards(instance, xs, order, decision, support_index)
     return np.full(n, d), decision, order, net
-
-
-def rollout_observations(xs: np.ndarray, order: np.ndarray) -> list:
-    """Per-episode {test index -> observed value} of a batched rollout."""
-    return [{int(i): float(x[i]) for i in row if i >= 0} for x, row in zip(xs, order)]
 
 
 def evaluate_policy(

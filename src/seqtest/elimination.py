@@ -348,14 +348,14 @@ def run_ocmesp(
     played[t:] = state.candidates[0]  # the survivor, once one is left
 
     masks = played.tolist()
-    members = {m: _bits(m) for m in set(masks)}
-    labels = {m: subset_label(bits) for m, bits in members.items()}
+    labels = {m: subset_label(_bits(m)) for m in set(masks)}
+    member = (played[:, None] >> np.arange(config.d)) & 1 == 1
     trace = RegretTrace(
         agent="ocmesp",
         seed=env.seed,
         instance_hash=env.instance_hash,
         phase=["explore"] * t + ["commit"] * (T - t),
-        tests_performed=np.array([len(members[m]) for m in masks], dtype=np.int64),
+        tests_performed=member.sum(axis=1),
         decision=[""] * T,
         realized_reward=true_obj[played],
         clairvoyant_reward=np.full(T, optimal_value),
@@ -366,11 +366,7 @@ def run_ocmesp(
             "U_t": np.array([confidence_width(u + 1, config) for u in range(T)]),
             "eliminated_count": elim_col,
         },
-        observations=(
-            [{i: float(xs[u, i]) for i in members[m]} for u, m in enumerate(masks)]
-            if collect_observations
-            else None
-        ),
+        observations=np.where(member, xs, np.nan) if collect_observations else None,
         metadata={
             "optimal_subset": list(optimal_subset),
             "pd_skips": state.pd_skips,

@@ -28,7 +28,6 @@ from .dp import (
     Rollout,
     rollout_net_reward,
     rollout_net_rewards,
-    rollout_observations,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -37,6 +36,7 @@ from .models import (
     GaussianOutcomeModel,
     ProblemInstance,
     instance_hash,
+    sample,
     sample_support_indices,
 )
 
@@ -85,18 +85,11 @@ class GaussianEnvironment:
         self.instance_hash = instance_hash(instance)
         self.seed = int(seed)
         self._rng = _stream(seed)
-        self._chol = np.linalg.cholesky(instance.model.covariance)
         self._clair_policy = None
 
     def outcomes(self, n: int) -> np.ndarray:
-        """Next ``n`` outcome vectors, shape (n, d): mean + L z, the product
-        summed over z's columns in ascending order (as ``conditional_means``
-        does), so no row depends on n as a matmul's would."""
-        z = self._rng.standard_normal((n, self.instance.d))
-        x = z[:, :1] * self._chol[:, 0]
-        for k in range(1, self.instance.d):
-            x += z[:, k : k + 1] * self._chol[:, k]
-        return x + self.instance.model.mean
+        """Next ``n`` outcome vectors, shape (n, d)."""
+        return sample(self.instance.model, self._rng, n)
 
     def clairvoyant_policy(self, quadrature=None, state_cap: int = DEFAULT_STATE_CAP):
         """The clairvoyant tree policy, solved once (under the default
@@ -150,7 +143,9 @@ class RegretTrace:
     realized_reward: np.ndarray
     clairvoyant_reward: np.ndarray
     extras: dict = field(default_factory=dict)
-    observations: Optional[list] = None  # per-episode {test index -> value}
+    # (episodes, d): the realized outcome where the test was performed, NaN
+    # elsewhere (outcomes are finite, so NaN marks a hole and nothing else)
+    observations: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
     simple_regret: np.ndarray = field(init=False)
     cumulative_regret: np.ndarray = field(init=False)
@@ -161,6 +156,8 @@ class RegretTrace:
             "phase": self.phase, "tests_performed": self.tests_performed,
             "decision": self.decision, "clairvoyant_reward": self.clairvoyant_reward,
         }
+        if self.observations is not None:
+            columns["observations"] = self.observations
         for name, col in [*columns.items(), *self.extras.items()]:
             if len(col) != n:
                 raise ValueError(f"trace column {name} has length {len(col)}, expected {n}")
@@ -190,6 +187,11 @@ def rollout_trace(
     rest committed. Observations are recorded from ``xs``, the realized
     outcomes, when given (``order`` may be None otherwise)."""
     tests, decision, order, net = rollout
+    observations = None
+    if xs is not None:  # order's -1 (no test) marks a spare last column
+        observed = np.zeros((len(xs), xs.shape[1] + 1), dtype=bool)
+        np.put_along_axis(observed, order, True, axis=1)
+        observations = np.where(observed[:, :-1], xs, np.nan)
     return RegretTrace(
         agent=agent,
         seed=env.seed,
@@ -199,7 +201,7 @@ def rollout_trace(
         decision=decision_labels(env.instance, decision),
         realized_reward=net,
         clairvoyant_reward=clairvoyant_net,
-        observations=None if xs is None else rollout_observations(xs, order),
+        observations=observations,
         metadata=metadata or {},
     )
 
@@ -220,7 +222,7 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
             k: [v for t in traces for v in t.extras[k]] for k in first.extras
         },
         observations=(
-            [o for t in traces for o in t.observations]
+            np.concatenate([t.observations for t in traces])
             if first.observations is not None
             else None
         ),
@@ -228,11 +230,10 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
     )
 
 
-# rows formatted per chunk by the trace and aggregate writers, enough that
-# formatting each distinct value of a chunk once (``_fmt_column``) repays
-# finding them; the dataset writer, whose values rarely repeat, formats
-# _WRITE_ROWS per chunk. Every writer joins and writes _WRITE_ROWS rows at a
-# time, so the strings held at once are bounded whatever the horizon.
+# rows formatted per chunk by every writer, enough that formatting each
+# distinct value of a chunk once (``_fmt_column``) repays finding them; the
+# rows are joined and written _WRITE_ROWS at a time, so the strings held at
+# once are bounded whatever the horizon
 _WRITE_CHUNK = 1 << 12
 _WRITE_ROWS = 1 << 8
 
@@ -275,12 +276,13 @@ def _fmt_column(col) -> Iterable[str]:
     return labels[inverse].tolist()
 
 
-def _write_rows(fh, n: int, columns, chunk: int) -> None:
-    """Write ``n`` CSV rows, formatted column by column in chunks of ``chunk``
-    rows and written ``_WRITE_ROWS`` rows at a time; ``columns(a, b)`` returns
-    the formatted cells of rows a..b-1, one iterable per column."""
+def _write_rows(fh, n: int, columns) -> None:
+    """Write ``n`` CSV rows, formatted column by column in chunks of
+    ``_WRITE_CHUNK`` rows and written ``_WRITE_ROWS`` rows at a time;
+    ``columns(a, b)`` returns the formatted cells of rows a..b-1, one iterable
+    per column."""
     rows = chain.from_iterable(
-        zip(*columns(a, min(n, a + chunk))) for a in range(0, n, chunk)
+        zip(*columns(a, min(n, a + _WRITE_CHUNK))) for a in range(0, n, _WRITE_CHUNK)
     )
     for _ in range(0, n, _WRITE_ROWS):
         fh.write("\n".join(map(",".join, islice(rows, _WRITE_ROWS))) + "\n")
@@ -304,24 +306,28 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
     with _atomic_open(path) as fh:
         fh.write(",".join(cols) + "\n")
-        _write_rows(fh, trace.episodes, columns, _WRITE_CHUNK)
+        _write_rows(fh, trace.episodes, columns)
 
 
 def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
     """Table-1-shaped artifact: one row per episode, one column per test,
-    the literal ``NA`` for entries the agent never observed."""
+    the literal ``NA`` for entries the agent never observed (the NaN holes
+    of ``trace.observations``)."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
 
     def columns(a, b):
-        rows = trace.observations[a:b]
-        return [map(str, range(a + 1, b + 1))] + [
-            [_fmt(obs[i]) if i in obs else "NA" for obs in rows] for i in range(d)
-        ]
+        cells = [map(str, range(a + 1, b + 1))]
+        for col in trace.observations[a:b].T:
+            seen = ~np.isnan(col)
+            labels = np.full(b - a, "NA", dtype=object)
+            labels[seen] = list(_fmt_column(col[seen]))
+            cells.append(labels.tolist())
+        return cells
 
     with _atomic_open(path) as fh:
         fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
-        _write_rows(fh, len(trace.observations), columns, _WRITE_ROWS)
+        _write_rows(fh, trace.episodes, columns)
 
 
 def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
@@ -340,7 +346,7 @@ def write_aggregate_csv(aggregate, path) -> None:
 
     with _atomic_open(path) as fh:
         fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
-        _write_rows(fh, len(mean), columns, _WRITE_CHUNK)
+        _write_rows(fh, len(mean), columns)
 
 
 def decision_labels(instance: ProblemInstance, idx) -> list:

@@ -470,13 +470,19 @@ def sample_support_indices(model: DiscreteOutcomeModel, rng: np.random.Generator
 
 def sample(model: OutcomeModel, rng: np.random.Generator, size: Optional[int] = None):
     """One outcome draw (or ``size`` stacked draws), deterministic given the
-    generator state."""
+    generator state. A Gaussian draw is mean + L z, the product summed over
+    z's columns in ascending order (as ``conditional_means`` does), so no row
+    depends on the batch shape as a matmul's would."""
     n = 1 if size is None else int(size)
     if isinstance(model, DiscreteOutcomeModel):
         out = model.support[sample_support_indices(model, rng, n)]
     else:
         chol = np.linalg.cholesky(model.covariance)
-        out = rng.standard_normal((n, model.d)) @ chol.T + model.mean
+        z = rng.standard_normal((n, model.d))
+        out = z[:, :1] * chol[:, 0]
+        for k in range(1, model.d):
+            out += z[:, k : k + 1] * chol[:, k]
+        out += model.mean
     return out[0] if size is None else out
 
 
@@ -558,26 +564,18 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         reward["table"] = instance.reward.table.tolist()
     elif instance.reward.kind == "entropy":
         reward["lambda"] = instance.reward.lam
-    decisions = [list(y) if isinstance(y, tuple) else y for y in instance.decisions]
-    if instance.is_discrete:
-        return {
-            "type": "discrete",
-            "d": instance.d,
-            "support": instance.model.support.tolist(),
-            "probs": instance.model.probs.tolist(),
-            "costs": instance.costs.tolist(),
-            "decisions": decisions,
-            "reward": reward,
-        }
-    return {
-        "type": "gaussian",
+    out = {
+        "type": "discrete" if instance.is_discrete else "gaussian",
         "d": instance.d,
-        "mean": instance.model.mean.tolist(),
-        "cov": instance.model.covariance.tolist(),
         "costs": instance.costs.tolist(),
-        "decisions": decisions,
+        "decisions": [list(y) if isinstance(y, tuple) else y for y in instance.decisions],
         "reward": reward,
     }
+    if instance.is_discrete:
+        out.update(support=instance.model.support.tolist(), probs=instance.model.probs.tolist())
+    else:
+        out.update(mean=instance.model.mean.tolist(), cov=instance.model.covariance.tolist())
+    return out
 
 
 def load_instance(path) -> ProblemInstance:

@@ -130,9 +130,10 @@ class TestEtcDiscrete:
         cfg = EtcConfig(horizon=300, support_size_hint=16)
         res = run_etc_discrete(env, cfg, collect_observations=True)
         n = res.trace.metadata["n_explore"]
-        for t in range(n):
-            assert len(res.trace.observations[t]) == inst.d  # no NA while exploring
-        assert any(len(res.trace.observations[t]) < inst.d for t in range(n, 300))
+        holes = np.isnan(res.trace.observations)
+        assert res.trace.observations.shape == (300, inst.d)
+        assert not holes[:n].any()  # no NA while exploring
+        assert holes[n:].any(axis=1).any()
 
     def test_commit_immutability(self):
         inst = gen_discrete_pareto(d=4, seed=1, cost=0.05)
@@ -173,7 +174,7 @@ class TestEtcDiscrete:
         res = run_etc_discrete(env, cfg, collect_observations=True)
         assert 2.0 not in res.empirical.vectors
         n = res.trace.metadata["n_explore"]
-        unseen = sum(obs == {0: 2.0} for obs in res.trace.observations[n:])
+        unseen = int(np.count_nonzero(res.trace.observations[n:, 0] == 2.0))
         assert res.trace.metadata["fallback_episodes"] == unseen > 0
 
     def test_empirical_counts_match_unique_rows(self, rng):
@@ -350,3 +351,46 @@ class TestDoublingVsKnownT:
         trace = run_doubling(factory, 11)
         assert calls == [1, 2, 4, 4]
         assert trace.episodes == 11
+
+
+# (agent, instance, agent parameters): every agent, on each instance kind it runs on
+OBSERVATION_RUNS = [
+    ("etc-discrete", "pareto", {}),
+    ("etc-gaussian", "quadratic", {}),
+    ("etc-gaussian", "quadratic", {"override_n": 1}),  # estimation failure, full testing
+    ("etc-doubling", "pareto", {}),
+    ("etc-doubling", "quadratic", {}),
+    ("clairvoyant", "pareto", {}),
+    ("clairvoyant", "quadratic", {}),
+    ("ocmesp", "lowrank", {"bernstein_c": 2e9}),
+]
+
+
+class TestObservationMatrix:
+    @pytest.mark.parametrize(
+        "agent, kind, params", OBSERVATION_RUNS,
+        ids=[f"{a}-{k}" + "".join(f"-{p}={v}" for p, v in ps.items()) for a, k, ps in OBSERVATION_RUNS],
+    )
+    def test_observed_entries_are_the_seeds_outcomes(self, agent, kind, params):
+        # one row per episode holding the tests it performed, each the
+        # realized outcome bit for bit, and NaN for every other test
+        inst = {
+            "pareto": lambda: gen_discrete_pareto(d=4, seed=1, cost=0.05),
+            "quadratic": lambda: gen_gaussian_quadratic(d=2, seed=0),
+            "lowrank": lambda: gen_gaussian_lowrank(d=6, seed=7, cost=1.8),
+        }[kind]()
+        T, seed = 300, 3
+        config = ExperimentConfig(
+            instance=inst, agent=agent, horizon=T, seeds=(seed,), agent_params=params,
+            emit_dataset=True,
+        )
+        trace = run_seed(config, seed)
+        if inst.is_discrete:
+            xs = inst.model.support[DiscreteEnvironment(inst, seed).outcome_indices(T)]
+        else:
+            xs = GaussianEnvironment(inst, seed).outcomes(T)
+        obs = trace.observations
+        assert obs.shape == (T, inst.d)
+        seen = ~np.isnan(obs)
+        np.testing.assert_array_equal(seen.sum(axis=1), trace.tests_performed)
+        assert obs[seen].tobytes() == xs[seen].tobytes()

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import seqtest.dp as dp
+from seqtest.agents import EtcConfig, run_etc_discrete
 from seqtest.dp import (
     GaussianTreePolicy,
     PolicyUndefinedError,
@@ -29,6 +30,7 @@ from seqtest.dp import (
     solve_dp_discrete,
     solve_dp_gaussian,
 )
+from seqtest.envs import DiscreteEnvironment
 from seqtest.generators import (
     brute_force_policy_oracle,
     gen_discrete_pareto,
@@ -526,8 +528,8 @@ def _reweighted(instance, probs, rows=None):
 @pytest.fixture
 def discoveries(monkeypatch):
     """Starts with no graph kept; counts the solves that discover their
-    graph rather than replaying the last support's."""
-    monkeypatch.setattr(dp, "_last_graph", None)
+    graph rather than replaying a kept support's."""
+    monkeypatch.setattr(dp, "_graphs", [])
     calls = []
     discover = dp._discover
 
@@ -556,7 +558,7 @@ class TestStateGraphReuse:
             n_discovered = len(discoveries)
             _, replayed = solve_dp_discrete(b)
             assert len(discoveries) == n_discovered
-            dp._last_graph = None
+            dp._graphs.clear()
             _, fresh = solve_dp_discrete(b)
             assert len(discoveries) == n_discovered + 1
             for name in ("value", "action", "decision"):
@@ -591,6 +593,19 @@ class TestStateGraphReuse:
             _, table = solve_dp_discrete(other)
             assert len(discoveries) == n_discovered + 1
             assert table.entries == RecursiveDiscreteOracle(other).entries
+
+
+    def test_true_support_outlives_empirical_solves(self, discoveries):
+        # explore phases of T = 1,024 on the 256-point Pareto support miss
+        # points, so each seed's empirical solve is on a smaller support; the
+        # true support's graph stays kept, and only seed 0 discovers it
+        inst = gen_discrete_pareto(d=8, seed=0, cost=0.05)
+        for seed in range(3):
+            env = DiscreteEnvironment(inst, seed)
+            run_etc_discrete(env, EtcConfig(horizon=1024, support_size_hint=256))
+        supports = [shape[0] for shape in discoveries]
+        assert len(supports) == 4 and supports[0] == 256
+        assert all(k < 256 for k in supports[1:])
 
 
 class TestBatchedPricing:

@@ -198,7 +198,7 @@ class TestTraceArtifacts:
             decision=[f"d{t}" for t in range(T)],
             realized_reward=realized,
             clairvoyant_reward=clair,
-            observations=[{0: 1.0}] + [{} for _ in range(T - 1)],
+            observations=np.where(np.arange(2 * T).reshape(T, 2) == 0, 1.0, np.nan),
         )
 
     def test_cumulative_is_running_sum(self):
@@ -239,14 +239,27 @@ class TestTraceArtifacts:
         assert lines[1] == "1,1.0,NA"
         assert lines[2] == "2,NA,NA"
 
-    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         class Unprintable:
             def __str__(self):
                 raise RuntimeError("cannot format")
 
         tr = self._trace()
         tr.extras["bad"] = [1.0, 2.0, Unprintable(), 4.0, 5.0, 6.0]
-        tr.observations[2] = {0: Unprintable()}
+        # a float matrix holds no unprintable value, so the dataset's
+        # formatter fails on row 3's cell instead; 2-row chunks written a
+        # row at a time put rows 1 and 2 of each file on disk first
+        tr.observations[2, 0] = 7.25
+        fmt_column = envs._fmt_column
+
+        def failing(col):
+            if 7.25 in col:
+                raise RuntimeError("cannot format")
+            return fmt_column(col)
+
+        monkeypatch.setattr(envs, "_fmt_column", failing)
+        monkeypatch.setattr(envs, "_WRITE_CHUNK", 2)
+        monkeypatch.setattr(envs, "_WRITE_ROWS", 1)
         kept = tmp_path / "kept.csv"
         kept.write_text("old\n")
         for write, path in (
@@ -315,8 +328,8 @@ def aggregate_csv_reference(traces):
 def dataset_csv_reference(trace, d):
     """The row-by-row dataset writer the column-wise one replaced."""
     out = ",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n"
-    for t, obs in enumerate(trace.observations):
-        cells = [_fmt_reference(obs[i]) if i in obs else "NA" for i in range(d)]
+    for t, obs in enumerate(trace.observations.tolist()):
+        cells = ["NA" if math.isnan(obs[i]) else _fmt_reference(obs[i]) for i in range(d)]
         out += ",".join([str(t + 1)] + cells) + "\n"
     return out
 
@@ -324,7 +337,7 @@ def dataset_csv_reference(trace, d):
 class TestColumnWriters:
     EDGE = [-0.0, 5e-324, 1e308, 0.1, -2.5e-17, 1.0 / 3.0, 0.0]
     GAPS = [0.0, 5e-324, 0.1, -2.5e-17, 1.0 / 3.0]  # keep cumulative regret finite
-    OBSERVED = [0.1, np.float64(-0.0), 5e-324, 2, np.float64(1.0 / 3.0)]
+    OBSERVED = [0.1, -0.0, 5e-324, 2.0, 1.0 / 3.0]
 
     def _trace(self, T, seed=0):
         rng = np.random.default_rng(seed)
@@ -347,10 +360,10 @@ class TestColumnWriters:
                 "flags": np.arange(T) % 3 == 0,
                 "counts": np.arange(T, dtype=np.int32),
             },
-            observations=[  # three tests, each observed on some episodes
-                {i: self.OBSERVED[(t + i) % 5] for i in range(3) if (t >> i) & 1 == 0}
+            observations=np.array([  # three tests, each observed on some episodes
+                [self.OBSERVED[(t + i) % 5] if (t >> i) & 1 == 0 else np.nan for i in range(3)]
                 for t in range(T)
-            ],
+            ]).reshape(T, 3),
         )
 
     @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 9])

@@ -29,6 +29,7 @@ from seqtest.models import (
     sample,
     save_instance,
 )
+from seqtest.generators import gen_gaussian_lowrank
 from conftest import random_gaussian_model
 
 
@@ -304,6 +305,17 @@ class TestSampling:
         a = sample(model, np.random.Generator(np.random.Philox(key=5)), 64)
         b = sample(model, np.random.Generator(np.random.Philox(key=5)), 64)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_gaussian_rows_do_not_depend_on_batch_size(self, d):
+        # the first m of n draws are the m draws of the same stream, bit for
+        # bit; a BLAS matmul's rows depend on the batch shape (on these
+        # models, its single row differs from the first of many)
+        model = gen_gaussian_lowrank(d=d, seed=0).model
+        many = sample(model, np.random.Generator(np.random.Philox(key=0)), 4096)
+        for m in (1, 2, 3, 16, 1000):
+            few = sample(model, np.random.Generator(np.random.Philox(key=0)), m)
+            assert many[:m].tobytes() == few.tobytes()
 
 
 class TestModelValidation:
