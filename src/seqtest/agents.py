@@ -50,6 +50,7 @@ from .models import (
     ParameterError,
     ProblemInstance,
     RewardSpec,
+    SINGULARITY_CONDITION_CAP,
 )
 
 
@@ -239,11 +240,15 @@ def _estimate_gaussian(draws: np.ndarray, assume_zero_mean: bool) -> GaussianEst
     )
 
 
-def _is_pd(matrix: np.ndarray) -> bool:
+def _well_conditioned(matrix: np.ndarray) -> bool:
+    """Positive definite with a condition number within the cap Gaussian
+    conditioning enforces, so an estimate that is singular up to rounding
+    (smallest eigenvalue a few ulps above 0) is refused too."""
     try:
-        return float(np.linalg.eigvalsh(matrix)[0]) > 0.0
+        eigenvalues = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError:
         return False
+    return eigenvalues[0] > 0.0 and eigenvalues[-1] <= SINGULARITY_CONDITION_CAP * eigenvalues[0]
 
 
 def run_etc_gaussian(
@@ -253,9 +258,10 @@ def run_etc_gaussian(
 ) -> EtcRunResult:
     """Gaussian ETC with the plug-in mean/second-moment estimator.
 
-    If the estimated covariance is not positive definite at commit time,
-    exploration is extended episode by episode up to 2N; past that the run
-    records an estimation failure and tests everything for the remainder.
+    If the estimated covariance is not positive definite at commit time, or
+    its condition number exceeds ``SINGULARITY_CONDITION_CAP``, exploration
+    is extended episode by episode up to 2N; past that the run records an
+    estimation failure and tests everything for the remainder.
     """
     instance = env.instance
     T = config.horizon
@@ -268,7 +274,7 @@ def run_etc_gaussian(
     n_explore = n0
     while True:
         candidate = _estimate_gaussian(xs[:n_explore], config.assume_zero_mean)
-        if _is_pd(candidate.covariance):
+        if _well_conditioned(candidate.covariance):
             estimate = candidate
             break
         if n_explore >= min(2 * n0, T):

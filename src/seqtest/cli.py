@@ -148,7 +148,7 @@ def _cmd_solve(args) -> int:
     state_cap = budget.pop("state_cap", DEFAULT_STATE_CAP)
     if instance.reward.kind == "entropy":
         cov, lam, costs = instance.model.covariance, instance.reward.lam, instance.costs
-        subset = solve_mesp_offline(cov, lam, costs)
+        subset = solve_mesp_offline(cov, lam, costs, state_cap=state_cap)
         out = {"value": entropy_objective(subset, cov, lam, costs), "subset": list(subset)}
     else:
         if instance.is_discrete:

@@ -17,13 +17,15 @@ subsets (realized entropy is not observable episode by episode); the agent
 prices them with the batched kernel of its plug-in objectives, and
 ``solve_mesp_offline`` stays the scalar, independent reference.
 
-The candidates' derived state (Q, the size groups that batch each episode's
-plug-in objectives into one Cholesky per size, and the selection order) comes
-from one refresh of their 0/1 membership matrix, rerun after every
-elimination. A candidate's cost is added one index at a time in ascending
-order, as ``entropy_objective`` adds it: the objectives are compared against
-an elimination threshold, so a matmul or pairwise ``np.sum``, which can round
-the last bit differently, could change which candidates survive.
+The candidates' derived state (the pair cover that gives Q, the size groups
+that batch each episode's plug-in objectives into one Cholesky per size, and
+the selection order) is built once from their 0/1 membership matrix. Each
+elimination then filters it with its keep mask: surviving rows keep their
+order, and the dropped rows' pair counts are subtracted from the cover. A
+candidate's cost is added one index at a time in ascending order, as
+``entropy_objective`` adds it: the objectives are compared against an
+elimination threshold, so a matmul or pairwise ``np.sum``, which can round the
+last bit differently, could change which candidates survive.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp import _bits
+from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits
 from .envs import GaussianEnvironment, RegretTrace, subset_label
 from .models import InstanceError, ParameterError
 
@@ -44,10 +46,20 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 # largest d whose 2^d subsets are enumerated (candidates, offline search)
 MAX_POWER_SET_D = 20
 
+# entries of Sigma gathered for one batched Cholesky call: each size group up
+# to d=16 takes one call, and a d=20 group's temporaries stay near 8 MB each
+_GATHER_ENTRIES = 1 << 20
 
-def _check_power_set(d: int) -> None:
+
+def _check_power_set(d: int, state_cap: int = DEFAULT_STATE_CAP) -> None:
+    """Refuse, before anything is allocated, to enumerate the power set of [d]
+    past d <= MAX_POWER_SET_D or past ``state_cap`` subsets."""
     if d > MAX_POWER_SET_D:
         raise ValueError(f"the power set of [d] is capped at d <= {MAX_POWER_SET_D}, got d={d}")
+    if 1 << d > state_cap:
+        raise StateSpaceError(
+            f"state cap: the power set of [{d}] has {1 << d} subsets, more than {state_cap}"
+        )
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -62,7 +74,8 @@ class NotPositiveDefiniteError(ValueError):
 class OcmespConfig:
     """Inputs of the elimination agent: the condition-number bound sigma, the
     dimension, the failure probability delta, the information weight lambda,
-    per-test costs, the Bernstein constant, and the horizon."""
+    per-test costs, the Bernstein constant, the horizon, and the budget on
+    the 2^d candidates."""
 
     sigma: float
     d: int
@@ -71,9 +84,10 @@ class OcmespConfig:
     costs: np.ndarray
     horizon: int
     bernstein_c: float
+    state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        _check_power_set(self.d)
+        _check_power_set(self.d, self.state_cap)
         if self.horizon < 1:
             raise ParameterError("horizon", "must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -125,11 +139,13 @@ def solve_mesp_offline(
     lam: float,
     costs,
     cardinality: Optional[int] = None,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple:
     """Exhaustive maximizer of the entropy objective over all subsets (or over
     the given-cardinality slice). Ties go to the lexicographically smallest
-    subset. Capped at d <= MAX_POWER_SET_D."""
+    subset. Capped at d <= MAX_POWER_SET_D and at 2^d <= ``state_cap``."""
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
+    _check_power_set(sigma_matrix.shape[0], state_cap)
     return _best_subset(
         (s, entropy_objective(s, sigma_matrix, lam, costs))
         for s in _subsets(sigma_matrix.shape[0], cardinality)
@@ -138,8 +154,7 @@ def solve_mesp_offline(
 
 def _subsets(d: int, cardinality: Optional[int] = None):
     """Index tuples of every subset of [d] (or of the given-cardinality slice)
-    by size, then lexicographically. Capped at d <= MAX_POWER_SET_D."""
-    _check_power_set(d)
+    by size, then lexicographically."""
     for m in range(d + 1):
         if cardinality is None or m == cardinality:
             yield from itertools.combinations(range(d), m)
@@ -160,14 +175,26 @@ def _best_subset(objectives) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _members(masks: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d) 0/1 membership matrix of subset bitmasks."""
+    return (masks[:, None] >> np.arange(d)) & 1
+
+
+def _pair_cover(members: np.ndarray) -> np.ndarray:
+    """How many rows contain each pair (i, j), as float64 (a BLAS matmul;
+    the counts, at most 2^MAX_POWER_SET_D, are exact)."""
+    members = members.astype(float)
+    return members.T @ members
+
+
 @dataclass
 class CandidateSet:
     """Active candidates, the pairs they still need, and pairwise estimates.
 
     ``pair_counts``/``pair_sums`` hold |T_ij| and the running sums of x_i x_j
     for every pair (diagonals included); both stay symmetric. ``pairs`` is Q.
-    ``refresh_pairs`` derives Q, the size groups and the selection order from
-    the surviving candidates after every elimination.
+    ``refresh_pairs`` builds Q, the size groups and the selection order from
+    ``candidates`` once; ``retain`` then filters them after each elimination.
     """
 
     d: int
@@ -191,26 +218,58 @@ class CandidateSet:
         return state
 
     def refresh_pairs(self) -> None:
-        masks = np.array(self.candidates, dtype=np.int64)
-        members = (masks[:, None] >> np.arange(self.d)) & 1  # (n, d) 0/1
-        self._need = members.T @ members > 0
-        # row-major nonzeros of the upper triangle are in lexicographic order
-        rows, cols = self._pair_index = np.nonzero(np.triu(self._need))
-        self.pairs = list(zip(rows.tolist(), cols.tolist()))
+        """Build the derived state from ``candidates``."""
+        masks = self._masks = np.array(self.candidates, dtype=np.int64)
+        members = _members(masks, self.d)
+        self._cover = _pair_cover(members)
+        self._refresh_need()
         # candidates grouped by size, each row holding its member indices in
         # ascending order, so each episode's plug-in objectives batch into one
-        # Cholesky per size
+        # Cholesky per size; ``flat`` indexes each (m, m) block in the raveled
+        # (d, d) matrix. d <= MAX_POWER_SET_D lets both be uint16.
         sizes = members.sum(axis=1)
         self._groups = []
         for m in np.unique(sizes).tolist():
             positions = np.flatnonzero(sizes == m)
-            idx = np.nonzero(members[positions])[1].reshape(len(positions), m)
-            self._groups.append((m, positions, idx))
+            idx = np.nonzero(members[positions])[1].reshape(len(positions), m).astype(np.uint16)
+            flat = idx[:, :, None] * self.d + idx[:, None, :]
+            self._groups.append((m, positions, idx, flat))
         # candidates ordered by (size desc, lexicographic), so the selection
         # rule's argmax is the first hit; among equal sizes the lexicographically
         # smaller index tuple has the larger bit-reversed mask
         reversed_masks = members @ (1 << np.arange(self.d - 1, -1, -1))
-        self._ordered = masks[np.lexsort((-reversed_masks, -sizes))]
+        self._order = np.lexsort((-reversed_masks, -sizes))
+        self._ordered = masks[self._order]
+
+    def _refresh_need(self) -> None:
+        self._need = self._cover > 0
+        # row-major nonzeros of the upper triangle are in lexicographic order
+        rows, cols = self._pair_index = np.nonzero(np.triu(self._need))
+        self.pairs = list(zip(rows.tolist(), cols.tolist()))
+
+    def retain(self, keep: np.ndarray) -> None:
+        """Keep the candidates where ``keep`` is True and filter the derived
+        state to them, as ``refresh_pairs`` on the survivors would build it:
+        rows keep their relative order, so sizes, index rows and the stable
+        selection order carry over."""
+        dropped = self._masks[~keep]
+        if not len(dropped):
+            return
+        self._cover -= _pair_cover(_members(dropped, self.d))
+        self._refresh_need()
+        position = np.cumsum(keep) - 1  # a survivor's new position
+        groups = []
+        for m, positions, idx, flat in self._groups:
+            kept = keep[positions]
+            if kept.any():
+                groups.append((m, position[positions[kept]], idx[kept], flat[kept]))
+        self._groups = groups
+        kept = keep[self._order]
+        self._order = position[self._order[kept]]
+        self._ordered = self._ordered[kept]
+        self._masks = self._masks[keep]
+        self.candidates = self._masks.tolist()
+        self.eliminated_total += len(dropped)
 
     def sigma_hat(self) -> np.ndarray:
         return self.pair_sums / np.maximum(self.pair_counts, 1)
@@ -262,19 +321,26 @@ def _objectives(state: CandidateSet, sigma: np.ndarray, lam: float, costs) -> Op
     """``entropy_objective`` of every candidate under ``sigma``, bitwise, by
     candidate position; None when some block is not positive definite."""
     costs = np.asarray(costs, dtype=float)
+    sigma = np.ravel(sigma)
     values = np.empty(len(state.candidates))
-    for m, positions, idx in state._groups:
+    for m, positions, idx, flat in state._groups:
         cost = np.zeros(len(positions))
         for k in range(m):  # ascending index order; see the module docstring
             cost = cost + costs[idx[:, k]]
         entropy = 0.0
         if m:
-            blocks = sigma[idx[:, :, None], idx[:, None, :]]  # (n, m, m)
-            try:
-                chol = np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError:
-                return None
-            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            logdet = np.empty(len(positions))
+            step = max(1, _GATHER_ENTRIES // (m * m))
+            for lo in range(0, len(positions), step):
+                # np.take with an intp index gathers several times faster
+                # than two broadcast index arrays; ``flat`` is stored small
+                blocks = np.take(sigma, flat[lo:lo + step].astype(np.intp))  # (n, m, m)
+                try:
+                    chol = np.linalg.cholesky(blocks)
+                except np.linalg.LinAlgError:
+                    return None
+                diagonal = np.diagonal(chol, axis1=1, axis2=2)
+                logdet[lo:lo + step] = 2.0 * np.log(diagonal).sum(axis=1)
             entropy = lam * (0.5 * m * LOG_2PI_E + 0.5 * logdet)
         values[positions] = entropy - cost
     return values
@@ -293,13 +359,7 @@ def eliminate(state: CandidateSet, t: int, config: OcmespConfig) -> CandidateSet
         return state
     # eliminate S when H_hat(S) + 2*lam*U <= max_S' H_hat(S')
     threshold = float(values.max()) - 2.0 * config.lam * width
-    keep = values > threshold
-    survivors = [mask for mask, k in zip(state.candidates, keep) if k]
-    dropped = len(state.candidates) - len(survivors)
-    if dropped:
-        state.candidates = survivors
-        state.eliminated_total += dropped
-        state.refresh_pairs()
+    state.retain(values > threshold)
     return state
 
 
@@ -325,7 +385,8 @@ def run_ocmesp(
     if true_obj is None:
         raise InstanceError("a principal block of the covariance is not positive definite")
     optimal_subset = _best_subset(
-        (tuple(_bits(mask)), v) for mask, v in enumerate(true_obj.tolist())
+        (tuple(_bits(mask)), true_obj[mask])
+        for mask in np.flatnonzero(true_obj == true_obj.max()).tolist()
     )
     optimal_value = entropy_objective(optimal_subset, true_sigma, config.lam, config.costs)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -142,7 +141,7 @@ def _agent_config(config: ExperimentConfig):
         return OcmespConfig(
             sigma=params["sigma_hint"], d=instance.d, delta=params["delta"],
             lam=instance.reward.lam, costs=instance.costs, horizon=config.horizon,
-            bernstein_c=params["bernstein_c"],
+            bernstein_c=params["bernstein_c"], state_cap=params["state_cap"],
         )
     etc_config = EtcConfig(
         horizon=config.horizon, support_size_hint=params.get("support_hint"),
@@ -205,6 +204,9 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """
     payloads = [(config, seed) for seed in config.seeds]
     if config.jobs > 1:
+        # imported here: loading the pool machinery costs a serial run 20-40 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-started pool launches every worker up front
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(config.seeds))) as pool:
             results = list(pool.map(_worker, payloads))

@@ -278,6 +278,20 @@ class TestEtcGaussian:
         net = full_information_rollouts(inst, xs[n:])[3]
         assert n < 20 and np.array_equal(res.trace.realized_reward[n:], net)
 
+    def test_rank_one_estimate_is_refused(self):
+        # at override_n=1 the centered estimate of the d=2 instance has rank
+        # one through 2N = 2 episodes; rounding leaves its smallest eigenvalue
+        # a few ulps above 0 on most seeds, which must not pass as definite
+        inst = gen_gaussian_quadratic(d=2)
+        cfg = EtcConfig(
+            horizon=64, condition_number=float(inst.model.condition_number), override_n=1
+        )
+        for seed in range(6):
+            res = run_etc_gaussian(GaussianEnvironment(inst, seed=seed), cfg)
+            assert res.trace.metadata["n_explore"] == 2
+            assert res.trace.metadata["estimation_failure"]
+            assert res.policy is None and res.empirical is None
+
     def test_centered_estimator_used_for_nonzero_mean(self):
         inst = gaussian_1d_instance(mean=5.0)
         env = GaussianEnvironment(inst, seed=1)

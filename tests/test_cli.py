@@ -198,6 +198,19 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert "subset" in out
 
+    def test_entropy_state_cap_boundary(self, tmp_path, capsys):
+        # the offline search scores the 2^11 = 2048 subsets of a d=11 instance
+        inst_path = tmp_path / "g11.json"
+        run_cli("gen", "gaussian-lowrank", "--d", "11", "--seed", "0", "--cost", "2.0",
+                "--out", str(inst_path))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "2047") == 2
+        assert time.perf_counter() - start < 1.0
+        assert "state cap" in capsys.readouterr().err
+        assert run_cli("solve", "--instance", str(inst_path), "--state-cap", "2048") == 0
+        assert "subset" in json.loads(capsys.readouterr().out)
+
     def test_missing_instance_exit_2(self, tmp_path, capsys):
         assert run_cli("solve", "--instance", str(tmp_path / "none.json")) == 2
 
@@ -343,6 +356,20 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert "d <= 20" in capsys.readouterr().err
+
+    def test_ocmesp_state_cap_boundary(self, tmp_path, capsys):
+        # a d=11 instance starts from 2^11 = 2048 candidates
+        inst_path = tmp_path / "g11.json"
+        run_cli("gen", "gaussian-lowrank", "--d", "11", "--seed", "0", "--cost", "2.0",
+                "--out", str(inst_path))
+        argv = ["simulate", "--instance", str(inst_path), "--agent", "ocmesp",
+                "--horizon", "16", "--seeds", "0", "--jobs", "1"]
+        capsys.readouterr()
+        assert run_cli(*argv, "--state-cap", "2047", "--out", str(tmp_path / "r2047")) == 2
+        assert "state cap" in capsys.readouterr().err
+        assert not (tmp_path / "r2047").exists()
+        assert run_cli(*argv, "--state-cap", "2048", "--out", str(tmp_path / "r2048")) == 0
+        assert (tmp_path / "r2048" / "trace_seed0.csv").stat().st_size > 0
 
 
 # gen argv of the instances the refusal table runs on

@@ -609,6 +609,76 @@ class TestCandidateSetMatchesListOracle:
             select_next_subset(state)
 
 
+class TestFilteredStateMatchesFreshBuild:
+    """``retain`` filters the derived state that ``refresh_pairs`` built; after
+    every keep mask it must equal a fresh build on the survivors, bitwise."""
+
+    def test_keep_mask_chains(self, rng):
+        kinds = {"emptied-group": 0, "one-left": 0}
+        for d in range(1, 11):
+            for kind in TestCandidateSetMatchesListOracle.KINDS:
+                for _ in range(3):
+                    self._check_chain(rng, d, _random_candidates(rng, d, kind), kinds)
+        assert kinds["emptied-group"] > 0 and kinds["one-left"] > 0
+
+    def _check_chain(self, rng, d, candidates, kinds):
+        a = rng.standard_normal((d, d))
+        sigma = a @ a.T + 0.5 * np.eye(d)
+        costs = rng.choice(ORDER_SENSITIVE_COSTS, d)
+        state = self._built(d, candidates)
+        while len(state.candidates) > 1:
+            keep = self._keep_mask(rng, state)
+            sizes_before = {g[0] for g in state._groups}
+            before = state.eliminated_total
+            state.retain(keep)
+            assert state.eliminated_total - before == len(keep) - int(keep.sum())
+            kinds["emptied-group"] += len(state._groups) < len(sizes_before)
+            kinds["one-left"] += len(state.candidates) == 1
+            fresh = self._built(d, state.candidates)
+            assert state.candidates == fresh.candidates
+            assert state.pairs == fresh.pairs
+            assert state._cover.tobytes() == fresh._cover.tobytes()
+            for name in ("_need", "_ordered", "_order"):
+                self._assert_same_array(getattr(state, name), getattr(fresh, name))
+            assert [g[0] for g in state._groups] == [g[0] for g in fresh._groups]
+            for got, want in zip(state._groups, fresh._groups):
+                for x, y in zip(got[1:], want[1:]):  # positions, index rows, flat index
+                    self._assert_same_array(x, y)
+            assert _same_objectives(
+                _objectives(state, sigma, 1.3, costs), _objectives(fresh, sigma, 1.3, costs)
+            )
+
+    @staticmethod
+    def _built(d, candidates):
+        state = CandidateSet(d=d, candidates=list(candidates),
+                             pair_counts=np.zeros((d, d), dtype=np.int64),
+                             pair_sums=np.zeros((d, d)))
+        state.refresh_pairs()
+        return state
+
+    @staticmethod
+    def _keep_mask(rng, state):
+        n = len(state.candidates)
+        kind = rng.integers(4)
+        if kind == 0:  # drop one size group whole
+            sizes = np.array([bin(m).count("1") for m in state.candidates])
+            keep = sizes != rng.choice(np.unique(sizes))
+        elif kind == 1:  # leave one candidate
+            keep = np.arange(n) == rng.integers(n)
+        elif kind == 2:  # drop nothing
+            keep = np.ones(n, dtype=bool)
+        else:
+            keep = rng.random(n) < rng.uniform(0.3, 0.95)
+        if not keep.any():
+            keep[rng.integers(n)] = True
+        return keep
+
+    @staticmethod
+    def _assert_same_array(x, y):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
 class TestTrueObjectives:
     """The agent prices its regret reference with the batched kernel its
     plug-in objectives use; ``entropy_objective`` and ``solve_mesp_offline``

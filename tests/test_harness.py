@@ -1,6 +1,7 @@
 """Environments, regret accounting, generators, the policy oracle, and the
 replication runner."""
 
+import concurrent.futures
 import math
 from pathlib import Path
 
@@ -567,7 +568,7 @@ class TestRunReplications:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         assert run_replications(self._config(tmp_path / "run", jobs=8, seeds=(0, 1))).ok
         assert run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).ok
         assert sizes == [2, 2]

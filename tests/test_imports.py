@@ -40,3 +40,19 @@ def test_package_and_cli_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "trace_seed0.csv").stat().st_size > 0
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a run with jobs > 1 uses the pool; gen, solve, report and serial
+    # simulate calls should not pay for loading it
+    src = os.path.dirname(os.path.dirname(seqtest.__file__))
+    code = "import sys, seqtest.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
