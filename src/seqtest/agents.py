@@ -32,6 +32,7 @@ import numpy as np
 from .dp import (
     DEFAULT_STATE_CAP,
     QuadratureSpec,
+    check_state_cap,
     full_information_rollouts,
     rollout_net_rewards,
     solve_dp_discrete,
@@ -73,10 +74,11 @@ class EtcConfig:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        for name in ("horizon", "support_size_hint", "condition_number", "override_n", "state_cap"):
+        for name in ("horizon", "support_size_hint", "condition_number", "override_n"):
             value = getattr(self, name)
             if value is not None and not value >= 1:
                 raise ParameterError(name, f"must be >= 1, got {value}")
+        check_state_cap(self.state_cap)
 
 
 def _int_cbrt(x: int) -> int:

@@ -16,6 +16,7 @@ from . import generators
 from .dp import (
     DEFAULT_STATE_CAP,
     QuadratureSpec,
+    check_state_cap,
     policy_records,
     solve_dp_discrete,
     solve_dp_gaussian,
@@ -143,9 +144,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
     budget = _given(args, "instance", "dump_policy")
     state_cap = budget.pop("state_cap", DEFAULT_STATE_CAP)
+    check_state_cap(state_cap)
+    instance = load_instance(args.instance)
     if instance.reward.kind == "entropy":
         cov, lam, costs = instance.model.covariance, instance.reward.lam, instance.costs
         subset = solve_mesp_offline(cov, lam, costs, state_cap=state_cap)

@@ -7,9 +7,12 @@ each test takes on all of S (or none), packed as a mixed-radix integer; S is
 the AND of its determined tests' value masks, so the key is exact. Tests that
 S already determines are dominated (nonnegative cost, no information) and
 never enter the action max. A solve has two parts. The state graph depends
-on the support alone: states discovered level by level from the root as
-arrays of member lists, their codes, per-test child tables, and the state and
-test each was first reached from. The value pass depends on the pmf: each
+on the support alone: states discovered level by level from the root, their
+codes, per-test child tables, and the state and test each was first reached
+from. Each support point packs its value slots into presence words, one bit
+per test; a state's presence, the OR of its members' words, gives its
+closure and its edges (the slots its undetermined tests can take), so only
+a newly found state gets a member list. The value pass depends on the pmf: each
 level's masses and best immediate decisions, computed on its member lists,
 then array passes over the states, children first. Masses add p_k one at a
 time in ascending k (``m += p_k``), the order independent implementations
@@ -73,6 +76,13 @@ Action = Tuple[str, int]
 # default solve budget: canonical states of a discrete solve, or nodes of a
 # Gaussian scenario tree (QuadratureSpec holds the default quadrature)
 DEFAULT_STATE_CAP = 10**7
+
+
+def check_state_cap(state_cap: int) -> None:
+    """Refuse a state cap below 1 as out of domain (no solve fits in it),
+    before a run or a ``solve`` does any work."""
+    if not state_cap >= 1:
+        raise ParameterError("state_cap", f"must be >= 1, got {state_cap}")
 
 
 class StateSpaceError(RuntimeError):
@@ -267,38 +277,69 @@ class _Closures:
     that all its members share, or 0; it is packed as the mixed-radix code
     sum_i slot_i prod_{j<i} (n_j + 1), in int64 when every code fits and as
     exact Python ints (dtype=object) otherwise. A reachable set is the AND of
-    its determined tests' value masks, so sets and codes correspond 1:1."""
+    its determined tests' value masks, so sets and codes correspond 1:1.
+
+    A set's presence is the OR of its members' rows of uint64 ``words``, in
+    which a point sets bit ``offsets[i] + slot - 1`` for its slot on each
+    test i. Test i is determined when its field of n_i bits holds one bit."""
 
     def __init__(self, support: np.ndarray):
-        self.values, self.slots, self.radix, total = [], [], [], 1
+        self.values, slots, radix, total = [], [], [], 1
         for col in support.T:
             values, inverse = np.unique(col, return_inverse=True)
             self.values.append(values)
-            self.slots.append((inverse + 1).astype(np.min_scalar_type(len(values))))
-            self.radix.append(total)
+            slots.append(inverse + 1)
+            radix.append(total)
             total *= len(values) + 1
         self.dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+        sizes, d = [len(v) for v in self.values], len(self.values)
+        self.radix, self.sizes = np.array(radix, dtype=self.dtype), np.array(sizes)
+        self.slots = np.array(slots, dtype=np.min_scalar_type(max(sizes)))  # test x point
+        self.offsets, self.width = np.cumsum([0] + sizes[:-1]), sum(sizes)
+        # the test of each presence bit, its slot, and the step it adds to a code
+        self.bit_test = np.repeat(np.arange(d, dtype=np.min_scalar_type(d)), sizes)
+        self.bit_slot = np.concatenate([np.arange(1, n + 1, dtype=self.slots.dtype) for n in sizes])
+        self.bit_step = self.bit_slot.astype(self.dtype) * self.radix[self.bit_test]
+        bit = self.offsets[:, None] + self.slots - 1
+        self.words = np.zeros((support.shape[0], -(-self.width // 64)), dtype="<u8")
+        points = np.broadcast_to(np.arange(support.shape[0]), bit.shape)
+        one = np.uint64(1) << (bit % 64).astype(np.uint64)
+        np.bitwise_or.at(self.words, (points, bit // 64), one)
 
-    def slot(self, codes: np.ndarray, i: int) -> np.ndarray:
-        """Test i's slot in each code (0: undetermined)."""
-        return ((codes // self.radix[i]) % (len(self.values[i]) + 1)).astype(np.int64)
+    def slot(self, codes: np.ndarray, i) -> np.ndarray:
+        """Test i's slot in each code (0: undetermined); i may be an array."""
+        return ((codes // self.radix[i]) % (self.sizes[i] + 1)).astype(np.int64)
 
-    def of(self, ptr: np.ndarray, mem: np.ndarray):
-        """(code, number of determined tests) of each CSR member list."""
-        codes = np.zeros(len(ptr) - 1, dtype=self.dtype)
-        ndet = np.zeros(len(ptr) - 1, dtype=np.int32)
-        for slots, radix in zip(self.slots, self.radix):
-            s = slots[mem]
-            lo = np.minimum.reduceat(s, ptr[:-1])
-            det = lo == np.maximum.reduceat(s, ptr[:-1])
-            codes += (lo * det).astype(self.dtype) * radix
-            ndet += det
-        return codes, ndet
+    def presence(self, ptr: np.ndarray, mem: np.ndarray) -> np.ndarray:
+        """The presence of each (nonempty) CSR member list, ORed in chunks."""
+        out = np.empty((len(ptr) - 1, self.words.shape[1]), dtype=self.words.dtype)
+        for part in _chunks(np.diff(ptr)):
+            a, b = ptr[part[0]], ptr[part[-1] + 1]
+            out[part] = np.bitwise_or.reduceat(self.words[mem[a:b]], ptr[part] - a, axis=0)
+        return out
+
+    def fields(self, presence: np.ndarray):
+        """Presence rows unpacked to one uint8 per bit, and the bits set in each test's field."""
+        bits = np.unpackbits(presence.view(np.uint8), axis=1, count=self.width, bitorder="little")
+        return bits, np.add.reduceat(bits, self.offsets, axis=1, dtype=np.int32)
+
+    def of(self, presence: np.ndarray):
+        """(code, number of determined tests) of each presence row, in chunks
+        of about _MEMBER_CHUNK / 8 bits."""
+        codes, ndet, step = [], [], max(1, _MEMBER_CHUNK // (8 * self.width))
+        for a in range(0, len(presence), step):
+            bits, count = self.fields(presence[a : a + step])
+            det = count == 1  # a determined field's one bit is its slot
+            slot = np.add.reduceat(bits * self.bit_slot, self.offsets, axis=1, dtype=np.int32)
+            slot *= det
+            codes.append(slot @ self.radix)
+            ndet.append(det.sum(axis=1, dtype=np.int32))
+        return np.concatenate(codes), np.concatenate(ndet)
 
     def keys(self, codes: np.ndarray) -> list:
         """Bitmask over support indices of each code's set: the AND of its
         determined tests' value masks (slot 0 masks nothing)."""
-        masks = [[(1 << len(self.slots[0])) - 1] + [0] * len(v) for v in self.values]
+        masks = [[(1 << self.slots.shape[1]) - 1] + [0] * len(v) for v in self.values]
         for per_slot, slots in zip(masks, self.slots):
             for k, s in enumerate(slots.tolist()):
                 per_slot[s] |= 1 << k
@@ -306,8 +347,9 @@ class _Closures:
         return [functools.reduce(operator.and_, map(list.__getitem__, masks, row)) for row in rows]
 
 
-# Most members of undetermined parents that a discrete solve groups at once;
-# larger sets of parents are split, which bounds the solve's scratch memory.
+# Most members a discrete solve handles at once (a presence bit scanned for
+# edges weighs 8, for its int64 scratch); larger sets of lists are split,
+# which bounds the solve's scratch memory.
 _MEMBER_CHUNK = 1 << 18
 
 
@@ -328,6 +370,25 @@ def _chunks(lens: np.ndarray) -> list:
     """Consecutive runs of the lists of lengths ``lens``, about _MEMBER_CHUNK members each."""
     chunk = (np.cumsum(lens) - lens) // _MEMBER_CHUNK
     return np.split(np.arange(len(lens)), np.flatnonzero(np.diff(chunk)) + 1)
+
+
+def _narrow(ptr, mem, parent, test, slot, slots):
+    """CSR lists, one per (parent, test, slot): the members of list
+    ``parent`` of (ptr, mem) that take ``slot`` on ``test`` (``slots`` is
+    test x point), in ascending order, gathered in chunks."""
+    flat, K = slots.reshape(-1), slots.shape[1]
+    lens, mems = [], []
+    for part in _chunks(np.diff(ptr)[parent]):
+        gptr, gmem = _gather(ptr, mem, parent[part])
+        glens = np.diff(gptr)
+        at = np.repeat(test[part].astype(np.intp) * K, glens)
+        at += gmem
+        keep = flat[at] == np.repeat(slot[part], glens)
+        lens.append(np.add.reduceat(keep, gptr[:-1], dtype=np.int64))
+        mems.append(gmem[keep])
+    out = np.zeros(len(parent) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lens), out=out[1:])
+    return out, np.concatenate(mems)
 
 
 def _lookup(known: tuple, codes: np.ndarray) -> np.ndarray:
@@ -364,28 +425,13 @@ class _StateGraph:
         :func:`_discover` does, rebuilding a level's lists from the previous
         level's: a state's members are its parent's members that take the
         state's slot on the test that reached it."""
-        K = len(self.closures.slots[0])
+        K = self.closures.slots.shape[1]
         ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
         visit(ptr, mem)
-        slots = np.concatenate(self.closures.slots)  # test i's slot of point k at i * K + k
         for prev, a, b in zip(self.levels, self.levels[1:-1], self.levels[2:]):
-            parent, test = self.parent[a:b] - prev, self.test[a:b]
-            own = np.empty(b - a, dtype=slots.dtype)  # each state's slot on its test
-            for i in np.unique(test).tolist():
-                at = np.flatnonzero(test == i)
-                own[at] = self.closures.slot(self.codes[a + at], i)
-            lens, mems = [], []
-            for part in _chunks(np.diff(ptr)[parent]):
-                gptr, gmem = _gather(ptr, mem, parent[part])
-                glens = np.diff(gptr)
-                at = np.repeat(test[part].astype(np.intp) * K, glens)
-                at += gmem
-                keep = slots[at] == np.repeat(own[part], glens)
-                lens.append(np.add.reduceat(keep, gptr[:-1], dtype=np.int64))
-                mems.append(gmem[keep])
-            ptr = np.zeros(b - a + 1, dtype=np.int64)
-            np.cumsum(np.concatenate(lens), out=ptr[1:])
-            mem = np.concatenate(mems)
+            test = self.test[a:b]
+            own = self.closures.slot(self.codes[a:b], test)  # each state's slot on its test
+            ptr, mem = _narrow(ptr, mem, self.parent[a:b] - prev, test, own, self.closures.slots)
             visit(ptr, mem)
 
 
@@ -393,91 +439,95 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
     """The state graph of ``support``, discovered level by level from the
     root; ``visit(ptr, mem)`` is called on each level's CSR member lists
     (ascending support indices, one list per state in state order) before
-    the next level is found, and the lists are then freed.
-
-    A child's pre-key (its parent's code with the tested slot set) names its
-    set, so only children with an unknown pre-key get their closure
-    computed. ``known`` maps sorted codes and pre-keys to states. Child
-    tables are written per level, one block per test. Raises
-    :class:`StateSpaceError` as soon as more than ``state_cap`` states are
-    found."""
+    the next level is found, and the lists are then freed. A level's edges
+    are the set bits of its undetermined fields (see :class:`_Closures`); an
+    edge's pre-key (its parent's code plus the bit's step) names the child's
+    set, and ``known`` maps sorted codes and pre-keys to states. Only a
+    pre-key not in it gets a member list (its parent's members that take the
+    slot), whose presence gives the closure. Raises :class:`StateSpaceError`
+    as soon as more than ``state_cap`` states are found."""
     closures = _Closures(support)
     K, d = support.shape
-    radix = [len(v) + 1 for v in closures.values]
-    test_dtype = np.min_scalar_type(d)
+    width, bit_test = closures.width, closures.bit_test
     _check_cap(1, state_cap)
     ptr, mem = np.array([0, K]), np.arange(K, dtype=np.int32)
-    code, ndet = closures.of(ptr, mem)
+    presence = closures.presence(ptr, mem)
+    code, ndet = closures.of(presence)
     codes, ndets, blocks = [code], [ndet], [[] for _ in range(d)]
-    parents, tests = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=test_dtype)]
-    known = (code, np.zeros(1, dtype=np.int64))
+    parents, tests = [np.full(1, -1, dtype=np.int32)], [np.zeros(1, dtype=bit_test.dtype)]
+    known = (code, np.zeros(1, dtype=np.int32))
     n, levels = 1, [0]  # states so far; the first state of each level
+
+    def found(parent, bit, keys):
+        """States of the edges (parent, bit) of the sorted pre-keys ``keys``,
+        none in ``known``; new ones are numbered from n on."""
+        nonlocal known, n
+        test = bit_test[bit]
+        mptr, mmem = _narrow(ptr, mem, parent, test, closures.bit_slot[bit], closures.slots)
+        mpres = closures.presence(mptr, mmem)
+        ccode, cndet = closures.of(mpres)
+        cstate = _lookup(known, ccode)
+        fresh = np.flatnonzero(cstate < 0)
+        _, at, new = np.unique(ccode[fresh], return_index=True, return_inverse=True)
+        cstate[fresh] = new + n
+        rows = fresh[at]
+        if rows.size:
+            n += len(rows)
+            _check_cap(n, state_cap)
+            codes.append(ccode[rows])
+            ndets.append(cndet[rows])
+            parents.append((first + parent[rows]).astype(np.int32))
+            tests.append(test[rows])
+            level.append((_gather(mptr, mmem, rows), mpres[rows]))
+        alias = np.flatnonzero(ccode != keys)  # pre-keys that are not codes
+        add = np.concatenate([ccode[rows], keys[alias]])
+        add_states = np.concatenate([cstate[rows], cstate[alias]])
+        order = np.argsort(add, kind="stable")
+        at = np.searchsorted(known[0], add[order])
+        known = tuple(np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states)))
+        return cstate
+
     while True:
         visit(ptr, mem)
         first = levels[-1]
-        level = []  # member lists of the states found on this level
-        for i in range(d):
+        for i, block in enumerate(blocks):  # this level's child tables
             own = closures.slot(code, i)
-            block = np.full((len(code), radix[i] - 1), -1, dtype=np.int32)
-            blocks[i].append(block)
-            det, und = np.flatnonzero(own), np.flatnonzero(own == 0)
-            block[det, own[det] - 1] = first + det
-            if not und.size:
-                continue
-            # members of the undetermined parents, in chunks of about
-            # _MEMBER_CHUNK, grouped by their slot on test i, ascending
-            # support index within a group
-            for part in _chunks(ptr[und + 1] - ptr[und]):
-                part = und[part]
-                gptr, gmem = _gather(ptr, mem, part)
-                key = np.repeat(np.arange(len(part)) * radix[i], np.diff(gptr))
-                key += closures.slots[i][gmem]
-                by_key = np.argsort(key, kind="stable")
-                key, gmem = key[by_key], gmem[by_key]
-                starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-                parent, slot = part[key[starts] // radix[i]], key[starts] % radix[i]
-                pre = code[parent] + slot.astype(code.dtype) * closures.radix[i]
-                child = _lookup(known, pre)
-                miss = np.flatnonzero(child < 0)
-                if miss.size:
-                    mptr, mmem = _gather(np.r_[starts, len(gmem)], gmem, miss)
-                    ccode, cndet = closures.of(mptr, mmem)
-                    cstate = _lookup(known, ccode)
-                    fresh = np.flatnonzero(cstate < 0)
-                    _, at, inverse = np.unique(ccode[fresh], return_index=True, return_inverse=True)
-                    by_at = np.argsort(at)  # new states in order of discovery
-                    cstate[fresh] = np.argsort(by_at)[inverse] + n
-                    rows = fresh[at[by_at]]
-                    n += len(rows)
-                    _check_cap(n, state_cap)
-                    codes.append(ccode[rows])
-                    ndets.append(cndet[rows])
-                    parents.append((first + parent[miss[rows]]).astype(np.int32))
-                    tests.append(np.full(len(rows), i, dtype=test_dtype))
-                    level.append(_gather(mptr, mmem, rows))
-                    alias = np.flatnonzero(ccode != pre[miss])  # pre-keys that are not codes
-                    add = np.concatenate([ccode[rows], pre[miss][alias]])
-                    add_states = np.concatenate([cstate[rows], cstate[alias]])
-                    order = np.argsort(add, kind="stable")
-                    at = np.searchsorted(known[0], add[order])
-                    known = tuple(
-                        np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states))
-                    )
-                    child[miss] = cstate
-                block[parent, slot - 1] = child
+            det = np.flatnonzero(own)
+            block.append(np.full((len(code), closures.sizes[i]), -1, dtype=np.int32))
+            block[-1][det, own[det] - 1] = first + det
+        level = []  # (member lists, presence) of the states found on this level
+        for part in _chunks(np.diff(ptr) + 8 * width):  # see _MEMBER_CHUNK
+            bits, count = closures.fields(presence[part[0] : part[-1] + 1])
+            bits *= (count > 1)[:, bit_test]  # the bits of undetermined tests
+            rows = len(bits)
+            edge = np.flatnonzero(bits.T)  # bit * rows + row: by test, then parent
+            bits = count = None
+            pre = code[part[0] + edge % rows] + closures.bit_step[edge // rows]
+            keys, at, inverse = np.unique(pre, return_index=True, return_inverse=True)
+            pre = None
+            child = _lookup(known, keys)
+            miss = np.flatnonzero(child < 0)
+            if miss.size:
+                bit, parent = np.divmod(edge[at[miss]], rows)
+                child[miss] = found(part[0] + parent, bit, keys[miss])
+            child = child[inverse]
+            cut = np.searchsorted(edge, np.append(closures.offsets, width) * rows)
+            for i, (a, b) in enumerate(zip(cut, cut[1:])):  # test i's edges
+                bit, parent = np.divmod(edge[a:b], rows)
+                blocks[i][-1][part[0] + parent, bit - closures.offsets[i]] = child[a:b]
+        edge = keys = at = inverse = child = miss = bit = parent = None  # edge scratch
         if not level:
             break
         levels.append(first + len(code))
         code = np.concatenate(codes[-len(level):])
         ptr = np.zeros(len(code) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.diff(p) for p, _ in level]), out=ptr[1:])
-        mem = np.concatenate([m for _, m in level])
+        np.cumsum(np.concatenate([np.diff(p) for (p, _), _ in level]), out=ptr[1:])
+        mem = np.concatenate([m for (_, m), _ in level])
+        presence = np.concatenate([w for _, w in level])
+        level = None
     levels.append(n)
-    ptr = mem = known = level = None  # discovery scratch, freed before the tables are joined
-    child = []
-    for i in range(d):  # one test's blocks at a time
-        child.append(np.concatenate(blocks[i]))
-        blocks[i] = None
+    ptr = mem = presence = known = level = None  # scratch, freed before the tables are joined
+    child = [np.concatenate(blocks.pop(0)) for _ in range(d)]  # one test's blocks at a time
     return _StateGraph(
         closures, np.concatenate(codes), np.concatenate(ndets), child, levels,
         np.concatenate(parents), np.concatenate(tests),

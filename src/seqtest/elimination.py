@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits
+from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits, check_state_cap
 from .envs import GaussianEnvironment, RegretTrace, subset_label
 from .models import InstanceError, ParameterError
 
@@ -87,6 +87,7 @@ class OcmespConfig:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
+        check_state_cap(self.state_cap)
         _check_power_set(self.d, self.state_cap)
         if self.horizon < 1:
             raise ParameterError("horizon", "must be >= 1")

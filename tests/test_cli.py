@@ -471,6 +471,37 @@ class TestBuildTimeRefusal:
         assert {k: config.params[k] for k in params} == params
 
 
+# commands that take --state-cap besides the ETC agents' runs (whose config
+# refusal is in REFUSED): name -> (instance, argv after it)
+CAP_COMMANDS = {
+    "solve-discrete": ("pareto3", ["solve"]),
+    "solve-entropy": ("lowrank4", ["solve"]),
+    "solve-gaussian": ("quad2", ["solve"]),
+    "simulate-ocmesp": ("lowrank4", ["simulate", "--agent", "ocmesp", "--horizon", "16",
+                                     "--seeds", "0", "--jobs", "1"]),
+}
+
+
+class TestStateCapBelowOne:
+    @pytest.mark.parametrize("command", list(CAP_COMMANDS))
+    def test_refused_as_out_of_domain(self, tmp_path, capsys, monkeypatch, instance_files, command):
+        # one message and exit code on every path, before any solve starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        for name in ("solve_dp_discrete", "solve_dp_gaussian", "solve_mesp_offline"):
+            monkeypatch.setattr(cli, name, refuse)
+        instance, argv = CAP_COMMANDS[command]
+        out = ["--out", str(tmp_path / "r")] if argv[0] == "simulate" else []
+        for cap in ("0", "-5"):
+            capsys.readouterr()
+            code = run_cli(argv[0], "--instance", str(instance_files / f"{instance}.json"),
+                           *argv[1:], "--state-cap", cap, *out)
+            assert code == 2
+            assert capsys.readouterr().err == f"error: --state-cap must be >= 1, got {cap}\n"
+            assert not (tmp_path / "r").exists()
+
+
 class TestReport:
     def test_report_prints_ratio(self, tmp_path, capsys):
         inst_path = tmp_path / "s.json"

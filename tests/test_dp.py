@@ -608,6 +608,120 @@ class TestStateGraphReuse:
         assert all(k < 256 for k in supports[1:])
 
 
+def wide_instance(seed, n_values, k=96):
+    """k distinct support points whose column i repeats values drawn from
+    n_values[i] (a table reward): more than 64 value slots in all, so a
+    presence spans several 64-bit words and fields cross word boundaries."""
+    rng = np.random.default_rng(seed)
+    rows = set()
+    while len(rows) < k:
+        rows.add(tuple(float(rng.integers(0, n)) for n in n_values))
+    support = np.array(sorted(rows))[rng.permutation(k)]
+    weights = rng.integers(1, 4, size=k).astype(float)
+    return ProblemInstance(
+        model=DiscreteOutcomeModel(support=support, probs=weights / weights.sum()),
+        costs=rng.uniform(0.0, 0.05, size=len(n_values)),
+        decisions=(0, 1, 2),
+        reward=RewardSpec(kind="table", table=rng.uniform(-1.0, 1.0, size=(k, 3))),
+    )
+
+
+def _visits(run):
+    """The (ptr, mem) lists ``run(visit)`` passes to visit, copied."""
+    lists = []
+    result = run(lambda ptr, mem: lists.append((ptr.copy(), mem.copy())))
+    return result, lists
+
+
+class TestDiscoveryFromPresence:
+    # values per column: ~40 repeated values each (presence in 3 words), and
+    # one column of ~75 distinct values (a field wider than a word)
+    WIDE = [(40, 40, 40, 40), (200, 3, 3, 3)]
+
+    @pytest.mark.parametrize("n_values", WIDE)
+    def test_wide_support_matches_oracle(self, n_values, discoveries):
+        for seed in range(3):
+            inst = wide_instance(seed, n_values)
+            fields = [len(v) for v in dp._Closures(inst.model.support).values]
+            assert sum(fields) > 64 and (max(fields) > 64) == (max(n_values) > 64)
+            entries = RecursiveDiscreteOracle(inst).entries
+            n_states = len(entries)
+            assert solve_dp_discrete(inst)[1].entries == entries
+            for cap in (1, n_states // 2, n_states - 2, n_states - 1, n_states, n_states + 1):
+                dp._graphs.clear()
+                if cap < n_states:
+                    with pytest.raises(StateSpaceError, match="blowup"):
+                        solve_dp_discrete(inst, state_cap=cap)
+                else:
+                    assert len(solve_dp_discrete(inst, state_cap=cap)[1]) == n_states
+
+    def test_scratch_scales_with_the_chunk(self, monkeypatch):
+        # with a 512-member chunk the graph takes many chunks per level, each
+        # unpacking a bounded block of presence bits, far below states x slots;
+        # the states, their member lists and child tables do not change
+        inst = wide_instance(0, (16, 16, 16, 16, 16, 3), k=160)
+        support = inst.model.support
+        want, want_lists = _visits(lambda visit: dp._discover(support, 10**7, visit))
+        unpacked = []
+        fields = dp._Closures.fields
+
+        def counted(self, presence):
+            bits, count = fields(self, presence)
+            unpacked.append(bits.size)
+            return bits, count
+
+        monkeypatch.setattr(dp, "_MEMBER_CHUNK", 512)
+        monkeypatch.setattr(dp._Closures, "fields", counted)
+        got, got_lists = _visits(lambda visit: dp._discover(support, 10**7, visit))
+        width = dp._Closures(support).width
+        assert max(unpacked) <= 512 + len(support) + width
+        assert len(unpacked) > 20 and len(got) * width > 50 * max(unpacked)
+        assert got.levels == want.levels
+
+        def members(graph, lists):
+            """(key, members) of each state, level by level, in key order."""
+            keys = iter(graph.closures.keys(graph.codes))
+            return [sorted((next(keys), m[a:b].tolist()) for a, b in zip(p, p[1:])) for p, m in lists]
+
+        assert members(got, got_lists) == members(want, want_lists)
+        _, table = solve_dp_discrete(inst)
+        assert table.entries == RecursiveDiscreteOracle(inst).entries
+
+    def test_replay_visits_the_lists_discovery_visited(self):
+        # replay rebuilds each level from each state's recorded parent and
+        # test, so wrong bookkeeping shows as a different list
+        rng = np.random.default_rng(17)
+        supports = [structured_discrete_instance(rng, kind).model.support
+                    for kind in REWARD_KINDS for _ in range(10)]
+        supports += [gen_discrete_pareto(d=6, seed=0).model.support,
+                     wide_instance(1, (40, 40, 40, 40)).model.support]
+        for support in supports:
+            graph, found = _visits(lambda visit: dp._discover(support, 10**7, visit))
+            _, replayed = _visits(graph.replay)
+            assert len(found) == len(graph.levels) - 1 == len(replayed)
+            for (p, m), (q, n) in zip(found, replayed):
+                assert p.dtype == q.dtype and m.dtype == n.dtype
+                assert np.array_equal(p, q) and np.array_equal(m, n)
+            for (p, _), a, b in zip(found, graph.levels, graph.levels[1:]):
+                assert len(p) - 1 == b - a
+
+    def test_sub_support_graph_no_larger(self):
+        # every state of a sub-support P' is P' cut by the observations that
+        # reach some state of P, which no other state of P' shares; so P'
+        # never has more states than P (the premise of checking a run's
+        # state cap on the true support alone)
+        rng = np.random.default_rng(8)
+        supports = [gen_discrete_pareto(d=8, seed=0).model.support] * 10
+        supports += [structured_discrete_instance(rng, kind).model.support
+                     for kind in REWARD_KINDS for _ in range(10)]
+        for support in supports:
+            n_states = len(dp._discover(support, 10**7, lambda ptr, mem: None))
+            k = len(support)
+            for size in rng.integers(1, k + 1, size=3):
+                rows = np.sort(rng.choice(k, size=int(size), replace=False))
+                assert len(dp._discover(support[rows], 10**7, lambda ptr, mem: None)) <= n_states
+
+
 class TestBatchedPricing:
     @pytest.mark.parametrize("kind", REWARD_KINDS)
     def test_equals_single_rollout_pricing(self, kind):
