@@ -12,17 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import generators
-from .dp import (
-    DEFAULT_STATE_CAP,
-    QuadratureSpec,
-    check_state_cap,
-    policy_records,
-    solve_dp_discrete,
-    solve_dp_gaussian,
-)
-from .elimination import solve_mesp_offline, entropy_objective
-from .envs import _atomic_open
 from .harness import (
     AGENTS,
     ExperimentConfig,
@@ -32,6 +21,9 @@ from .harness import (
     scaling_ratios,
 )
 from .models import ParameterError, load_instance, save_instance
+
+# each command imports the modules it runs (harness imports the agent's), so
+# a call loads only those: gen none of the solvers
 
 # gen subcommand -> name of its function in ``generators``: names, not
 # functions, so the call goes to whatever the module binds at that time
@@ -137,6 +129,8 @@ def _given(args, *skip) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators
+
     generate = getattr(generators, _GENERATORS[args.generator])
     save_instance(generate(**_given(args, "generator", "out")), args.out)
     print(args.out)
@@ -144,11 +138,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .dp import (
+        DEFAULT_STATE_CAP,
+        QuadratureSpec,
+        check_state_cap,
+        policy_records,
+        solve_dp_discrete,
+        solve_dp_gaussian,
+    )
+
     budget = _given(args, "instance", "dump_policy")
     state_cap = budget.pop("state_cap", DEFAULT_STATE_CAP)
     check_state_cap(state_cap)
     instance = load_instance(args.instance)
     if instance.reward.kind == "entropy":
+        from .elimination import entropy_objective, solve_mesp_offline
+
         cov, lam, costs = instance.model.covariance, instance.reward.lam, instance.costs
         subset = solve_mesp_offline(cov, lam, costs, state_cap=state_cap)
         out = {"value": entropy_objective(subset, cov, lam, costs), "subset": list(subset)}
@@ -162,6 +167,8 @@ def _cmd_solve(args) -> int:
         if instance.is_discrete:
             out["states"] = len(table)
             if args.dump_policy:
+                from .envs import _atomic_open
+
                 with _atomic_open(args.dump_policy) as fh:
                     json.dump(policy_records(policy), fh, indent=1, allow_nan=False)
                     fh.write("\n")

@@ -391,10 +391,26 @@ def _narrow(ptr, mem, parent, test, slot, slots):
     return out, np.concatenate(mems)
 
 
-def _lookup(known: tuple, codes: np.ndarray) -> np.ndarray:
-    """State of each code under ``known`` (sorted codes, their states); -1 if absent."""
-    at = np.minimum(np.searchsorted(known[0], codes), len(known[0]) - 1)
-    return np.where(known[0][at] == codes, known[1][at], -1)
+def _lookup(tables, codes: np.ndarray) -> np.ndarray:
+    """State of each code under ``tables``, pairs (sorted codes, their
+    states) that share no code, searched in turn for the codes not yet
+    found; -1 if none holds it."""
+    state = np.full(len(codes), -1, dtype=np.int32)
+    left = np.arange(len(codes))
+    for keys, states in tables:
+        if len(keys) and len(left):
+            at = np.minimum(np.searchsorted(keys, codes[left]), len(keys) - 1)
+            hit = keys[at] == codes[left]
+            state[left[hit]] = states[at[hit]]
+            left = left[~hit]
+    return state
+
+
+def _insert(table: tuple, codes: np.ndarray, states: np.ndarray) -> tuple:
+    """``table`` (sorted codes, their states) with the pairs (codes, states) added."""
+    order = np.argsort(codes, kind="stable")
+    at = np.searchsorted(table[0], codes[order])
+    return np.insert(table[0], at, codes[order]), np.insert(table[1], at, states[order])
 
 
 @dataclass
@@ -442,9 +458,12 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
     the next level is found, and the lists are then freed. A level's edges
     are the set bits of its undetermined fields (see :class:`_Closures`); an
     edge's pre-key (its parent's code plus the bit's step) names the child's
-    set, and ``known`` maps sorted codes and pre-keys to states. Only a
-    pre-key not in it gets a member list (its parent's members that take the
-    slot), whose presence gives the closure. Raises :class:`StateSpaceError`
+    set, and ``known`` maps sorted codes and pre-keys to states. Those met
+    while a level is scanned are kept in their own sorted table, ``met``,
+    which joins ``known`` once the level is done, so an insert costs the
+    level's size and not the count of states so far. Only a pre-key in
+    neither gets a member list (its parent's members that take the slot),
+    whose presence gives the closure. Raises :class:`StateSpaceError`
     as soon as more than ``state_cap`` states are found."""
     closures = _Closures(support)
     K, d = support.shape
@@ -460,13 +479,13 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
 
     def found(parent, bit, keys):
         """States of the edges (parent, bit) of the sorted pre-keys ``keys``,
-        none in ``known``; new ones are numbered from n on."""
-        nonlocal known, n
+        none in ``known`` or ``met``; new ones are numbered from n on."""
+        nonlocal met, n
         test = bit_test[bit]
         mptr, mmem = _narrow(ptr, mem, parent, test, closures.bit_slot[bit], closures.slots)
         mpres = closures.presence(mptr, mmem)
         ccode, cndet = closures.of(mpres)
-        cstate = _lookup(known, ccode)
+        cstate = _lookup((met, known), ccode)
         fresh = np.flatnonzero(cstate < 0)
         _, at, new = np.unique(ccode[fresh], return_index=True, return_inverse=True)
         cstate[fresh] = new + n
@@ -482,9 +501,7 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
         alias = np.flatnonzero(ccode != keys)  # pre-keys that are not codes
         add = np.concatenate([ccode[rows], keys[alias]])
         add_states = np.concatenate([cstate[rows], cstate[alias]])
-        order = np.argsort(add, kind="stable")
-        at = np.searchsorted(known[0], add[order])
-        known = tuple(np.insert(a, at, b[order]) for a, b in zip(known, (add, add_states)))
+        met = _insert(met, add, add_states)
         return cstate
 
     while True:
@@ -496,6 +513,7 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
             block.append(np.full((len(code), closures.sizes[i]), -1, dtype=np.int32))
             block[-1][det, own[det] - 1] = first + det
         level = []  # (member lists, presence) of the states found on this level
+        met = (known[0][:0], known[1][:0])
         for part in _chunks(np.diff(ptr) + 8 * width):  # see _MEMBER_CHUNK
             bits, count = closures.fields(presence[part[0] : part[-1] + 1])
             bits *= (count > 1)[:, bit_test]  # the bits of undetermined tests
@@ -505,7 +523,7 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
             pre = code[part[0] + edge % rows] + closures.bit_step[edge // rows]
             keys, at, inverse = np.unique(pre, return_index=True, return_inverse=True)
             pre = None
-            child = _lookup(known, keys)
+            child = _lookup((met, known), keys)
             miss = np.flatnonzero(child < 0)
             if miss.size:
                 bit, parent = np.divmod(edge[at[miss]], rows)
@@ -518,6 +536,7 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
         edge = keys = at = inverse = child = miss = bit = parent = None  # edge scratch
         if not level:
             break
+        known = _insert(known, *met)
         levels.append(first + len(code))
         code = np.concatenate(codes[-len(level):])
         ptr = np.zeros(len(code) + 1, dtype=np.int64)
@@ -526,7 +545,7 @@ def _discover(support: np.ndarray, state_cap: int, visit) -> _StateGraph:
         presence = np.concatenate([w for _, w in level])
         level = None
     levels.append(n)
-    ptr = mem = presence = known = level = None  # scratch, freed before the tables are joined
+    ptr = mem = presence = known = met = level = None  # scratch, freed before the tables are joined
     child = [np.concatenate(blocks.pop(0)) for _ in range(d)]  # one test's blocks at a time
     return _StateGraph(
         closures, np.concatenate(codes), np.concatenate(ndets), child, levels,
@@ -565,7 +584,7 @@ def _masses(probs: np.ndarray, ptr: np.ndarray, mem: np.ndarray) -> np.ndarray:
     ``np.sum`` (pairwise) and a matmul round differently."""
     lens = np.diff(ptr)
     mass = np.empty(len(lens))
-    for n in np.unique(lens).tolist():
+    for n in np.flatnonzero(np.bincount(lens)).tolist():  # the distinct lengths
         rows = np.flatnonzero(lens == n)
         terms = probs[mem[ptr[rows][:, None] + np.arange(n)]]
         mass[rows] = np.add.accumulate(terms, axis=1)[:, -1]
@@ -949,7 +968,9 @@ class GaussianTreePolicy:
             masks[active] |= 1 << pending
             level += 1
             next_active, next_pending = [], []
-            for mask in np.unique(masks[active]):
+            # the distinct masks, ascending; each is below 2^d, at most the
+            # tree's node count, which the budget bounds
+            for mask in np.flatnonzero(np.bincount(masks[active])):
                 rows = active[masks[active] == mask]
                 mask = int(mask)
                 _, action, dec = self.node_batch(mask, xs[np.ix_(rows, _bits(mask))])

@@ -230,7 +230,7 @@ class CandidateSet:
         # (d, d) matrix. d <= MAX_POWER_SET_D lets both be uint16.
         sizes = members.sum(axis=1)
         self._groups = []
-        for m in np.unique(sizes).tolist():
+        for m in np.flatnonzero(np.bincount(sizes)).tolist():  # the distinct sizes
             positions = np.flatnonzero(sizes == m)
             idx = np.nonzero(members[positions])[1].reshape(len(positions), m).astype(np.uint16)
             flat = idx[:, :, None] * self.d + idx[:, None, :]

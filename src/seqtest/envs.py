@@ -350,14 +350,14 @@ def write_aggregate_csv(aggregate, path) -> None:
 
 
 def decision_labels(instance: ProblemInstance, idx) -> list:
-    """Trace label of each decision index in ``idx``; only the decisions that
-    occur are formatted."""
-    idx = np.asarray(idx, dtype=int).tolist()
-    labels = {}
-    for j in set(idx):
+    """Trace label of each decision index in ``idx``; each decision that
+    occurs is formatted once, and the cells gather those labels."""
+    idx = np.asarray(idx, dtype=np.intp)
+    labels = np.empty(len(instance.decisions), dtype=object)
+    for j in np.flatnonzero(np.bincount(idx, minlength=len(labels))).tolist():
         y = instance.decisions[j]
         labels[j] = "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
-    return [labels[j] for j in idx]
+    return labels[idx].tolist()
 
 
 def subset_label(indices) -> str:

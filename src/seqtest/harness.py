@@ -9,6 +9,7 @@ seed-sorted traces after all replications complete.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import traceback
@@ -18,35 +19,18 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import (
-    EtcConfig,
-    run_clairvoyant,
-    run_etc_discrete,
-    run_etc_doubling,
-    run_etc_gaussian,
-)
-from .dp import DEFAULT_STATE_CAP, QuadratureSpec, check_tree_budget
-from .elimination import OcmespConfig, run_ocmesp
-from .envs import (
-    DiscreteEnvironment,
-    GaussianEnvironment,
-    RegretTrace,
-    _atomic_open,
-    aggregate_cumulative_regret,
-    write_aggregate_csv,
-    write_dataset_csv,
-    write_trace_csv,
-)
 from .models import InstanceError, ParameterError, ProblemInstance, instance_hash
 
-# agent -> (instance kinds it runs on: discrete or gaussian-<reward kind>, the name of
-# its runner here, looked up when a seed runs: the call goes to what the module binds then)
+# agent -> (instance kinds it runs on: discrete or gaussian-<reward kind>, the
+# module and name of its runner). The runner's module is imported, and the name
+# looked up, when a seed runs: a run loads only its agent's module, and the call
+# goes to what that module binds then.
 _AGENTS = {
-    "etc-discrete": (("discrete",), "run_etc_discrete"),
-    "etc-gaussian": (("gaussian-quadratic",), "run_etc_gaussian"),
-    "etc-doubling": (("discrete", "gaussian-quadratic"), "run_etc_doubling"),
-    "ocmesp": (("gaussian-entropy",), "run_ocmesp"),
-    "clairvoyant": (("discrete", "gaussian-quadratic"), "run_clairvoyant"),
+    "etc-discrete": (("discrete",), "agents", "run_etc_discrete"),
+    "etc-gaussian": (("gaussian-quadratic",), "agents", "run_etc_gaussian"),
+    "etc-doubling": (("discrete", "gaussian-quadratic"), "agents", "run_etc_doubling"),
+    "ocmesp": (("gaussian-entropy",), "elimination", "run_ocmesp"),
+    "clairvoyant": (("discrete", "gaussian-quadratic"), "agents", "run_clairvoyant"),
 }
 AGENTS = tuple(_AGENTS)
 
@@ -116,6 +100,8 @@ def resolved_agent_params(config: ExperimentConfig) -> dict:
         raise ValueError(
             f"unknown agent parameters {unknown}; known: {', '.join(AGENT_PARAMS)}"
         )
+    from .dp import DEFAULT_STATE_CAP, QuadratureSpec
+
     instance = config.instance
     params = {
         "delta": 0.1,
@@ -138,11 +124,16 @@ def _agent_config(config: ExperimentConfig):
     constructor checks every value; a Gaussian tree's budget is checked here."""
     instance, params = config.instance, config.params
     if config.agent == "ocmesp":
+        from .elimination import OcmespConfig
+
         return OcmespConfig(
             sigma=params["sigma_hint"], d=instance.d, delta=params["delta"],
             lam=instance.reward.lam, costs=instance.costs, horizon=config.horizon,
             bernstein_c=params["bernstein_c"], state_cap=params["state_cap"],
         )
+    from .agents import EtcConfig
+    from .dp import QuadratureSpec, check_tree_budget
+
     etc_config = EtcConfig(
         horizon=config.horizon, support_size_hint=params.get("support_hint"),
         condition_number=params.get("sigma_hint"), override_n=params.get("override_n"),
@@ -157,9 +148,12 @@ def _agent_config(config: ExperimentConfig):
 
 def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
     """Run one replication of the configured agent."""
+    from .envs import DiscreteEnvironment, GaussianEnvironment
+
     instance = config.instance
     env = (DiscreteEnvironment if instance.is_discrete else GaussianEnvironment)(instance, seed)
-    run = globals()[_AGENTS[config.agent][1]]
+    _, module, name = _AGENTS[config.agent]
+    run = getattr(importlib.import_module(f".{module}", __package__), name)
     return run(env, config.agent_config, config.emit_dataset).trace
 
 
@@ -202,6 +196,14 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     A failed seed is reported in the returned ``failures`` map; the aggregate
     is produced only when every replication succeeded.
     """
+    from .envs import (
+        _atomic_open,
+        aggregate_cumulative_regret,
+        write_aggregate_csv,
+        write_dataset_csv,
+        write_trace_csv,
+    )
+
     payloads = [(config, seed) for seed in config.seeds]
     if config.jobs > 1:
         # imported here: loading the pool machinery costs a serial run 20-40 ms

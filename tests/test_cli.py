@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-import seqtest.cli as cli
 import seqtest.dp as dp
+import seqtest.elimination as elimination
 import seqtest.generators as generators
 from seqtest.cli import main
 from seqtest.harness import ExperimentConfig, run_replications
@@ -123,7 +123,7 @@ class TestSolve:
         run_cli("gen", "single-lb", "--eps", "0.2", "--which", "1", "--out", str(inst_path))
         dump = tmp_path / "policy.json"
         dump.write_text("old\n")
-        monkeypatch.setattr(cli, "policy_records", lambda policy: [{"value": 1.0}] * 100 + [object()])
+        monkeypatch.setattr(dp, "policy_records", lambda policy: [{"value": 1.0}] * 100 + [object()])
         assert run_cli("solve", "--instance", str(inst_path), "--dump-policy", str(dump)) == 2
         assert "not JSON serializable" in capsys.readouterr().err
         assert dump.read_text() == "old\n"
@@ -489,8 +489,9 @@ class TestStateCapBelowOne:
         def refuse(*args, **kwargs):
             raise AssertionError("a solve started")
 
-        for name in ("solve_dp_discrete", "solve_dp_gaussian", "solve_mesp_offline"):
-            monkeypatch.setattr(cli, name, refuse)
+        for module, name in ((dp, "solve_dp_discrete"), (dp, "solve_dp_gaussian"),
+                             (elimination, "solve_mesp_offline")):
+            monkeypatch.setattr(module, name, refuse)
         instance, argv = CAP_COMMANDS[command]
         out = ["--out", str(tmp_path / "r")] if argv[0] == "simulate" else []
         for cap in ("0", "-5"):

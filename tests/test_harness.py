@@ -436,6 +436,26 @@ class TestColumnWriters:
         )
         assert (tmp_path / "a.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "instance",
+        [gen_discrete_pareto(d=4, seed=0), gen_gaussian_quadratic(d=2, seed=0),
+         gen_lower_bound_single(0.2, 1)],
+    )
+    def test_decision_labels_match_per_cell_formatting(self, monkeypatch, instance):
+        # vector decisions join their coordinates with "|", scalar ones are
+        # printed alone; each decision that occurs is formatted once
+        def label(y):
+            return "|".join(map(_fmt_reference, y)) if isinstance(y, tuple) else _fmt_reference(y)
+
+        n = len(instance.decisions)
+        idx = np.random.default_rng(1).integers(0, n, 500) // 2  # the upper half never occurs
+        calls = self._count_labels(monkeypatch)
+        labels = envs.decision_labels(instance, idx)
+        assert labels == [label(instance.decisions[j]) for j in idx.tolist()]
+        per_label = len(instance.decisions[0]) if isinstance(instance.decisions[0], tuple) else 0
+        assert calls[0] == per_label * len(set(idx.tolist()))
+        assert envs.decision_labels(instance, []) == []
+
     @pytest.mark.parametrize("distinct, formatted", [(2048, 2048), (2049, 4096)])
     def test_fallback_threshold(self, monkeypatch, distinct, formatted):
         # a 4,096-row chunk keeps the distinct-value path while at most half
