@@ -66,6 +66,7 @@ from .models import (
     consistent_support_indices,
     gaussian_conditioning,
     marginal_over_test,
+    neg_sq_dist,
     posterior_gaussian,
     sample,
 )
@@ -183,9 +184,7 @@ def _reward_table(instance: ProblemInstance) -> Optional[np.ndarray]:
     if kind == "table":
         return instance.reward.table
     if kind == "quadratic":
-        support = instance.model.support
-        diff = support[:, None, :] - _decision_matrix(instance)[None, :, :]
-        return -np.einsum("kjd,kjd->kj", diff, diff)
+        return neg_sq_dist(instance.model.support[:, None, :], _decision_matrix(instance))
     return None
 
 
@@ -748,13 +747,12 @@ def _quadratic_decision_values(dec, obs, miss, values, means, trace) -> np.ndarr
     """E[f(x, y) | state] = -E||x - y||^2 per (state, decision) for n states
     observing ``obs`` with ``values`` (n, |obs|), whose posteriors over
     ``miss`` have means ``means`` (n, |miss|) and covariance trace ``trace``."""
-    total = np.zeros((values.shape[0], dec.shape[0]))
+    if not miss:
+        return neg_sq_dist(values[:, None, :], dec[:, obs])
+    total = neg_sq_dist(means[:, None, :], dec[:, miss])
     if obs:
-        total += ((values[:, None, :] - dec[:, obs][None]) ** 2).sum(axis=2)
-    if miss:
-        total += ((means[:, None, :] - dec[:, miss][None]) ** 2).sum(axis=2)
-        total += trace
-    return -total
+        total = neg_sq_dist(values[:, None, :], dec[:, obs]) + total
+    return total - trace
 
 
 def _gaussian_decision_values(instance: ProblemInstance, s: TestState) -> np.ndarray:
@@ -1040,47 +1038,41 @@ def rollout_net_reward(instance: ProblemInstance, x, rollout: Rollout, support_i
 
 def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support_index=None) -> np.ndarray:
     """:func:`rollout_net_reward` of every episode of a batched rollout
-    (``order`` and ``decisions`` as returned by a policy's ``rollouts``);
-    ``support_index`` gives each row's support index for table rewards.
-    Table and indicator-match rewards are priced as arrays; quadratic ones
-    row by row, since a batched -||x - y||^2 rounds differently from
-    ``reward_value``'s ``diff @ diff``."""
+    (``order`` and ``decisions`` as returned by a policy's ``rollouts``),
+    bit for bit, priced as arrays; a table reward reads each row's support
+    index from ``support_index`` (required)."""
     test_cost = np.zeros(len(xs))
     for k in range(order.shape[1]):
         took = order[:, k] >= 0
         test_cost[took] += instance.costs[order[took, k]]
     kind, decisions = instance.reward.kind, np.asarray(decisions, dtype=np.intp)
-    if kind == "table" and support_index is not None:
+    if kind == "table":
         reward = instance.reward.table[np.asarray(support_index, dtype=np.intp), decisions]
     elif kind == "indicator-match":
         match = np.asarray(xs, dtype=float) == _decision_matrix(instance)[decisions]
         reward = match.all(axis=1).astype(float)
     else:
-        ks = [None] * len(xs) if support_index is None else support_index
-        reward = np.array([instance.reward_value(x, int(j), k) for x, j, k in zip(xs, decisions, ks)])
+        reward = neg_sq_dist(xs, _decision_matrix(instance)[decisions])
     return reward - test_cost
 
 
 def full_information_rollouts(instance: ProblemInstance, xs, support_index=None):
     """(tests, decision, order, net) of episodes that test 0..d-1 in order and
     then take the best decision for the fully observed outcome, lowest index
-    first on ties; ``net`` is priced by :func:`rollout_net_rewards`. Discrete
-    table and quadratic rewards read row ``support_index`` (required) of
-    :func:`_reward_table`; an indicator-match decision is the one equal to x,
-    else decision 0."""
+    first on ties; ``net`` is priced by :func:`rollout_net_rewards`. A
+    quadratic decision is the argmax of ``neg_sq_dist``, the values it is
+    priced from; a table reward reads row ``support_index`` (required); an
+    indicator-match decision is the one equal to x, else decision 0."""
     xs = np.asarray(xs, dtype=float)
     n, d = xs.shape
-    if instance.reward.kind == "indicator-match":
+    kind = instance.reward.kind
+    if kind == "indicator-match":
         dec_index = {y: j for j, y in enumerate(instance.decisions)}
         decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
+    elif kind == "table":
+        decision = np.argmax(instance.reward.table[np.asarray(support_index, dtype=np.intp)], axis=1)
     else:
-        if isinstance(instance.model, GaussianOutcomeModel):
-            values = _quadratic_decision_values(
-                _decision_matrix(instance), list(range(d)), [], xs, None, 0.0
-            )
-        else:
-            values = _reward_table(instance)[np.asarray(support_index, dtype=np.intp)]
-        decision = np.argmax(values, axis=1)
+        decision = np.argmax(neg_sq_dist(xs[:, None, :], _decision_matrix(instance)), axis=1)
     order = np.tile(np.arange(d), (n, 1))
     net = rollout_net_rewards(instance, xs, order, decision, support_index)
     return np.full(n, d), decision, order, net
@@ -1092,22 +1084,21 @@ def evaluate_policy(
     mc_episodes: int = 4096,
     rng: Optional[np.random.Generator] = None,
 ) -> PolicyValue:
-    """Expected episode reward of a policy: exact support enumeration for
-    discrete instances, Monte Carlo with a reported standard error otherwise."""
-    if instance.is_discrete:
-        model = instance.model
-        total = 0.0
-        for k in range(model.support_size):
-            roll = policy.trace(model.support[k], on_missing="error")
-            total += model.probs[k] * rollout_net_reward(
-                instance, model.support[k], roll, support_index=k
-            )
-        return PolicyValue(value=float(total), stderr=0.0)
+    """Expected episode reward of a policy, its ``rollouts`` priced in one
+    batch: exact over the support of a discrete instance (p_k r_k added in
+    ascending k; a rollout falls back as when played), else Monte Carlo with
+    a reported standard error."""
+    model, discrete = instance.model, instance.is_discrete
     if rng is None:
         rng = np.random.default_rng(0)
-    draws = sample(instance.model, rng, mc_episodes)
-    _, decisions, order = policy.rollouts(draws)
-    rewards = rollout_net_rewards(instance, draws, order, decisions)
+    xs = model.support if discrete else sample(model, rng, mc_episodes)
+    _, decisions, order = policy.rollouts(xs)[:3]
+    rewards = rollout_net_rewards(instance, xs, order, decisions, np.arange(len(xs)) if discrete else None)
+    if discrete:
+        total = 0.0
+        for p, r in zip(model.probs.tolist(), rewards.tolist()):
+            total += p * r
+        return PolicyValue(value=total, stderr=0.0)
     return PolicyValue(
         value=float(rewards.mean()),
         stderr=float(rewards.std(ddof=1) / math.sqrt(mc_episodes)),

@@ -218,9 +218,6 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
         decision=[d for t in traces for d in t.decision],
         realized_reward=np.concatenate([t.realized_reward for t in traces]),
         clairvoyant_reward=np.concatenate([t.clairvoyant_reward for t in traces]),
-        extras={
-            k: [v for t in traces for v in t.extras[k]] for k in first.extras
-        },
         observations=(
             np.concatenate([t.observations for t in traces])
             if first.observations is not None

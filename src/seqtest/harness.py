@@ -12,7 +12,6 @@ from __future__ import annotations
 import importlib
 import json
 import os
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -162,6 +161,7 @@ def _worker(payload):
     try:
         return seed, "ok", run_seed(config, seed)
     except Exception:
+        import traceback  # only a failed seed needs it
         return seed, "error", traceback.format_exc()
 
 

@@ -234,8 +234,8 @@ class RewardSpec:
       * ``"table"``        explicit (K, |Y|) matrix keyed by support index and
                            decision index (discrete models only);
       * ``"indicator-match"`` f(x, y) = 1 iff y equals x coordinate-wise;
-      * ``"quadratic"``    f(x, y) = -||x - y||^2 with vector decisions
-                           (closed-form Gaussian expectations);
+      * ``"quadratic"``    f(x, y) = -||x - y||^2 (``neg_sq_dist``) with vector
+                           decisions (closed-form Gaussian expectations);
       * ``"entropy"``      subset-entropy objective with weight ``lam``
                            (OCMESP; not a pointwise reward).
     """
@@ -265,6 +265,19 @@ class RewardSpec:
             object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise InstanceError(f"reward kind {self.kind!r} takes no lambda")
+
+
+def neg_sq_dist(x, y) -> np.ndarray:
+    """-||x - y||^2 over the last axis, with broadcasting. The squares are
+    added in ascending coordinate order, so no entry's bits depend on the batch
+    shape or on the machine's BLAS, as a dot product's or matmul's would."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    diff = x[..., 0] - y[..., 0]
+    total = diff * diff
+    for i in range(1, x.shape[-1]):
+        diff = x[..., i] - y[..., i]
+        total += diff * diff
+    return -total
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +344,7 @@ class ProblemInstance:
             y = self.decisions[decision_index]
             return 1.0 if tuple(float(v) for v in x) == y else 0.0
         if kind == "quadratic":
-            y = np.asarray(self.decisions[decision_index], dtype=float)
-            diff = np.asarray(x, dtype=float) - y
-            return float(-(diff @ diff))
+            return float(neg_sq_dist(x, self.decisions[decision_index]))
         raise InstanceError("entropy rewards are not pointwise; use the OCMESP objective")
 
 

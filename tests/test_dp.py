@@ -723,19 +723,26 @@ class TestDiscoveryFromPresence:
 
 
 class TestBatchedPricing:
-    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    @pytest.mark.parametrize("kind", REWARD_KINDS + ("gaussian-quadratic",))
     def test_equals_single_rollout_pricing(self, kind):
         # random rollouts over support rows (and, for indicator-match, every
-        # decision vector and outcomes matching no decision); each batched
-        # price equals rollout_net_reward bit for bit
+        # decision vector and outcomes matching no decision), or over Gaussian
+        # draws at d = 2..8, where a BLAS dot and an ascending sum of squares
+        # round apart; each batched price equals rollout_net_reward bit for bit
         rng = np.random.default_rng(sum(map(ord, kind)) + 3)
         matched = unmatched = 0
-        for _ in range(8):
-            inst = structured_discrete_instance(rng, kind)
-            support, d = inst.model.support, inst.d
-            n_y = len(inst.decisions)
-            ks = np.concatenate([np.arange(len(support)), rng.integers(0, len(support), 40)])
-            xs, decision = support[ks], rng.integers(0, n_y, size=len(ks))
+        for it in range(8):
+            if kind == "gaussian-quadratic":
+                inst = random_quadratic_instance(rng, 2 + it % 7)
+                xs, ks = sample_outcomes(inst, rng, 100), None
+                d, n_y = inst.d, len(inst.decisions)
+                decision = rng.integers(0, n_y, size=len(xs))
+            else:
+                inst = structured_discrete_instance(rng, kind)
+                support, d = inst.model.support, inst.d
+                n_y = len(inst.decisions)
+                ks = np.concatenate([np.arange(len(support)), rng.integers(0, len(support), 40)])
+                xs, decision = support[ks], rng.integers(0, n_y, size=len(ks))
             if kind == "indicator-match":
                 dec = dp._decision_matrix(inst)
                 xs = np.vstack([xs, dec, np.full((1, d), 5.0)])
@@ -755,6 +762,25 @@ class TestBatchedPricing:
                     matched, unmatched = matched + hit, unmatched + (not hit)
         if kind == "indicator-match":
             assert matched > 0 and unmatched > 0
+
+    def test_reward_table_equals_scalar_reward(self):
+        # a discrete quadratic table holds reward_value's bits for every
+        # (support point, decision) pair, on real-valued supports
+        rng = np.random.default_rng(29)
+        for d in range(3, 9):
+            k, n_y = 24, 5
+            support = rng.standard_normal((k, d))
+            inst = ProblemInstance(
+                model=DiscreteOutcomeModel(support=support, probs=np.full(k, 1.0 / k)),
+                costs=np.zeros(d),
+                decisions=tuple(tuple(row) for row in rng.standard_normal((n_y, d))),
+                reward=RewardSpec(kind="quadratic"),
+            )
+            table = dp._reward_table(inst)
+            for kk in range(k):
+                for j in range(n_y):
+                    want = inst.reward_value(inst.model.support[kk], j)
+                    assert table[kk, j].tobytes() == np.float64(want).tobytes()
 
 
 def oracle_rollout(instance, entries, x):
@@ -954,10 +980,9 @@ class TestEvaluatePolicy:
         inst = random_discrete_instance(rng)
 
         class AlwaysDecide:
-            def trace(self, x, on_missing="error"):
-                from seqtest.dp import Rollout
-
-                return Rollout(tests=(), decision=0)
+            def rollouts(self, xs):
+                n = len(xs)
+                return np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(xs.shape, -1)
 
         val = evaluate_policy(inst, AlwaysDecide())
         expected = float(inst.model.probs @ inst.reward.table[:, 0])
@@ -1092,7 +1117,9 @@ class TestFullInformationRollouts:
 
     def test_gaussian_quadratic(self):
         rng = np.random.default_rng(11)
-        for d in (1, 2, 3, 8):
+        # numpy may add 8 or more terms out of order; at d = 8..10 decisions
+        # and prices must still come from the one kernel
+        for d in (1, 2, 3, 8, 9, 10):
             inst = random_quadratic_instance(rng, d)
             self.check(inst, sample_outcomes(inst, rng, 64))
         # x = 0 is equidistant from both decisions: the lower index wins

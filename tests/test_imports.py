@@ -66,14 +66,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 # runs ``seqtest.cli.main`` on the argv given as JSON in a fresh interpreter,
-# then prints the exit code and the seqtest modules (and numpy.ma) it loaded
+# then prints the exit code and the seqtest modules (and numpy.ma and
+# traceback) it loaded
 PROBE = textwrap.dedent(
     """
     import json, sys
     from seqtest import cli
 
     code = cli.main(json.loads(sys.argv[1]))
-    modules = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("seqtest"))
+    modules = sorted(m for m in sys.modules if m in ("numpy.ma", "traceback") or m.startswith("seqtest"))
     print(json.dumps({"code": code, "modules": modules}))
     """
 )
@@ -114,7 +115,7 @@ class TestEachCommandLoadsItsModules:
     def test_gen_loads_no_solver(self, tmp_path):
         modules = loaded_by(tmp_path, "gen", "gaussian-quadratic", "--d", "2", "--out", "q.json")
         assert not modules & SOLVERS
-        assert "numpy.ma" not in modules
+        assert not modules & {"numpy.ma", "traceback"}  # only a failed seed formats a traceback
 
     @pytest.mark.parametrize("agent, instance", [("etc-gaussian", "quad2"), ("etc-discrete", "pareto3")])
     def test_etc_simulate_loads_no_elimination(self, tmp_path, instances, agent, instance):
