@@ -18,7 +18,10 @@ The doubling wrapper restarts a fresh known-horizon agent on episode batches
 of length 2^0, 2^1, 2^2, ... (final batch truncated), carrying no state across
 batches, which turns the fixed-horizon agent into an anytime one.
 
-Every agent runs as ``run_<agent>(env, config, collect_observations)``.
+Every agent runs as ``run_<agent>(env, config, collect_observations, sink)``
+and plays its horizon in blocks of ``envs.episode_blocks``: per block it draws
+the outcomes, rolls out, prices, and hands the block's trace to ``sink`` (an
+``envs.TraceSink``; a new one, which keeps the whole trace, when None).
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from .envs import (
     DiscreteEnvironment,
     GaussianEnvironment,
     RegretTrace,
+    TraceSink,
     concatenate_traces,
+    episode_blocks,
     rollout_trace,
 )
 from .models import (
@@ -142,10 +147,15 @@ class GaussianEstimate:
 
 
 def _empirical_discrete(support: np.ndarray, sampled: np.ndarray) -> EmpiricalModel:
-    """The support points at indices ``sampled``, counted: the distinct ones
-    in lexicographic row order (as ``np.unique(axis=0)`` orders distinct
-    rows) with their counts."""
-    counts = np.bincount(sampled, minlength=len(support))
+    """The support points at indices ``sampled``, counted (see
+    ``_empirical_from_counts``)."""
+    return _empirical_from_counts(support, np.bincount(sampled, minlength=len(support)))
+
+
+def _empirical_from_counts(support: np.ndarray, counts: np.ndarray) -> EmpiricalModel:
+    """The support points with nonzero ``counts``: the distinct ones in
+    lexicographic row order (as ``np.unique(axis=0)`` orders distinct rows)
+    with their counts."""
     seen = np.flatnonzero(counts)
     seen = seen[np.lexsort(support[seen].T[::-1])]
     return EmpiricalModel(vectors=support[seen], counts=counts[seen], support_index=seen)
@@ -181,43 +191,52 @@ def run_etc_discrete(
     env: DiscreteEnvironment,
     config: EtcConfig,
     collect_observations: bool = False,
+    sink: Optional[TraceSink] = None,
 ) -> EtcRunResult:
     """Algorithm: explore N episodes doing every test, build the empirical
-    pmf over observed complete vectors, commit to the DP policy on it."""
+    pmf over observed complete vectors, commit to the DP policy on it.
+    Episodes are played block by block: the explore counts are summed until
+    N, the policy is solved once, then the commit episodes follow."""
     instance = env.instance
     model = instance.model
     T, K = config.horizon, model.support_size
     n_explore = discrete_exploration_episodes(config)
-    idx = env.outcome_indices(T)
     _, (_, _, _, clair_net) = env.clairvoyant(config.state_cap)
-
-    policy = empirical = None
-    if n_explore < T:
-        empirical = _empirical_discrete(model.support, idx[:n_explore])
-        emp_instance = _empirical_instance(instance, empirical)
-        policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
+    out = TraceSink() if sink is None else sink
 
     # rollouts tabulated per support point and gathered through the sampled
     # indices: full information first, then the committed policy's from
     # episode n_explore on
-    tests, dec, order, net = full_information_rollouts(instance, model.support, np.arange(K))
-    rollout = [tests[idx], dec[idx], order[idx] if collect_observations else None, net[idx]]
+    explore = full_information_rollouts(instance, model.support, np.arange(K))
+    if not collect_observations:
+        explore = (explore[0], explore[1], None, explore[3])
+    counts = np.zeros(K, dtype=np.int64)
+    policy = empirical = None
     fallback_count = 0
-    if policy is not None:
-        tests, dec, order, fallback = policy.rollouts(model.support)
-        net = rollout_net_rewards(instance, model.support, order, dec, np.arange(K))
-        commit_idx = idx[n_explore:]
-        for col, table in zip(rollout, (tests, dec, order, net)):
-            if col is not None:
-                col[n_explore:] = table[commit_idx]
-        fallback_count = int(fallback[commit_idx].sum())
+    for a, b in episode_blocks(T):
+        idx = env.outcome_indices(b - a)
+        n = min(max(n_explore - a, 0), b - a)  # this block's explore episodes
+        counts += np.bincount(idx[:n], minlength=K)
+        rollout = [None if col is None else col[idx] for col in explore]
+        if n < b - a:
+            if policy is None:  # exploration is over: solve once
+                empirical = _empirical_from_counts(model.support, counts)
+                emp_instance = _empirical_instance(instance, empirical)
+                policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
+                tests, dec, order, fallback = policy.rollouts(model.support)
+                net = rollout_net_rewards(instance, model.support, order, dec, np.arange(K))
+                commit = (tests, dec, order, net)
+            commit_idx = idx[n:]
+            for col, table in zip(rollout, commit):
+                if col is not None:
+                    col[n:] = table[commit_idx]
+            fallback_count += int(fallback[commit_idx].sum())
+        xs = model.support[idx] if collect_observations else None
+        out.add(rollout_trace("etc-discrete", env, n, rollout, clair_net[idx], xs))
 
-    xs = model.support[idx] if collect_observations else None
-    trace = rollout_trace(
-        "etc-discrete", env, n_explore, rollout, clair_net[idx], xs,
-        metadata={"n_explore": n_explore, "fallback_episodes": fallback_count},
-    )
-    return EtcRunResult(trace=trace, policy=policy, empirical=empirical, metadata=trace.metadata)
+    metadata = {"n_explore": n_explore, "fallback_episodes": fallback_count}
+    trace = out.finish("etc-discrete", metadata)
+    return EtcRunResult(trace=trace, policy=policy, empirical=empirical, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +276,32 @@ def run_etc_gaussian(
     env: GaussianEnvironment,
     config: EtcConfig,
     collect_observations: bool = False,
+    sink: Optional[TraceSink] = None,
 ) -> EtcRunResult:
     """Gaussian ETC with the plug-in mean/second-moment estimator.
 
     If the estimated covariance is not positive definite at commit time, or
     its condition number exceeds ``SINGULARITY_CONDITION_CAP``, exploration
     is extended episode by episode up to 2N; past that the run records an
-    estimation failure and tests everything for the remainder.
+    estimation failure and tests everything for the remainder. Only the
+    first min(2N, T) outcomes, those the estimate may read, are held
+    throughout; the episodes are played block by block.
     """
     instance = env.instance
     T = config.horizon
     n0 = gaussian_exploration_episodes(config)
-    xs = env.outcomes(T)
+    head = env.outcomes(min(2 * n0, T))
     clair = env.clairvoyant_policy(config.quadrature, config.state_cap)
 
     estimate = None
     estimation_failure = False
     n_explore = n0
     while True:
-        candidate = _estimate_gaussian(xs[:n_explore], config.assume_zero_mean)
+        candidate = _estimate_gaussian(head[:n_explore], config.assume_zero_mean)
         if _well_conditioned(candidate.covariance):
             estimate = candidate
             break
-        if n_explore >= min(2 * n0, T):
+        if n_explore >= len(head):
             estimation_failure = True
             break
         n_explore += 1
@@ -294,19 +316,27 @@ def run_etc_gaussian(
         )
         policy, _ = solve_dp_gaussian(emp_instance, config.quadrature, config.state_cap)
 
-    # explore episodes, then the committed policy's rollouts or, after an
-    # estimation failure, full testing to the horizon
-    explore = full_information_rollouts(instance, xs[:n_explore])
-    xs_commit = xs[n_explore:]
-    if policy is not None:
-        c_tests, c_dec, c_order = policy.rollouts(xs_commit)
-        commit = (c_tests, c_dec, c_order, rollout_net_rewards(instance, xs_commit, c_order, c_dec))
-    else:
-        commit = full_information_rollouts(instance, xs_commit)
-    rollout = tuple(np.concatenate(pair) for pair in zip(explore, commit))
-
-    _, clair_dec, clair_order = clair.rollouts(xs)
-    clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
+    out = TraceSink() if sink is None else sink
+    for a, b in episode_blocks(T):
+        # the block's held outcomes, then fresh draws for the rest of it
+        fresh = min(b - a, max(b - len(head), 0))
+        xs = np.concatenate((head[a:b], env.outcomes(fresh)))
+        n = min(max(n_explore - a, 0), b - a)  # this block's explore episodes
+        # explore episodes, then the committed policy's rollouts or, after an
+        # estimation failure, full testing to the horizon
+        explore = full_information_rollouts(instance, xs[:n])
+        xs_commit = xs[n:]
+        if policy is not None:
+            c_tests, c_dec, c_order = policy.rollouts(xs_commit)
+            commit = (c_tests, c_dec, c_order, rollout_net_rewards(instance, xs_commit, c_order, c_dec))
+        else:
+            commit = full_information_rollouts(instance, xs_commit)
+        rollout = tuple(np.concatenate(pair) for pair in zip(explore, commit))
+        _, clair_dec, clair_order = clair.rollouts(xs)
+        clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
+        out.add(rollout_trace(
+            "etc-gaussian", env, n, rollout, clair_net, xs if collect_observations else None,
+        ))
 
     metadata = {
         "n_explore": n_explore,
@@ -314,30 +344,36 @@ def run_etc_gaussian(
         "estimator": estimate.estimator if estimate is not None else None,
         "estimation_failure": estimation_failure,
     }
-    trace = rollout_trace(
-        "etc-gaussian", env, n_explore, rollout, clair_net,
-        xs if collect_observations else None, metadata,
-    )
+    trace = out.finish("etc-gaussian", metadata)
     return EtcRunResult(trace=trace, policy=policy, empirical=estimate, metadata=metadata)
 
 
-def run_clairvoyant(env, config: EtcConfig, collect_observations: bool = False) -> EtcRunResult:
+def run_clairvoyant(
+    env, config: EtcConfig, collect_observations: bool = False, sink: Optional[TraceSink] = None,
+) -> EtcRunResult:
     """The clairvoyant policy, solved on the true model under the config's
     budget, played every episode (its regret is 0 by definition)."""
     collect = collect_observations
-    if isinstance(env, DiscreteEnvironment):
+    discrete = isinstance(env, DiscreteEnvironment)
+    if discrete:
         # tabulated per support point, gathered per episode
-        policy, (tests, dec, order, net) = env.clairvoyant(config.state_cap)
-        idx = env.outcome_indices(config.horizon)
-        xs = env.instance.model.support[idx] if collect else None
-        rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
+        policy, table = env.clairvoyant(config.state_cap)
     else:
         policy = env.clairvoyant_policy(config.quadrature, config.state_cap)
-        xs = env.outcomes(config.horizon)
-        tests, dec, order = policy.rollouts(xs)
-        rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
-    trace = rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None)
-    return EtcRunResult(trace=trace, policy=policy, empirical=None, metadata=trace.metadata)
+    out = TraceSink() if sink is None else sink
+    for a, b in episode_blocks(config.horizon):
+        if discrete:
+            idx = env.outcome_indices(b - a)
+            xs = env.instance.model.support[idx] if collect else None
+            tests, dec, order, net = table
+            rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
+        else:
+            xs = env.outcomes(b - a)
+            tests, dec, order = policy.rollouts(xs)
+            rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
+        out.add(rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None))
+    trace = out.finish("clairvoyant", {})
+    return EtcRunResult(trace=trace, policy=policy, empirical=None, metadata={})
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +408,34 @@ def run_doubling(agent_factory: Callable[[int], RegretTrace], total_T: int) -> R
     return merged
 
 
-def run_etc_doubling(env, config: EtcConfig, collect_observations: bool = False) -> EtcRunResult:
-    """Doubling-trick ETC on the same environment stream as known-T ETC."""
-    runner = run_etc_discrete if isinstance(env, DiscreteEnvironment) else run_etc_gaussian
+class _BatchSink:
+    """A doubling batch's sink: it hands the batch's blocks on to the run's
+    sink, which the run, not the batch, finishes."""
 
-    def factory(batch_T: int) -> RegretTrace:
-        batch_config = replace(config, horizon=batch_T, override_n=None)
-        return runner(env, batch_config, collect_observations).trace
+    def __init__(self, sink: TraceSink):
+        self.add = sink.add
 
-    trace = run_doubling(factory, config.horizon)
-    return EtcRunResult(trace=trace, policy=None, empirical=None, metadata=trace.metadata)
+    def finish(self, agent: str, metadata: dict) -> None:
+        return None
+
+
+def run_etc_doubling(
+    env, config: EtcConfig, collect_observations: bool = False, sink: Optional[TraceSink] = None,
+) -> EtcRunResult:
+    """Doubling-trick ETC on the same environment stream as known-T ETC: a
+    fresh known-horizon agent per batch, each batch's blocks handed on as it
+    plays them."""
+    discrete = isinstance(env, DiscreteEnvironment)
+    runner = run_etc_discrete if discrete else run_etc_gaussian
+    out = TraceSink() if sink is None else sink
+    batches = [
+        runner(
+            env, replace(config, horizon=batch_T, override_n=None), collect_observations,
+            _BatchSink(out),
+        ).metadata
+        for batch_T in doubling_batches(config.horizon)
+    ]
+    agent = ("etc-discrete" if discrete else "etc-gaussian") + "-doubling"
+    metadata = {"batches": batches}
+    trace = out.finish(agent, metadata)
+    return EtcRunResult(trace=trace, policy=None, empirical=None, metadata=metadata)

@@ -633,7 +633,7 @@ def solve_dp_discrete(instance: ProblemInstance, state_cap: int = DEFAULT_STATE_
     ranking = None
     if instance.reward.kind == "indicator-match":
         # support points in the decision set, by probability then decision
-        dec_index = {y: j for j, y in enumerate(instance.decisions)}
+        dec_index = _decision_index(instance)
         point_decision = np.array(
             [dec_index.get(tuple(y), -1) for y in model.support.tolist()], dtype=np.int32
         )
@@ -741,6 +741,15 @@ def _require_quadratic(instance: ProblemInstance) -> None:
 
 def _decision_matrix(instance: ProblemInstance) -> np.ndarray:
     return np.array([list(y) for y in instance.decisions], dtype=float)
+
+
+def _decision_index(instance: ProblemInstance) -> dict:
+    """Each decision vector -> its lowest index, the tie rule's choice among
+    decisions that repeat a vector."""
+    index = {}
+    for j, y in enumerate(instance.decisions):
+        index.setdefault(y, j)
+    return index
 
 
 def _quadratic_decision_values(dec, obs, miss, values, means, trace) -> np.ndarray:
@@ -1067,7 +1076,7 @@ def full_information_rollouts(instance: ProblemInstance, xs, support_index=None)
     n, d = xs.shape
     kind = instance.reward.kind
     if kind == "indicator-match":
-        dec_index = {y: j for j, y in enumerate(instance.decisions)}
+        dec_index = _decision_index(instance)
         decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
     elif kind == "table":
         decision = np.argmax(instance.reward.table[np.asarray(support_index, dtype=np.intp)], axis=1)

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits, check_state_cap
-from .envs import GaussianEnvironment, RegretTrace, subset_label
+from .envs import GaussianEnvironment, RegretTrace, TraceSink, episode_blocks, subset_label
 from .models import InstanceError, ParameterError
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -366,7 +366,7 @@ def eliminate(state: CandidateSet, t: int, config: OcmespConfig) -> CandidateSet
 
 @dataclass
 class OcmespResult:
-    trace: RegretTrace
+    trace: object  # RegretTrace, or envs.StreamedTrace when the sink wrote its rows
     final_candidates: list  # subset index tuples
 
 
@@ -374,11 +374,12 @@ def run_ocmesp(
     env: GaussianEnvironment,
     config: OcmespConfig,
     collect_observations: bool = False,
+    sink: Optional[TraceSink] = None,
 ) -> OcmespResult:
     """Iterative elimination to the horizon; once a single candidate survives
-    it is played for every remaining episode (exploration stops)."""
+    it is played for every remaining episode (exploration stops). Episodes
+    are drawn and recorded block by block."""
     instance = env.instance
-    T = config.horizon
     state = CandidateSet.initial(config.d)
     # on the initial power set a candidate's position is its mask
     true_sigma = instance.model.covariance
@@ -391,50 +392,54 @@ def run_ocmesp(
     )
     optimal_value = entropy_objective(optimal_subset, true_sigma, config.lam, config.costs)
 
-    xs = env.outcomes(T)
-    played = np.empty(T, dtype=np.int64)
-    pair_col = [""] * T
-    n_candidates = np.ones(T, dtype=np.int64)
-    elim_col = np.zeros(T, dtype=np.int64)
-    t = 0
-    while t < T and len(state.candidates) > 1:
-        pair, subset_mask = select_next_subset(state)
-        update_estimates(state, subset_mask, xs[t], t + 1)
-        before = state.eliminated_total
-        eliminate(state, t + 1, config)
-        played[t] = subset_mask
-        pair_col[t] = f"{pair[0]}|{pair[1]}"
-        n_candidates[t] = len(state.candidates)
-        elim_col[t] = state.eliminated_total - before
-        t += 1
-    played[t:] = state.candidates[0]  # the survivor, once one is left
+    out = TraceSink() if sink is None else sink
+    t = 0  # episodes played while more than one candidate was left
+    for a, b in episode_blocks(config.horizon):
+        xs = env.outcomes(b - a)
+        played = np.empty(b - a, dtype=np.int64)
+        pair_col = [""] * (b - a)
+        n_candidates = np.ones(b - a, dtype=np.int64)
+        elim_col = np.zeros(b - a, dtype=np.int64)
+        while t < b and len(state.candidates) > 1:
+            pair, subset_mask = select_next_subset(state)
+            update_estimates(state, subset_mask, xs[t - a], t + 1)
+            before = state.eliminated_total
+            eliminate(state, t + 1, config)
+            played[t - a] = subset_mask
+            pair_col[t - a] = f"{pair[0]}|{pair[1]}"
+            n_candidates[t - a] = len(state.candidates)
+            elim_col[t - a] = state.eliminated_total - before
+            t += 1
+        n = max(t - a, 0)  # this block's explore episodes
+        played[n:] = state.candidates[0]  # the survivor, once one is left
 
-    masks = played.tolist()
-    labels = {m: subset_label(_bits(m)) for m in set(masks)}
-    member = (played[:, None] >> np.arange(config.d)) & 1 == 1
-    trace = RegretTrace(
-        agent="ocmesp",
-        seed=env.seed,
-        instance_hash=env.instance_hash,
-        phase=["explore"] * t + ["commit"] * (T - t),
-        tests_performed=member.sum(axis=1),
-        decision=[""] * T,
-        realized_reward=true_obj[played],
-        clairvoyant_reward=np.full(T, optimal_value),
-        extras={
-            "pair_chosen": pair_col,
-            "subset_played": [labels[m] for m in masks],
-            "n_candidates": n_candidates,
-            "U_t": np.array([confidence_width(u + 1, config) for u in range(T)]),
-            "eliminated_count": elim_col,
-        },
-        observations=np.where(member, xs, np.nan) if collect_observations else None,
-        metadata={
-            "optimal_subset": list(optimal_subset),
-            "pd_skips": state.pd_skips,
-            "converged_at": (t if len(state.candidates) == 1 else None),
-        },
-    )
+        masks = played.tolist()
+        labels = {m: subset_label(_bits(m)) for m in set(masks)}
+        member = (played[:, None] >> np.arange(config.d)) & 1 == 1
+        out.add(RegretTrace(
+            agent="ocmesp",
+            seed=env.seed,
+            instance_hash=env.instance_hash,
+            phase=["explore"] * n + ["commit"] * (b - a - n),
+            tests_performed=member.sum(axis=1),
+            decision=[""] * (b - a),
+            realized_reward=true_obj[played],
+            clairvoyant_reward=np.full(b - a, optimal_value),
+            extras={
+                "pair_chosen": pair_col,
+                "subset_played": [labels[m] for m in masks],
+                "n_candidates": n_candidates,
+                "U_t": np.array([confidence_width(u + 1, config) for u in range(a, b)]),
+                "eliminated_count": elim_col,
+            },
+            observations=np.where(member, xs, np.nan) if collect_observations else None,
+        ))
+
+    trace = out.finish("ocmesp", {
+        "optimal_subset": list(optimal_subset),
+        "pd_skips": state.pd_skips,
+        "converged_at": (t if len(state.candidates) == 1 else None),
+    })
     return OcmespResult(
         trace=trace,
         final_candidates=[tuple(_bits(m)) for m in state.candidates],

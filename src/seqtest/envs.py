@@ -10,6 +10,12 @@ Per-episode simple regret follows the clairvoyant-gap definition: both the
 agent and the clairvoyant policy are rolled out on the same realized outcome
 vector, and the regret is the difference of their net rewards (reward minus
 test costs). It can be negative on a single episode.
+
+A run hands its trace over in blocks of at most ``_BLOCK`` episodes, to a
+``TraceSink`` that either appends each block's rows to the run's open files or
+keeps the blocks for one whole trace. A block's draws are the matching rows of
+one whole-horizon draw, and its cumulative regret continues the previous
+block's sum, so the bytes written do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ class DiscreteEnvironment:
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._clair = None
+        self.labels = np.full(len(instance.decisions), None, dtype=object)  # see decision_labels
 
     def outcome_indices(self, n: int) -> np.ndarray:
         """Next ``n`` support indices from the episode stream."""
@@ -86,6 +93,7 @@ class GaussianEnvironment:
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._clair_policy = None
+        self.labels = np.full(len(instance.decisions), None, dtype=object)  # see decision_labels
 
     def outcomes(self, n: int) -> np.ndarray:
         """Next ``n`` outcome vectors, shape (n, d)."""
@@ -180,9 +188,8 @@ def rollout_trace(
     rollout,
     clairvoyant_net: np.ndarray,
     xs: Optional[np.ndarray] = None,
-    metadata: Optional[dict] = None,
 ) -> RegretTrace:
-    """Trace of a run on ``env`` whose episode t is row t of ``rollout`` =
+    """Trace of episodes on ``env`` whose episode t is row t of ``rollout`` =
     (tests, decision, order, net), the first ``n_explore`` exploring and the
     rest committed. Observations are recorded from ``xs``, the realized
     outcomes, when given (``order`` may be None otherwise)."""
@@ -198,33 +205,96 @@ def rollout_trace(
         instance_hash=env.instance_hash,
         phase=["explore"] * n_explore + ["commit"] * (len(net) - n_explore),
         tests_performed=tests,
-        decision=decision_labels(env.instance, decision),
+        decision=decision_labels(env.instance, decision, env.labels),
         realized_reward=net,
         clairvoyant_reward=clairvoyant_net,
         observations=observations,
-        metadata=metadata or {},
     )
 
 
+def _joined(columns: list):
+    """One column from consecutive parts: arrays concatenated, lists chained."""
+    if isinstance(columns[0], np.ndarray):
+        return np.concatenate(columns)
+    return [v for col in columns for v in col]
+
+
 def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
-    """Stitch batch traces into one run; cumulative regret re-accumulated."""
+    """Stitch consecutive traces into one run; cumulative regret re-accumulated."""
     first = traces[0]
     return RegretTrace(
         agent=first.agent,
         seed=first.seed,
         instance_hash=first.instance_hash,
-        phase=[p for t in traces for p in t.phase],
-        tests_performed=np.concatenate([t.tests_performed for t in traces]),
-        decision=[d for t in traces for d in t.decision],
-        realized_reward=np.concatenate([t.realized_reward for t in traces]),
-        clairvoyant_reward=np.concatenate([t.clairvoyant_reward for t in traces]),
+        **{
+            name: _joined([getattr(t, name) for t in traces])
+            for name in ("phase", "tests_performed", "decision", "realized_reward",
+                         "clairvoyant_reward")
+        },
+        extras={name: _joined([t.extras[name] for t in traces]) for name in first.extras},
         observations=(
-            np.concatenate([t.observations for t in traces])
-            if first.observations is not None
-            else None
+            None if first.observations is None
+            else np.concatenate([t.observations for t in traces])
         ),
         metadata={"batches": [t.metadata for t in traces]},
     )
+
+
+# episodes an agent holds at once: it draws, rolls out, prices and hands over
+# its horizon in blocks of this many
+_BLOCK = 1 << 16
+
+
+def episode_blocks(horizon: int):
+    """(start, stop) of each block of a horizon, in order."""
+    return [(a, min(a + _BLOCK, horizon)) for a in range(0, horizon, _BLOCK)]
+
+
+class StreamedTrace:
+    """What a run keeps of a trace whose rows went to its files: the
+    metadata, and the cumulative regret column the aggregate reads."""
+
+    def __init__(self, metadata: dict, cumulative_regret: np.ndarray):
+        self.metadata, self.cumulative_regret = metadata, cumulative_regret
+
+
+class TraceSink:
+    """A run's trace, handed over in blocks of consecutive episodes.
+
+    Each block's cumulative regret continues the previous block's as one
+    sequential sum. Given open trace (and dataset) files, the sink appends
+    each block's rows to them and keeps only its cumulative regret; otherwise
+    it keeps the blocks, and ``finish`` joins them into one whole trace.
+    """
+
+    def __init__(self, trace_fh=None, dataset_fh=None):
+        self.trace_fh, self.dataset_fh = trace_fh, dataset_fh
+        self.blocks = []  # kept without files; the joined trace re-accumulates
+        self.cumulative = []  # each written block's cumulative regret
+        self.episodes = 0
+
+    def add(self, block: RegretTrace) -> None:
+        if self.trace_fh is None:
+            self.blocks.append(block)
+            return
+        if self.cumulative:
+            # the carry is prepended: cumsum(block) + carry would re-associate
+            carry = self.cumulative[-1][-1:]
+            block.cumulative_regret = np.cumsum(np.concatenate((carry, block.simple_regret)))[1:]
+        self.cumulative.append(block.cumulative_regret)
+        write_trace_rows(self.trace_fh, block, self.episodes)
+        if self.dataset_fh is not None:
+            write_dataset_rows(self.dataset_fh, block, self.episodes)
+        self.episodes += block.episodes
+
+    def finish(self, agent: str, metadata: dict):
+        """The run's trace: whole, or a ``StreamedTrace`` once its rows are
+        in files."""
+        if self.trace_fh is not None:
+            return StreamedTrace(metadata, np.concatenate(self.cumulative))
+        trace = self.blocks[0] if len(self.blocks) == 1 else concatenate_traces(self.blocks)
+        trace.agent, trace.metadata = agent, metadata
+        return trace
 
 
 # rows formatted per chunk by every writer, enough that formatting each
@@ -285,13 +355,16 @@ def _write_rows(fh, n: int, columns) -> None:
         fh.write("\n".join(map(",".join, islice(rows, _WRITE_ROWS))) + "\n")
 
 
-def write_trace_csv(trace: RegretTrace, path) -> None:
-    cols = list(TRACE_COLUMNS) + list(trace.extras)
+def write_trace_rows(fh, trace: RegretTrace, first: int) -> None:
+    """Write the rows of ``trace`` as episodes first+1, first+2, ...; the
+    header too when ``first`` is 0."""
+    if first == 0:
+        fh.write(",".join(list(TRACE_COLUMNS) + list(trace.extras)) + "\n")
     tests = np.asarray(trace.tests_performed, dtype=np.int64)
 
     def columns(a, b):
         return [
-            map(str, range(a + 1, b + 1)),
+            map(str, range(first + a + 1, first + b + 1)),
             trace.phase[a:b],
             _fmt_column(tests[a:b]),
             trace.decision[a:b],
@@ -301,20 +374,25 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
             _fmt_column(trace.cumulative_regret[a:b]),
         ] + [_fmt_column(trace.extras[name][a:b]) for name in trace.extras]
 
+    _write_rows(fh, trace.episodes, columns)
+
+
+def write_trace_csv(trace: RegretTrace, path) -> None:
     with _atomic_open(path) as fh:
-        fh.write(",".join(cols) + "\n")
-        _write_rows(fh, trace.episodes, columns)
+        write_trace_rows(fh, trace, 0)
 
 
-def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
-    """Table-1-shaped artifact: one row per episode, one column per test,
-    the literal ``NA`` for entries the agent never observed (the NaN holes
-    of ``trace.observations``)."""
+def write_dataset_rows(fh, trace: RegretTrace, first: int) -> None:
+    """Write the dataset rows of ``trace`` as episodes first+1, first+2, ...;
+    the header too when ``first`` is 0."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
+    if first == 0:
+        d = trace.observations.shape[1]
+        fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
 
     def columns(a, b):
-        cells = [map(str, range(a + 1, b + 1))]
+        cells = [map(str, range(first + a + 1, first + b + 1))]
         for col in trace.observations[a:b].T:
             seen = ~np.isnan(col)
             labels = np.full(b - a, "NA", dtype=object)
@@ -322,36 +400,68 @@ def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
             cells.append(labels.tolist())
         return cells
 
+    _write_rows(fh, trace.episodes, columns)
+
+
+def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
+    """Table-1-shaped artifact: one row per episode, one column per test
+    (``d`` of them), the literal ``NA`` for entries the agent never observed
+    (the NaN holes of ``trace.observations``)."""
+    if trace.observations is not None and trace.observations.shape[1] != d:
+        raise ValueError(f"trace observes {trace.observations.shape[1]} tests, not {d}")
     with _atomic_open(path) as fh:
-        fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
-        _write_rows(fh, trace.episodes, columns)
+        write_dataset_rows(fh, trace, 0)
 
 
-def aggregate_cumulative_regret(traces: Sequence[RegretTrace]):
+def aggregate_cumulative_regret(traces: Sequence[RegretTrace], start: int = 0, stop=None):
     """Per-episode mean and (population) standard deviation of cumulative
-    regret across replications."""
-    stacked = np.vstack([t.cumulative_regret for t in traces])
-    return stacked.mean(axis=0), stacked.std(axis=0, ddof=0)
+    regret across replications, of episodes start+1..stop. Each is summed
+    over the replications in order, as numpy reduces a stacked matrix of
+    more than one column (a single column it sums pairwise), so an episode's
+    figures depend on its own column alone, whatever the range."""
+    columns = [t.cumulative_regret[start:stop] for t in traces]
+    total = columns[0].copy()
+    for col in columns[1:]:
+        total += col
+    mean = total / len(columns)
+    squares = np.zeros_like(mean)
+    for col in columns:
+        dev = col - mean
+        squares += dev * dev
+    return mean, np.sqrt(squares / len(columns))
+
+
+def write_aggregate_rows(fh, aggregate, first: int) -> None:
+    """Write the (mean, sd) of ``aggregate_cumulative_regret`` as the rows of
+    episodes first+1, first+2, ...; the header too when ``first`` is 0."""
+    mean, sd = aggregate
+    if first == 0:
+        fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
+
+    def columns(a, b):
+        return [
+            map(str, range(first + a + 1, first + b + 1)), _fmt_column(mean[a:b]),
+            _fmt_column(sd[a:b]),
+        ]
+
+    _write_rows(fh, len(mean), columns)
 
 
 def write_aggregate_csv(aggregate, path) -> None:
     """Write the (mean, sd) of ``aggregate_cumulative_regret``, one row per episode."""
-    mean, sd = aggregate
-
-    def columns(a, b):
-        return [map(str, range(a + 1, b + 1)), _fmt_column(mean[a:b]), _fmt_column(sd[a:b])]
-
     with _atomic_open(path) as fh:
-        fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
-        _write_rows(fh, len(mean), columns)
+        write_aggregate_rows(fh, aggregate, 0)
 
 
-def decision_labels(instance: ProblemInstance, idx) -> list:
-    """Trace label of each decision index in ``idx``; each decision that
-    occurs is formatted once, and the cells gather those labels."""
+def decision_labels(instance: ProblemInstance, idx, labels: Optional[np.ndarray] = None) -> list:
+    """Trace label of each decision index in ``idx``; the cells gather the
+    labels of ``labels``, one slot per decision (None until the decision
+    first occurs, then formatted once), which a run's blocks share."""
     idx = np.asarray(idx, dtype=np.intp)
-    labels = np.empty(len(instance.decisions), dtype=object)
-    for j in np.flatnonzero(np.bincount(idx, minlength=len(labels))).tolist():
+    if labels is None:
+        labels = np.full(len(instance.decisions), None, dtype=object)
+    occurs = np.bincount(idx, minlength=len(labels)) > 0
+    for j in np.flatnonzero(occurs & np.equal(labels, None)).tolist():
         y = instance.decisions[j]
         labels[j] = "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
     return labels[idx].tolist()

@@ -175,12 +175,12 @@ def brute_force_policy_oracle(instance: ProblemInstance):
     if instance.reward.kind == "table":
         table = instance.reward.table
     elif instance.reward.kind == "indicator-match":
-        dec_index = {y: j for j, y in enumerate(instance.decisions)}
+        # f(x, y) = 1 for every decision equal to x, repeated vectors included
         table = np.zeros((K, len(instance.decisions)))
         for k in range(K):
-            j = dec_index.get(tuple(support[k]))
-            if j is not None:
-                table[k, j] = 1.0
+            for j, y in enumerate(instance.decisions):
+                if tuple(support[k]) == y:
+                    table[k, j] = 1.0
     else:
         raise InstanceError(f"oracle does not handle {instance.reward.kind!r} rewards")
 

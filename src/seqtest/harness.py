@@ -3,8 +3,10 @@ aggregates, and summarize finished runs.
 
 Every replication owns its environment and RNG stream (keyed by its seed), so
 replications can run in any order or in parallel and still produce
-byte-identical artifacts; aggregation is a deterministic reduce over the
-seed-sorted traces after all replications complete.
+byte-identical artifacts. A replication writes its own trace (and dataset)
+file, block by block as its agent plays, and hands back only its cumulative
+regret column; the aggregate is a deterministic reduce over those columns,
+in seed order, after all replications complete.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -145,21 +148,36 @@ def _agent_config(config: ExperimentConfig):
     return etc_config
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
-    """Run one replication of the configured agent."""
+def run_seed(config: ExperimentConfig, seed: int, sink=None) -> RegretTrace:
+    """Run one replication of the configured agent. Its trace is returned
+    whole, unless ``sink`` (an ``envs.TraceSink``) takes its blocks."""
     from .envs import DiscreteEnvironment, GaussianEnvironment
 
     instance = config.instance
     env = (DiscreteEnvironment if instance.is_discrete else GaussianEnvironment)(instance, seed)
     _, module, name = _AGENTS[config.agent]
     run = getattr(importlib.import_module(f".{module}", __package__), name)
-    return run(env, config.agent_config, config.emit_dataset).trace
+    return run(env, config.agent_config, config.emit_dataset, sink).trace
 
 
 def _worker(payload):
+    """Run one seed. With an output directory, the seed's trace (and dataset)
+    file is written block by block as the agent plays, and only its cumulative
+    regret and metadata come back; a seed that fails leaves no file."""
     config, seed = payload
     try:
-        return seed, "ok", run_seed(config, seed)
+        if config.out_dir is None:
+            return seed, "ok", run_seed(config, seed)
+        from .envs import TraceSink, _atomic_open
+
+        out = Path(config.out_dir)
+        with ExitStack() as files:
+            trace_fh = files.enter_context(_atomic_open(out / f"trace_seed{seed}.csv"))
+            dataset_fh = None
+            if config.emit_dataset:
+                dataset_fh = files.enter_context(_atomic_open(out / f"dataset_seed{seed}.csv"))
+            trace = run_seed(config, seed, TraceSink(trace_fh, dataset_fh))
+        return seed, "ok", trace
     except Exception:
         import traceback  # only a failed seed needs it
         return seed, "error", traceback.format_exc()
@@ -167,7 +185,13 @@ def _worker(payload):
 
 @dataclass
 class ReplicationReport:
-    traces: dict  # seed -> RegretTrace
+    """What a run hands back. Whole traces, and the per-episode mean and sd
+    of cumulative regret over seeds (when every seed succeeded), only when
+    the run has no ``out_dir``; with one, each seed's trace is its
+    ``envs.StreamedTrace`` (cumulative regret and metadata), and the
+    aggregate is in aggregate.csv alone."""
+
+    traces: dict  # seed -> RegretTrace, or envs.StreamedTrace with an out_dir
     failures: dict  # seed -> traceback string
     mean_cumulative: Optional[np.ndarray] = None
     sd_cumulative: Optional[np.ndarray] = None
@@ -193,17 +217,16 @@ def effective_config_dict(config: ExperimentConfig) -> dict:
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """Run every seed (in parallel when jobs > 1), write artifacts, aggregate.
 
-    A failed seed is reported in the returned ``failures`` map; the aggregate
-    is produced only when every replication succeeded.
+    Each seed's worker writes its own trace and dataset files; the run writes
+    effective-config.json and aggregate.csv. A failed seed is reported in the
+    returned ``failures`` map; the aggregate is produced only when every
+    replication succeeded.
     """
-    from .envs import (
-        _atomic_open,
-        aggregate_cumulative_regret,
-        write_aggregate_csv,
-        write_dataset_csv,
-        write_trace_csv,
-    )
+    from .envs import _atomic_open, aggregate_cumulative_regret, episode_blocks, write_aggregate_rows
 
+    out = None if config.out_dir is None else Path(config.out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     payloads = [(config, seed) for seed in config.seeds]
     if config.jobs > 1:
         # imported here: loading the pool machinery costs a serial run 20-40 ms
@@ -214,26 +237,23 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
             results = list(pool.map(_worker, payloads))
     else:
         results = [_worker(p) for p in payloads]
-    traces = {seed: out for seed, status, out in results if status == "ok"}
-    failures = {seed: out for seed, status, out in results if status == "error"}
-
+    traces = {seed: value for seed, status, value in results if status == "ok"}
+    failures = {seed: value for seed, status, value in results if status == "error"}
     report = ReplicationReport(traces=traces, failures=failures)
-    if not failures:
-        ordered = [traces[s] for s in sorted(traces)]
-        report.mean_cumulative, report.sd_cumulative = aggregate_cumulative_regret(ordered)
-
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with _atomic_open(out / "effective-config.json") as fh:
-            json.dump(effective_config_dict(config), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        for seed in sorted(traces):
-            write_trace_csv(traces[seed], out / f"trace_seed{seed}.csv")
-            if config.emit_dataset:
-                write_dataset_csv(traces[seed], config.instance.d, out / f"dataset_seed{seed}.csv")
+    ordered = [traces[s] for s in sorted(traces)]
+    if out is None:
         if not failures:
-            write_aggregate_csv((report.mean_cumulative, report.sd_cumulative), out / "aggregate.csv")
+            report.mean_cumulative, report.sd_cumulative = aggregate_cumulative_regret(ordered)
+        return report
+
+    with _atomic_open(out / "effective-config.json") as fh:
+        json.dump(effective_config_dict(config), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    if not failures:
+        # reduced and written one block of episodes at a time
+        with _atomic_open(out / "aggregate.csv") as fh:
+            for a, b in episode_blocks(config.horizon):
+                write_aggregate_rows(fh, aggregate_cumulative_regret(ordered, a, b), a)
     return report
 
 

@@ -1139,6 +1139,30 @@ class TestFullInformationRollouts:
             assert order.shape == (0, inst.d)
 
 
+class TestDuplicateDecisions:
+    def test_lowest_index_of_a_repeated_vector_wins(self):
+        # decisions 0 and 1 are the same vector: on x = 0 both score 1, and
+        # the tie rule picks decision 0 in the solve, the full-information
+        # rollouts and the oracle alike
+        inst = ProblemInstance(
+            model=DiscreteOutcomeModel(support=np.array([[0.0], [1.0]]), probs=np.array([0.5, 0.5])),
+            costs=np.array([0.01]),
+            decisions=((0.0,), (0.0,), (1.0,)),
+            reward=RewardSpec(kind="indicator-match"),
+        )
+        support = inst.model.support
+        policy, table = solve_dp_discrete(inst)
+        assert table.root_action == ("test", 0)
+        assert policy.rollouts(support)[1].tolist() == [0, 2]
+        decision = TestFullInformationRollouts.check(inst, support, np.arange(2))
+        assert decision.tolist() == [0, 2]
+        value, oracle = brute_force_policy_oracle(inst)
+        assert value == table.root_value
+        assert oracle[(0, (0, 1))] == ("test", 0)
+        assert oracle[(1, (0,))] == ("decide", 0)
+        assert oracle[(1, (1,))] == ("decide", 2)
+
+
 class TestBatchedTreeMatchesRecursion:
     @pytest.mark.parametrize("d,nodes", ORACLE_CASES)
     def test_root_and_off_tree_nodes(self, d, nodes):

@@ -2,6 +2,7 @@
 replication runner."""
 
 import concurrent.futures
+import io
 import math
 from pathlib import Path
 
@@ -38,7 +39,13 @@ from seqtest.harness import (
     run_seed,
     scaling_ratios,
 )
-from seqtest.models import InstanceError, ParameterError, initial_state
+from seqtest.models import (
+    InstanceError,
+    ParameterError,
+    initial_state,
+    sample,
+    sample_support_indices,
+)
 
 
 class TestSimpleRegret:
@@ -662,6 +669,152 @@ class TestRunReplications:
         )
         trace = run_seed(config, 0)
         assert np.all(trace.simple_regret == 0.0)
+
+
+# (agent, instance, agent parameters) of the block sweep: every agent, on
+# each instance kind it runs on
+BLOCK_SWEEP_RUNS = [
+    ("etc-discrete", "pareto", {}),
+    ("etc-discrete", "pareto", {"override_n": 40}),
+    ("etc-gaussian", "quadratic", {"nodes_per_test": 4}),
+    ("etc-gaussian", "quadratic", {"nodes_per_test": 4, "override_n": 1}),  # estimation failure
+    ("etc-doubling", "pareto", {}),
+    ("etc-doubling", "quadratic", {"nodes_per_test": 4}),
+    ("clairvoyant", "pareto", {}),
+    ("clairvoyant", "quadratic", {"nodes_per_test": 4}),
+    ("ocmesp", "lowrank", {"bernstein_c": 2e9}),
+]
+
+
+class TestEpisodeBlocks:
+    def test_block_draws_equal_one_draw(self):
+        # an agent draws its horizon block by block; each block must be the
+        # matching rows of one whole-horizon draw from the same Philox key
+        discrete = gen_discrete_pareto(d=4, seed=1).model
+        gaussian = gen_gaussian_lowrank(d=6, seed=7).model
+
+        def draws(model, sizes):
+            rng = envs._stream(11)
+            if model is discrete:
+                parts = [sample_support_indices(model, rng, n) for n in sizes]
+            else:
+                parts = [sample(model, rng, n) for n in sizes]
+            return np.concatenate(parts)
+
+        for model in (discrete, gaussian):
+            whole = draws(model, [1000])
+            for sizes in ([1, 7, 300, 692], [1] * 1000, [7] * 142 + [6], [300] * 3 + [100], [692, 308]):
+                assert draws(model, sizes).tobytes() == whole.tobytes(), sizes
+
+    def test_carried_cumsum_equals_one_cumsum(self):
+        rng = np.random.default_rng(5)
+        regret = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
+        regret[0] = -0.0  # a run's first cumulative regret keeps its sign
+        whole = np.cumsum(regret)
+        for sizes in ([1, 7, 300, 692], [1] * 1000, [500, 500]):
+            sink = envs.TraceSink(trace_fh=io.StringIO())
+            for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+                n = b - a
+                sink.add(RegretTrace(
+                    agent="a", seed=0, instance_hash="h", phase=["commit"] * n,
+                    tests_performed=np.zeros(n, dtype=int), decision=[""] * n,
+                    realized_reward=np.zeros(n), clairvoyant_reward=regret[a:b],
+                ))
+            assert sink.blocks == []  # a sink with a file keeps no rows
+            streamed = sink.finish("a", {}).cumulative_regret
+            assert streamed.tobytes() == whole.tobytes(), sizes
+
+    def test_aggregate_of_any_range_is_the_stacked_reduce(self):
+        # the mean and sd of episodes a..b equal numpy's over the whole
+        # stacked matrix, for every number of seeds
+        rng = np.random.default_rng(8)
+        for seeds in range(1, 21):
+            cumulative = np.cumsum(rng.standard_normal((seeds, 300)), axis=1)
+            traces = [envs.StreamedTrace({}, col) for col in cumulative]
+            want = np.concatenate([cumulative.mean(axis=0), cumulative.std(axis=0)])
+            for a, b in ((0, 300), (0, 1), (17, 18), (5, 299), (299, 300)):
+                mean, sd = aggregate_cumulative_regret(traces, a, b)
+                got = np.concatenate([mean, sd])
+                assert got.tobytes() == want[np.r_[a:b, 300 + a : 300 + b]].tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "agent, kind, params", BLOCK_SWEEP_RUNS,
+        ids=[f"{a}-{k}" + "".join(f"-{p}={v}" for p, v in ps.items()) for a, k, ps in BLOCK_SWEEP_RUNS],
+    )
+    def test_artifacts_do_not_depend_on_the_block(self, tmp_path, monkeypatch, agent, kind, params, jobs):
+        inst = {
+            "pareto": lambda: gen_discrete_pareto(d=4, seed=1, cost=0.05),
+            "quadratic": lambda: gen_gaussian_quadratic(d=2, seed=0),
+            "lowrank": lambda: gen_gaussian_lowrank(d=6, seed=7, cost=1.8),
+        }[kind]()
+        T = 1500
+        adds = []
+        add = envs.TraceSink.add
+        monkeypatch.setattr(envs.TraceSink, "add", lambda sink, block: adds.append(1) or add(sink, block))
+        runs = {}
+        # 2^16 is one block of the whole horizon; a fork-started pool's
+        # workers inherit the patched block
+        for block in (7, 2**10, 2**16):
+            monkeypatch.setattr(envs, "_BLOCK", block)
+            out = tmp_path / str(block)
+            report = run_replications(ExperimentConfig(
+                instance=inst, agent=agent, horizon=T, seeds=(0, 1), out_dir=out, jobs=jobs,
+                agent_params=params, emit_dataset=True,
+            ))
+            assert report.ok, report.failures
+            runs[block] = {p.name: p.read_bytes() for p in out.iterdir()}
+        if jobs == 1:
+            assert len(adds) >= 2 * math.ceil(T / 7)
+        assert runs[7] == runs[2**10] == runs[2**16]
+        assert len(runs[7]) == 6
+        # a library run joins the same blocks into one whole trace
+        monkeypatch.setattr(envs, "_BLOCK", 7)
+        trace = run_seed(ExperimentConfig(
+            instance=inst, agent=agent, horizon=T, seeds=(0,), agent_params=params,
+            emit_dataset=True,
+        ), 0)
+        write_trace_csv(trace, tmp_path / "t.csv")
+        write_dataset_csv(trace, inst.d, tmp_path / "d.csv")
+        assert (tmp_path / "t.csv").read_bytes() == runs[7]["trace_seed0.csv"]
+        assert (tmp_path / "d.csv").read_bytes() == runs[7]["dataset_seed0.csv"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_streamed_seed_leaves_no_file(self, tmp_path, monkeypatch, jobs):
+        # seed 1 fails on its second block, after its files were opened and
+        # its first block's rows written to them
+        import seqtest.agents as agents
+
+        out = tmp_path / "run"
+        blocks = []
+        rollout_trace = agents.rollout_trace
+
+        def failing(agent, env, *args):
+            blocks.append(env.seed)
+            if env.seed == 1 and blocks.count(1) == 2:
+                assert list(out.glob(".trace_seed1.csv.*.tmp"))
+                assert list(out.glob(".dataset_seed1.csv.*.tmp"))
+                raise RuntimeError("block 2 fails")
+            return rollout_trace(agent, env, *args)
+
+        monkeypatch.setattr(agents, "rollout_trace", failing)
+        monkeypatch.setattr(envs, "_BLOCK", 7)
+        config = ExperimentConfig(
+            instance=gen_discrete_pareto(d=3, seed=2, cost=0.05), agent="etc-discrete",
+            horizon=64, seeds=(0, 1, 2), out_dir=out, jobs=jobs, emit_dataset=True,
+        )
+        report = run_replications(config)
+        assert set(report.failures) == {1}
+        assert "RuntimeError: block 2 fails" in report.failures[1]
+        assert report.mean_cumulative is None
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset_seed0.csv", "dataset_seed2.csv", "effective-config.json",
+            "trace_seed0.csv", "trace_seed2.csv",
+        ]
+        for seed in (0, 2):
+            trace = run_seed(config, seed)
+            assert (out / f"trace_seed{seed}.csv").read_bytes() == trace_csv_reference(trace).encode()
+            assert report.traces[seed].cumulative_regret.tobytes() == trace.cumulative_regret.tobytes()
 
 
 class TestReportHelpers:
