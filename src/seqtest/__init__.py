@@ -54,7 +54,6 @@ _EXPORTS = {
         "EtcConfig",
         "doubling_batches",
         "run_clairvoyant",
-        "run_doubling",
         "run_etc_discrete",
         "run_etc_doubling",
         "run_etc_gaussian",

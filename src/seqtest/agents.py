@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .envs import (
     GaussianEnvironment,
     RegretTrace,
     TraceSink,
-    concatenate_traces,
     episode_blocks,
     rollout_trace,
 )
@@ -393,19 +392,6 @@ def doubling_batches(total_T: int) -> list:
         remaining -= b
         width *= 2
     return batches
-
-
-def run_doubling(agent_factory: Callable[[int], RegretTrace], total_T: int) -> RegretTrace:
-    """Run fresh fixed-horizon agents on dyadically growing batches.
-
-    ``agent_factory(batch_T)`` must run one agent for ``batch_T`` episodes,
-    consuming the shared environment stream, and return its trace. No state
-    carries across batches.
-    """
-    traces = [agent_factory(b) for b in doubling_batches(total_T)]
-    merged = concatenate_traces(traces)
-    merged.agent = traces[0].agent + "-doubling"
-    return merged
 
 
 class _BatchSink:

@@ -20,7 +20,7 @@ from .harness import (
     run_replications,
     scaling_ratios,
 )
-from .models import ParameterError, load_instance, save_instance
+from .models import ParameterError, _atomic_open, load_instance, save_instance
 
 # each command imports the modules it runs (harness imports the agent's), so
 # a call loads only those: gen none of the solvers
@@ -167,8 +167,6 @@ def _cmd_solve(args) -> int:
         if instance.is_discrete:
             out["states"] = len(table)
             if args.dump_policy:
-                from .envs import _atomic_open
-
                 with _atomic_open(args.dump_policy) as fh:
                     json.dump(policy_records(policy), fh, indent=1, allow_nan=False)
                     fh.write("\n")

@@ -1080,8 +1080,11 @@ def full_information_rollouts(instance: ProblemInstance, xs, support_index=None)
         decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
     elif kind == "table":
         decision = np.argmax(instance.reward.table[np.asarray(support_index, dtype=np.intp)], axis=1)
-    else:
-        decision = np.argmax(neg_sq_dist(xs[:, None, :], _decision_matrix(instance)), axis=1)
+    else:  # _CHUNK rows at a time: all rows' values at once grow with rows x decisions
+        matrix = _decision_matrix(instance)
+        decision = np.empty(n, dtype=np.intp)
+        for s in range(0, n, _CHUNK):
+            decision[s : s + _CHUNK] = np.argmax(neg_sq_dist(xs[s : s + _CHUNK, None, :], matrix), axis=1)
     order = np.tile(np.arange(d), (n, 1))
     net = rollout_net_rewards(instance, xs, order, decision, support_index)
     return np.full(n, d), decision, order, net

@@ -12,19 +12,16 @@ vector, and the regret is the difference of their net rewards (reward minus
 test costs). It can be negative on a single episode.
 
 A run hands its trace over in blocks of at most ``_BLOCK`` episodes, to a
-``TraceSink`` that either appends each block's rows to the run's open files or
-keeps the blocks for one whole trace. A block's draws are the matching rows of
-one whole-horizon draw, and its cumulative regret continues the previous
-block's sum, so the bytes written do not depend on the block size.
+``TraceSink`` that either appends each block's rows to the run's open files,
+keeping one cumulative regret column of the horizon, or keeps the blocks for
+one whole trace. A block's draws are the matching rows of one whole-horizon
+draw, and its cumulative regret continues the previous block's sum, so the
+bytes written do not depend on the block size.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +38,7 @@ from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
     ProblemInstance,
+    _atomic_open,
     instance_hash,
     sample,
     sample_support_indices,
@@ -236,7 +234,6 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
             None if first.observations is None
             else np.concatenate([t.observations for t in traces])
         ),
-        metadata={"batches": [t.metadata for t in traces]},
     )
 
 
@@ -261,27 +258,30 @@ class StreamedTrace:
 class TraceSink:
     """A run's trace, handed over in blocks of consecutive episodes.
 
-    Each block's cumulative regret continues the previous block's as one
-    sequential sum. Given open trace (and dataset) files, the sink appends
-    each block's rows to them and keeps only its cumulative regret; otherwise
-    it keeps the blocks, and ``finish`` joins them into one whole trace.
+    Given the run's open trace (and dataset) files and its horizon, the sink
+    appends each block's rows to them and keeps only the run's cumulative
+    regret, one column of ``horizon`` episodes that each block continues as
+    one sequential sum. Without files it keeps the blocks, and ``finish``
+    joins them into one whole trace.
     """
 
-    def __init__(self, trace_fh=None, dataset_fh=None):
+    def __init__(self, trace_fh=None, dataset_fh=None, horizon: int = 0):
         self.trace_fh, self.dataset_fh = trace_fh, dataset_fh
         self.blocks = []  # kept without files; the joined trace re-accumulates
-        self.cumulative = []  # each written block's cumulative regret
+        self.cumulative = np.empty(horizon)  # the written episodes' cumulative regret
         self.episodes = 0
 
     def add(self, block: RegretTrace) -> None:
         if self.trace_fh is None:
             self.blocks.append(block)
             return
-        if self.cumulative:
-            # the carry is prepended: cumsum(block) + carry would re-associate
-            carry = self.cumulative[-1][-1:]
-            block.cumulative_regret = np.cumsum(np.concatenate((carry, block.simple_regret)))[1:]
-        self.cumulative.append(block.cumulative_regret)
+        a, b = self.episodes, self.episodes + block.episodes
+        self.cumulative[a:b] = block.simple_regret
+        # summed on from the previous episode's value (cumsum(block) + carry
+        # would re-associate); the first block has none, so -0.0 keeps its sign
+        column = self.cumulative[max(a - 1, 0) : b]
+        np.cumsum(column, out=column)
+        block.cumulative_regret = self.cumulative[a:b]
         write_trace_rows(self.trace_fh, block, self.episodes)
         if self.dataset_fh is not None:
             write_dataset_rows(self.dataset_fh, block, self.episodes)
@@ -291,40 +291,22 @@ class TraceSink:
         """The run's trace: whole, or a ``StreamedTrace`` once its rows are
         in files."""
         if self.trace_fh is not None:
-            return StreamedTrace(metadata, np.concatenate(self.cumulative))
+            return StreamedTrace(metadata, self.cumulative)
         trace = self.blocks[0] if len(self.blocks) == 1 else concatenate_traces(self.blocks)
         trace.agent, trace.metadata = agent, metadata
         return trace
 
 
-# rows formatted per chunk by every writer, enough that formatting each
-# distinct value of a chunk once (``_fmt_column``) repays finding them; the
-# rows are joined and written _WRITE_ROWS at a time, so the strings held at
-# once are bounded whatever the horizon
+# rows formatted and written at a time by every writer, enough that
+# formatting each distinct value of a chunk once (``_fmt_column``) repays
+# finding them, and few enough that the strings held at once stay small
 _WRITE_CHUNK = 1 << 12
-_WRITE_ROWS = 1 << 8
 
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-@contextmanager
-def _atomic_open(path):
-    """Text file handle whose contents replace ``path`` only once the block
-    completes; on any error the temporary file is removed and ``path`` is
-    left as it was, so a failed or killed run leaves no half-written file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _fmt_column(col) -> Iterable[str]:
@@ -344,15 +326,12 @@ def _fmt_column(col) -> Iterable[str]:
 
 
 def _write_rows(fh, n: int, columns) -> None:
-    """Write ``n`` CSV rows, formatted column by column in chunks of
-    ``_WRITE_CHUNK`` rows and written ``_WRITE_ROWS`` rows at a time;
-    ``columns(a, b)`` returns the formatted cells of rows a..b-1, one iterable
-    per column."""
-    rows = chain.from_iterable(
-        zip(*columns(a, min(n, a + _WRITE_CHUNK))) for a in range(0, n, _WRITE_CHUNK)
-    )
-    for _ in range(0, n, _WRITE_ROWS):
-        fh.write("\n".join(map(",".join, islice(rows, _WRITE_ROWS))) + "\n")
+    """Write ``n`` CSV rows, formatted column by column and written in chunks
+    of ``_WRITE_CHUNK`` rows; ``columns(a, b)`` returns the formatted cells of
+    rows a..b-1, one iterable per column."""
+    for a in range(0, n, _WRITE_CHUNK):
+        rows = zip(*columns(a, min(n, a + _WRITE_CHUNK)))
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_trace_rows(fh, trace: RegretTrace, first: int) -> None:

@@ -6,7 +6,8 @@ replications can run in any order or in parallel and still produce
 byte-identical artifacts. A replication writes its own trace (and dataset)
 file, block by block as its agent plays, and hands back only its cumulative
 regret column; the aggregate is a deterministic reduce over those columns,
-in seed order, after all replications complete.
+in seed order, after all replications complete. A run always writes to its
+output directory; ``run_seed`` gives a library caller one whole trace.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .models import InstanceError, ParameterError, ProblemInstance, instance_hash
+from .models import InstanceError, ParameterError, ProblemInstance, _atomic_open, instance_hash
 
 # agent -> (instance kinds it runs on: discrete or gaussian-<reward kind>, the
 # module and name of its runner). The runner's module is imported, and the name
@@ -161,14 +160,12 @@ def run_seed(config: ExperimentConfig, seed: int, sink=None) -> RegretTrace:
 
 
 def _worker(payload):
-    """Run one seed. With an output directory, the seed's trace (and dataset)
-    file is written block by block as the agent plays, and only its cumulative
-    regret and metadata come back; a seed that fails leaves no file."""
+    """Run one seed. Its trace (and dataset) file is written block by block
+    as the agent plays, and only its cumulative regret and metadata come
+    back; a seed that fails leaves no file."""
     config, seed = payload
     try:
-        if config.out_dir is None:
-            return seed, "ok", run_seed(config, seed)
-        from .envs import TraceSink, _atomic_open
+        from .envs import TraceSink
 
         out = Path(config.out_dir)
         with ExitStack() as files:
@@ -176,7 +173,7 @@ def _worker(payload):
             dataset_fh = None
             if config.emit_dataset:
                 dataset_fh = files.enter_context(_atomic_open(out / f"dataset_seed{seed}.csv"))
-            trace = run_seed(config, seed, TraceSink(trace_fh, dataset_fh))
+            trace = run_seed(config, seed, TraceSink(trace_fh, dataset_fh, config.horizon))
         return seed, "ok", trace
     except Exception:
         import traceback  # only a failed seed needs it
@@ -185,16 +182,12 @@ def _worker(payload):
 
 @dataclass
 class ReplicationReport:
-    """What a run hands back. Whole traces, and the per-episode mean and sd
-    of cumulative regret over seeds (when every seed succeeded), only when
-    the run has no ``out_dir``; with one, each seed's trace is its
-    ``envs.StreamedTrace`` (cumulative regret and metadata), and the
-    aggregate is in aggregate.csv alone."""
+    """What a run hands back: each successful seed's ``envs.StreamedTrace``
+    (cumulative regret and metadata) and each failed seed's traceback. The
+    rows are in the run's files, and the aggregate in aggregate.csv alone."""
 
-    traces: dict  # seed -> RegretTrace, or envs.StreamedTrace with an out_dir
+    traces: dict  # seed -> envs.StreamedTrace
     failures: dict  # seed -> traceback string
-    mean_cumulative: Optional[np.ndarray] = None
-    sd_cumulative: Optional[np.ndarray] = None
 
     @property
     def ok(self) -> bool:
@@ -217,16 +210,18 @@ def effective_config_dict(config: ExperimentConfig) -> dict:
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """Run every seed (in parallel when jobs > 1), write artifacts, aggregate.
 
-    Each seed's worker writes its own trace and dataset files; the run writes
-    effective-config.json and aggregate.csv. A failed seed is reported in the
-    returned ``failures`` map; the aggregate is produced only when every
-    replication succeeded.
+    The config must name an ``out_dir``: each seed's worker writes its own
+    trace and dataset files there, and the run writes effective-config.json
+    and aggregate.csv. A failed seed is reported in the returned ``failures``
+    map; the aggregate is produced only when every replication succeeded.
+    ``run_seed`` returns one replication's whole trace instead.
     """
-    from .envs import _atomic_open, aggregate_cumulative_regret, episode_blocks, write_aggregate_rows
+    if config.out_dir is None:
+        raise ValueError("run_replications writes its artifacts to config.out_dir, which is None")
+    from .envs import aggregate_cumulative_regret, episode_blocks, write_aggregate_rows
 
-    out = None if config.out_dir is None else Path(config.out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     payloads = [(config, seed) for seed in config.seeds]
     if config.jobs > 1:
         # imported here: loading the pool machinery costs a serial run 20-40 ms
@@ -239,22 +234,16 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
         results = [_worker(p) for p in payloads]
     traces = {seed: value for seed, status, value in results if status == "ok"}
     failures = {seed: value for seed, status, value in results if status == "error"}
-    report = ReplicationReport(traces=traces, failures=failures)
-    ordered = [traces[s] for s in sorted(traces)]
-    if out is None:
-        if not failures:
-            report.mean_cumulative, report.sd_cumulative = aggregate_cumulative_regret(ordered)
-        return report
-
     with _atomic_open(out / "effective-config.json") as fh:
         json.dump(effective_config_dict(config), fh, indent=1, sort_keys=True)
         fh.write("\n")
     if not failures:
         # reduced and written one block of episodes at a time
+        ordered = [traces[s] for s in sorted(traces)]
         with _atomic_open(out / "aggregate.csv") as fh:
             for a, b in episode_blocks(config.horizon):
                 write_aggregate_rows(fh, aggregate_cumulative_regret(ordered, a, b), a)
-    return report
+    return ReplicationReport(traces=traces, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -598,8 +601,24 @@ def load_instance(path) -> ProblemInstance:
     return instance_from_dict(obj)
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text file handle whose contents replace ``path`` only once the block
+    completes; on any error the temporary file is removed and ``path`` is
+    left as it was, so a failed or killed command leaves no half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(instance_to_dict(instance), fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -13,7 +13,6 @@ from seqtest.agents import (
     discrete_exploration_episodes,
     doubling_batches,
     gaussian_exploration_episodes,
-    run_doubling,
     run_etc_discrete,
     run_etc_doubling,
     run_etc_gaussian,
@@ -352,19 +351,6 @@ class TestDoublingVsKnownT:
         env = GaussianEnvironment(inst, seed=0)
         batched = np.concatenate([env.outcomes(b) for b in doubling_batches(T)])
         np.testing.assert_array_equal(batched, at_once)
-
-    def test_run_doubling_generic_factory(self):
-        calls = []
-
-        def factory(batch):
-            calls.append(batch)
-            inst = gen_lower_bound_single(0.2, 1)
-            env = DiscreteEnvironment(inst, seed=len(calls))
-            return run_etc_discrete(env, EtcConfig(horizon=batch, support_size_hint=2)).trace
-
-        trace = run_doubling(factory, 11)
-        assert calls == [1, 2, 4, 4]
-        assert trace.episodes == 11
 
 
 # (agent, instance, agent parameters): every agent, on each instance kind it runs on

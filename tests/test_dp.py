@@ -3,6 +3,7 @@ Gaussian solve, and policy evaluation."""
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from seqtest.envs import DiscreteEnvironment
 from seqtest.generators import (
     brute_force_policy_oracle,
     gen_discrete_pareto,
+    gen_gaussian_quadratic,
     gen_lower_bound_single,
 )
 from seqtest.models import (
@@ -45,6 +47,7 @@ from seqtest.models import (
     RewardSpec,
     TestState,
     initial_state,
+    neg_sq_dist,
     posterior_gaussian,
 )
 from conftest import random_discrete_instance, single_test_instance
@@ -1137,6 +1140,20 @@ class TestFullInformationRollouts:
             tests, decision, order, net = full_information_rollouts(inst, xs, ks)
             assert tests.shape == decision.shape == net.shape == (0,)
             assert order.shape == (0, inst.d)
+
+    def test_quadratic_memory_does_not_grow_with_rows_times_decisions(self):
+        # 125 decisions: every row's values at once would take 65 MB an array
+        inst = gen_gaussian_quadratic(d=3, seed=0)
+        xs = sample_outcomes(inst, np.random.default_rng(4), 1 << 16)
+        tracemalloc.start()
+        try:
+            decision = full_information_rollouts(inst, xs)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, peak
+        whole = np.argmax(neg_sq_dist(xs[:, None, :], dp._decision_matrix(inst)), axis=1)
+        assert np.array_equal(decision, whole)
 
 
 class TestDuplicateDecisions:

@@ -255,8 +255,8 @@ class TestTraceArtifacts:
         tr = self._trace()
         tr.extras["bad"] = [1.0, 2.0, Unprintable(), 4.0, 5.0, 6.0]
         # a float matrix holds no unprintable value, so the dataset's
-        # formatter fails on row 3's cell instead; 2-row chunks written a
-        # row at a time put rows 1 and 2 of each file on disk first
+        # formatter fails on row 3's cell instead; 2-row chunks put rows 1
+        # and 2 of each file on disk first
         tr.observations[2, 0] = 7.25
         fmt_column = envs._fmt_column
 
@@ -267,7 +267,6 @@ class TestTraceArtifacts:
 
         monkeypatch.setattr(envs, "_fmt_column", failing)
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 2)
-        monkeypatch.setattr(envs, "_WRITE_ROWS", 1)
         kept = tmp_path / "kept.csv"
         kept.write_text("old\n")
         for write, path in (
@@ -376,11 +375,10 @@ class TestColumnWriters:
 
     @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 9])
     def test_bytes_match_row_by_row_writer(self, tmp_path, monkeypatch, T):
-        # chunks of 4 rows written 3 at a time put both boundaries inside every
-        # trace with T > 4; a 4-row chunk with at most 2 distinct values (the
-        # tests, flags and some reward columns) takes the distinct-value path
+        # chunks of 4 rows put a boundary inside every trace with T > 4; a
+        # 4-row chunk with at most 2 distinct values (the tests, flags and
+        # some reward columns) takes the distinct-value path
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 4)
-        monkeypatch.setattr(envs, "_WRITE_ROWS", 3)
         trace, other = self._trace(T), self._trace(T, seed=1)
         write_trace_csv(trace, tmp_path / "t.csv")
         write_aggregate_csv(aggregate_cumulative_regret([trace, other]), tmp_path / "a.csv")
@@ -561,7 +559,7 @@ class TestRunReplications:
         report = run_replications(config)
         assert set(report.failures) == {0, 1, 2}
         assert "blowup" in report.failures[0]
-        assert report.mean_cumulative is None
+        assert not (tmp_path / "fail" / "aggregate.csv").exists()
 
     @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2, 3)])
     def test_parameters_resolved_once_per_run(self, tmp_path, monkeypatch, seeds):
@@ -658,6 +656,17 @@ class TestRunReplications:
             agent_params={"override_n": 40},
         )
 
+    def test_run_without_out_dir_refused(self, tmp_path, monkeypatch):
+        # refused before any seed runs or any directory is made
+        calls = []
+        monkeypatch.setattr(harness, "run_seed", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        config = self._config(tmp_path)
+        config.out_dir = None
+        with pytest.raises(ValueError, match="out_dir"):
+            run_replications(config)
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="distinct"):
             self._config(tmp_path, seeds=(1, 1))
@@ -712,7 +721,7 @@ class TestEpisodeBlocks:
         regret[0] = -0.0  # a run's first cumulative regret keeps its sign
         whole = np.cumsum(regret)
         for sizes in ([1, 7, 300, 692], [1] * 1000, [500, 500]):
-            sink = envs.TraceSink(trace_fh=io.StringIO())
+            sink = envs.TraceSink(io.StringIO(), None, len(regret))
             for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
                 n = b - a
                 sink.add(RegretTrace(
@@ -806,7 +815,6 @@ class TestEpisodeBlocks:
         report = run_replications(config)
         assert set(report.failures) == {1}
         assert "RuntimeError: block 2 fails" in report.failures[1]
-        assert report.mean_cumulative is None
         assert sorted(p.name for p in out.iterdir()) == [
             "dataset_seed0.csv", "dataset_seed2.csv", "effective-config.json",
             "trace_seed0.csv", "trace_seed2.csv",

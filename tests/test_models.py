@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import seqtest.models as models
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
@@ -424,6 +425,18 @@ class TestInstanceFiles:
         save_instance(inst, path)
         again = load_instance(path)
         np.testing.assert_allclose(again.model.covariance, model.covariance, rtol=0, atol=0)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # the dump raises after its first keys were written: the instance
+        # saved before stays whole, and no temporary file is left
+        path = tmp_path / "inst.json"
+        save_instance(instance_from_dict(self._dict()), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(models, "instance_to_dict", lambda inst: {"a": [0.5] * 1000, "z": object()})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_instance(instance_from_dict(self._dict()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
