@@ -18,9 +18,11 @@ The doubling wrapper restarts a fresh known-horizon agent on episode batches
 of length 2^0, 2^1, 2^2, ... (final batch truncated), carrying no state across
 batches, which turns the fixed-horizon agent into an anytime one.
 
-Every agent runs as ``run_<agent>(env, config, collect_observations, sink)``
-and plays its horizon in blocks of ``envs.episode_blocks``: per block it draws
-the outcomes, rolls out, prices, and hands the block's trace to ``sink`` (an
+Every agent runs as ``run_<agent>(env, config, collect_observations, sink)``.
+An ETC agent fits on a look-ahead of its explore episodes before it plays
+(``envs._look_ahead``); then one loop, ``_play``, plays ETC and the clairvoyant
+alike in blocks of ``envs.episode_blocks``: per block it draws the outcomes,
+rolls out, prices, and hands the block's trace to ``sink`` (an
 ``envs.TraceSink``; a new one, which keeps the whole trace, when None).
 """
 
@@ -35,9 +37,8 @@ import numpy as np
 from .dp import (
     DEFAULT_STATE_CAP,
     QuadratureSpec,
+    _priced_rollouts,
     check_state_cap,
-    full_information_rollouts,
-    rollout_net_rewards,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -46,6 +47,7 @@ from .envs import (
     GaussianEnvironment,
     RegretTrace,
     TraceSink,
+    _look_ahead,
     episode_blocks,
     rollout_trace,
 )
@@ -145,16 +147,12 @@ class GaussianEstimate:
     episodes: int
 
 
-def _empirical_discrete(support: np.ndarray, sampled: np.ndarray) -> EmpiricalModel:
-    """The support points at indices ``sampled``, counted (see
-    ``_empirical_from_counts``)."""
-    return _empirical_from_counts(support, np.bincount(sampled, minlength=len(support)))
-
-
-def _empirical_from_counts(support: np.ndarray, counts: np.ndarray) -> EmpiricalModel:
-    """The support points with nonzero ``counts``: the distinct ones in
-    lexicographic row order (as ``np.unique(axis=0)`` orders distinct rows)
-    with their counts."""
+def _empirical_discrete(support: np.ndarray, sampled) -> EmpiricalModel:
+    """The support points at indices ``sampled`` (an array, or an iterable of
+    arrays counted one at a time): the distinct ones in lexicographic row
+    order (as ``np.unique(axis=0)`` orders distinct rows) with their counts."""
+    blocks = (sampled,) if isinstance(sampled, np.ndarray) else sampled
+    counts = sum(np.bincount(block, minlength=len(support)) for block in blocks)
     seen = np.flatnonzero(counts)
     seen = seen[np.lexsort(support[seen].T[::-1])]
     return EmpiricalModel(vectors=support[seen], counts=counts[seen], support_index=seen)
@@ -167,10 +165,7 @@ def _empirical_instance(instance: ProblemInstance, empirical: EmpiricalModel) ->
         # f is known a priori as a function; its table is re-keyed to the
         # empirical support
         reward = RewardSpec(kind="table", table=reward.table[empirical.support_index])
-    return ProblemInstance(
-        model=empirical.to_outcome_model(), costs=instance.costs,
-        decisions=instance.decisions, reward=reward,
-    )
+    return replace(instance, model=empirical.to_outcome_model(), reward=reward)
 
 
 @dataclass
@@ -179,6 +174,54 @@ class EtcRunResult:
     policy: object  # committed policy; None when the run never committed
     empirical: object
     metadata: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# Play
+# ---------------------------------------------------------------------------
+
+
+def _play(env, config: EtcConfig, n_explore: int, policy, collect: bool, sink: TraceSink) -> int:
+    """Play the horizon block by block: the first ``n_explore`` episodes by
+    full information, the rest by ``policy`` (full information too when
+    None), each priced against the clairvoyant's rollout on the same
+    outcome; the clairvoyant's own play (``policy`` its policy) explores
+    nothing. Returns the number of episodes that fell back."""
+    instance = env.instance
+    if isinstance(env, DiscreteEnvironment):
+        # rollouts tabulated per support point and gathered per episode, the
+        # order column only when observations are collected
+        support = instance.model.support
+        clair, clair_table = env.clairvoyant(config.state_cap)
+        tables = {clair: clair_table}
+        draw, outcomes = env.outcome_indices, lambda idx: support[idx]
+        clair_nets = lambda idx: clair_table[3][idx]
+
+        def rollouts(p, idx):
+            if p not in tables:
+                tables[p] = _priced_rollouts(instance, p, support, np.arange(len(support)))
+            return [None if k == 2 and not collect else col[idx] for k, col in enumerate(tables[p])]
+    else:
+        clair = env.clairvoyant_policy(config.quadrature, config.state_cap)
+        draw, outcomes = env.outcomes, lambda xs: xs
+        clair_nets = lambda xs: _priced_rollouts(instance, clair, xs)[3]
+
+        def rollouts(p, xs):
+            return _priced_rollouts(instance, p, xs)
+
+    fallbacks = 0
+    for a, b in episode_blocks(config.horizon):
+        rows = draw(b - a)
+        n = min(max(n_explore - a, 0), b - a)  # this block's explore episodes
+        tests, dec, order, net, fell = [
+            None if e is None else np.concatenate((e, c))
+            for e, c in zip(rollouts(None, rows[:n]), rollouts(policy, rows[n:]))
+        ]
+        clair_net = net if policy is clair else clair_nets(rows)
+        fallbacks += int(fell.sum())
+        xs = outcomes(rows) if collect else None
+        sink.add(rollout_trace(env, n, (tests, dec, order, net), clair_net, xs))
+    return fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -193,49 +236,22 @@ def run_etc_discrete(
     sink: Optional[TraceSink] = None,
 ) -> EtcRunResult:
     """Algorithm: explore N episodes doing every test, build the empirical
-    pmf over observed complete vectors, commit to the DP policy on it.
-    Episodes are played block by block: the explore counts are summed until
-    N, the policy is solved once, then the commit episodes follow."""
+    pmf over observed complete vectors, commit to the DP policy on it. The
+    pmf is counted, block by block, on a look-ahead of the explore episodes,
+    so the policy is solved before the first episode is played."""
     instance = env.instance
-    model = instance.model
-    T, K = config.horizon, model.support_size
     n_explore = discrete_exploration_episodes(config)
-    _, (_, _, _, clair_net) = env.clairvoyant(config.state_cap)
-    out = TraceSink() if sink is None else sink
-
-    # rollouts tabulated per support point and gathered through the sampled
-    # indices: full information first, then the committed policy's from
-    # episode n_explore on
-    explore = full_information_rollouts(instance, model.support, np.arange(K))
-    if not collect_observations:
-        explore = (explore[0], explore[1], None, explore[3])
-    counts = np.zeros(K, dtype=np.int64)
+    env.clairvoyant(config.state_cap)  # the true model is solved before the empirical one
     policy = empirical = None
-    fallback_count = 0
-    for a, b in episode_blocks(T):
-        idx = env.outcome_indices(b - a)
-        n = min(max(n_explore - a, 0), b - a)  # this block's explore episodes
-        counts += np.bincount(idx[:n], minlength=K)
-        rollout = [None if col is None else col[idx] for col in explore]
-        if n < b - a:
-            if policy is None:  # exploration is over: solve once
-                empirical = _empirical_from_counts(model.support, counts)
-                emp_instance = _empirical_instance(instance, empirical)
-                policy, _ = solve_dp_discrete(emp_instance, state_cap=config.state_cap)
-                tests, dec, order, fallback = policy.rollouts(model.support)
-                net = rollout_net_rewards(instance, model.support, order, dec, np.arange(K))
-                commit = (tests, dec, order, net)
-            commit_idx = idx[n:]
-            for col, table in zip(rollout, commit):
-                if col is not None:
-                    col[n:] = table[commit_idx]
-            fallback_count += int(fallback[commit_idx].sum())
-        xs = model.support[idx] if collect_observations else None
-        out.add(rollout_trace("etc-discrete", env, n, rollout, clair_net[idx], xs))
-
-    metadata = {"n_explore": n_explore, "fallback_episodes": fallback_count}
-    trace = out.finish("etc-discrete", metadata)
-    return EtcRunResult(trace=trace, policy=policy, empirical=empirical, metadata=metadata)
+    if n_explore < config.horizon:
+        with _look_ahead(env):
+            blocks = (env.outcome_indices(b - a) for a, b in episode_blocks(n_explore))
+            empirical = _empirical_discrete(instance.model.support, blocks)
+        policy, _ = solve_dp_discrete(_empirical_instance(instance, empirical), state_cap=config.state_cap)
+    out = TraceSink() if sink is None else sink
+    fallbacks = _play(env, config, n_explore, policy, collect_observations, out)
+    metadata = {"n_explore": n_explore, "fallback_episodes": fallbacks}
+    return EtcRunResult(trace=out.finish(metadata), policy=policy, empirical=empirical, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +287,19 @@ def _well_conditioned(matrix: np.ndarray) -> bool:
     return eigenvalues[0] > 0.0 and eigenvalues[-1] <= SINGULARITY_CONDITION_CAP * eigenvalues[0]
 
 
+def _fit_gaussian(head: np.ndarray, n_explore: int, assume_zero_mean: bool):
+    """(estimate, explore episodes): the estimate from the first ``n_explore``
+    rows of ``head``, taking one more row while it is not well conditioned;
+    None once every row was read."""
+    while True:
+        estimate = _estimate_gaussian(head[:n_explore], assume_zero_mean)
+        if _well_conditioned(estimate.covariance):
+            return estimate, n_explore
+        if n_explore >= len(head):
+            return None, n_explore
+        n_explore += 1
+
+
 def run_etc_gaussian(
     env: GaussianEnvironment,
     config: EtcConfig,
@@ -282,97 +311,43 @@ def run_etc_gaussian(
     If the estimated covariance is not positive definite at commit time, or
     its condition number exceeds ``SINGULARITY_CONDITION_CAP``, exploration
     is extended episode by episode up to 2N; past that the run records an
-    estimation failure and tests everything for the remainder. Only the
-    first min(2N, T) outcomes, those the estimate may read, are held
-    throughout; the episodes are played block by block.
+    estimation failure and tests everything for the remainder. The estimate
+    is fitted on a look-ahead of the first min(2N, T) outcomes, those it may
+    read, before the first episode is played.
     """
-    instance = env.instance
     T = config.horizon
     n0 = gaussian_exploration_episodes(config)
-    head = env.outcomes(min(2 * n0, T))
-    clair = env.clairvoyant_policy(config.quadrature, config.state_cap)
-
-    estimate = None
-    estimation_failure = False
-    n_explore = n0
-    while True:
-        candidate = _estimate_gaussian(head[:n_explore], config.assume_zero_mean)
-        if _well_conditioned(candidate.covariance):
-            estimate = candidate
-            break
-        if n_explore >= len(head):
-            estimation_failure = True
-            break
-        n_explore += 1
-
+    with _look_ahead(env):
+        estimate, n_explore = _fit_gaussian(env.outcomes(min(2 * n0, T)), n0, config.assume_zero_mean)
     policy = None
     if estimate is not None and n_explore < T:
-        emp_instance = ProblemInstance(
-            model=GaussianOutcomeModel(mean=estimate.mean, covariance=estimate.covariance),
-            costs=instance.costs,
-            decisions=instance.decisions,
-            reward=instance.reward,
-        )
-        policy, _ = solve_dp_gaussian(emp_instance, config.quadrature, config.state_cap)
+        model = GaussianOutcomeModel(mean=estimate.mean, covariance=estimate.covariance)
+        policy, _ = solve_dp_gaussian(replace(env.instance, model=model), config.quadrature, config.state_cap)
 
     out = TraceSink() if sink is None else sink
-    for a, b in episode_blocks(T):
-        # the block's held outcomes, then fresh draws for the rest of it
-        fresh = min(b - a, max(b - len(head), 0))
-        xs = np.concatenate((head[a:b], env.outcomes(fresh)))
-        n = min(max(n_explore - a, 0), b - a)  # this block's explore episodes
-        # explore episodes, then the committed policy's rollouts or, after an
-        # estimation failure, full testing to the horizon
-        explore = full_information_rollouts(instance, xs[:n])
-        xs_commit = xs[n:]
-        if policy is not None:
-            c_tests, c_dec, c_order = policy.rollouts(xs_commit)
-            commit = (c_tests, c_dec, c_order, rollout_net_rewards(instance, xs_commit, c_order, c_dec))
-        else:
-            commit = full_information_rollouts(instance, xs_commit)
-        rollout = tuple(np.concatenate(pair) for pair in zip(explore, commit))
-        _, clair_dec, clair_order = clair.rollouts(xs)
-        clair_net = rollout_net_rewards(instance, xs, clair_order, clair_dec)
-        out.add(rollout_trace(
-            "etc-gaussian", env, n, rollout, clair_net, xs if collect_observations else None,
-        ))
-
+    _play(env, config, n_explore, policy, collect_observations, out)
     metadata = {
         "n_explore": n_explore,
         "schedule_n": n0,
         "estimator": estimate.estimator if estimate is not None else None,
-        "estimation_failure": estimation_failure,
+        "estimation_failure": estimate is None,
     }
-    trace = out.finish("etc-gaussian", metadata)
-    return EtcRunResult(trace=trace, policy=policy, empirical=estimate, metadata=metadata)
+    return EtcRunResult(trace=out.finish(metadata), policy=policy, empirical=estimate, metadata=metadata)
 
 
 def run_clairvoyant(
     env, config: EtcConfig, collect_observations: bool = False, sink: Optional[TraceSink] = None,
 ) -> EtcRunResult:
     """The clairvoyant policy, solved on the true model under the config's
-    budget, played every episode (its regret is 0 by definition)."""
-    collect = collect_observations
-    discrete = isinstance(env, DiscreteEnvironment)
-    if discrete:
-        # tabulated per support point, gathered per episode
-        policy, table = env.clairvoyant(config.state_cap)
+    budget, played every episode with no exploration (its regret is 0 by
+    definition)."""
+    if isinstance(env, DiscreteEnvironment):
+        policy = env.clairvoyant(config.state_cap)[0]
     else:
         policy = env.clairvoyant_policy(config.quadrature, config.state_cap)
     out = TraceSink() if sink is None else sink
-    for a, b in episode_blocks(config.horizon):
-        if discrete:
-            idx = env.outcome_indices(b - a)
-            xs = env.instance.model.support[idx] if collect else None
-            tests, dec, order, net = table
-            rollout = (tests[idx], dec[idx], order[idx] if collect else None, net[idx])
-        else:
-            xs = env.outcomes(b - a)
-            tests, dec, order = policy.rollouts(xs)
-            rollout = (tests, dec, order, rollout_net_rewards(env.instance, xs, order, dec))
-        out.add(rollout_trace("clairvoyant", env, 0, rollout, rollout[3], xs if collect else None))
-    trace = out.finish("clairvoyant", {})
-    return EtcRunResult(trace=trace, policy=policy, empirical=None, metadata={})
+    _play(env, config, 0, policy, collect_observations, out)
+    return EtcRunResult(trace=out.finish({}), policy=policy, empirical=None, metadata={})
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +376,7 @@ class _BatchSink:
     def __init__(self, sink: TraceSink):
         self.add = sink.add
 
-    def finish(self, agent: str, metadata: dict) -> None:
+    def finish(self, metadata: dict) -> None:
         return None
 
 
@@ -411,8 +386,7 @@ def run_etc_doubling(
     """Doubling-trick ETC on the same environment stream as known-T ETC: a
     fresh known-horizon agent per batch, each batch's blocks handed on as it
     plays them."""
-    discrete = isinstance(env, DiscreteEnvironment)
-    runner = run_etc_discrete if discrete else run_etc_gaussian
+    runner = run_etc_discrete if isinstance(env, DiscreteEnvironment) else run_etc_gaussian
     out = TraceSink() if sink is None else sink
     batches = [
         runner(
@@ -421,7 +395,6 @@ def run_etc_doubling(
         ).metadata
         for batch_T in doubling_batches(config.horizon)
     ]
-    agent = ("etc-discrete" if discrete else "etc-gaussian") + "-doubling"
     metadata = {"batches": batches}
-    trace = out.finish(agent, metadata)
+    trace = out.finish(metadata)
     return EtcRunResult(trace=trace, policy=None, empirical=None, metadata=metadata)

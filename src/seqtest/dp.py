@@ -1072,22 +1072,34 @@ def full_information_rollouts(instance: ProblemInstance, xs, support_index=None)
     quadratic decision is the argmax of ``neg_sq_dist``, the values it is
     priced from; a table reward reads row ``support_index`` (required); an
     indicator-match decision is the one equal to x, else decision 0."""
+    return _priced_rollouts(instance, None, xs, support_index)[:4]
+
+
+def _priced_rollouts(instance: ProblemInstance, policy, xs, support_index=None):
+    """(tests, decision, order, net, fallback) of ``policy``'s ``rollouts`` on
+    every outcome row of ``xs``, or of full information when ``policy`` is
+    None (see :func:`full_information_rollouts`); ``net`` is priced by
+    :func:`rollout_net_rewards` and ``fallback`` marks the rollouts that fell
+    back (only a discrete policy's can)."""
     xs = np.asarray(xs, dtype=float)
     n, d = xs.shape
-    kind = instance.reward.kind
-    if kind == "indicator-match":
-        dec_index = _decision_index(instance)
-        decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
-    elif kind == "table":
-        decision = np.argmax(instance.reward.table[np.asarray(support_index, dtype=np.intp)], axis=1)
-    else:  # _CHUNK rows at a time: all rows' values at once grow with rows x decisions
-        matrix = _decision_matrix(instance)
-        decision = np.empty(n, dtype=np.intp)
-        for s in range(0, n, _CHUNK):
-            decision[s : s + _CHUNK] = np.argmax(neg_sq_dist(xs[s : s + _CHUNK, None, :], matrix), axis=1)
-    order = np.tile(np.arange(d), (n, 1))
+    if policy is not None:
+        tests, decision, order, *fallback = policy.rollouts(xs)
+    else:
+        kind = instance.reward.kind
+        if kind == "indicator-match":
+            dec_index = _decision_index(instance)
+            decision = np.array([dec_index.get(tuple(x), 0) for x in xs.tolist()], dtype=int)
+        elif kind == "table":
+            decision = np.argmax(instance.reward.table[np.asarray(support_index, dtype=np.intp)], axis=1)
+        else:  # _CHUNK rows at a time: all rows' values at once grow with rows x decisions
+            matrix = _decision_matrix(instance)
+            decision = np.empty(n, dtype=np.intp)
+            for s in range(0, n, _CHUNK):
+                decision[s : s + _CHUNK] = np.argmax(neg_sq_dist(xs[s : s + _CHUNK, None, :], matrix), axis=1)
+        tests, order, fallback = np.full(n, d), np.tile(np.arange(d), (n, 1)), ()
     net = rollout_net_rewards(instance, xs, order, decision, support_index)
-    return np.full(n, d), decision, order, net
+    return tests, decision, order, net, fallback[0] if fallback else np.zeros(n, dtype=bool)
 
 
 def evaluate_policy(
@@ -1104,8 +1116,7 @@ def evaluate_policy(
     if rng is None:
         rng = np.random.default_rng(0)
     xs = model.support if discrete else sample(model, rng, mc_episodes)
-    _, decisions, order = policy.rollouts(xs)[:3]
-    rewards = rollout_net_rewards(instance, xs, order, decisions, np.arange(len(xs)) if discrete else None)
+    rewards = _priced_rollouts(instance, policy, xs, np.arange(len(xs)) if discrete else None)[3]
     if discrete:
         total = 0.0
         for p, r in zip(model.probs.tolist(), rewards.tolist()):

@@ -417,9 +417,6 @@ def run_ocmesp(
         labels = {m: subset_label(_bits(m)) for m in set(masks)}
         member = (played[:, None] >> np.arange(config.d)) & 1 == 1
         out.add(RegretTrace(
-            agent="ocmesp",
-            seed=env.seed,
-            instance_hash=env.instance_hash,
             phase=["explore"] * n + ["commit"] * (b - a - n),
             tests_performed=member.sum(axis=1),
             decision=[""] * (b - a),
@@ -435,7 +432,7 @@ def run_ocmesp(
             observations=np.where(member, xs, np.nan) if collect_observations else None,
         ))
 
-    trace = out.finish("ocmesp", {
+    trace = out.finish({
         "optimal_subset": list(optimal_subset),
         "pd_skips": state.pd_skips,
         "converged_at": (t if len(state.candidates) == 1 else None),

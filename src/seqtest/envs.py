@@ -4,7 +4,9 @@ Each environment owns a counter-based Philox stream keyed by its seed, so a
 replication's draws depend only on (seed, episode index) and are reproducible
 under any parallel schedule. Draws are consumed sequentially: an anytime
 wrapper that runs agents batch by batch sees exactly the same outcome sequence
-as a known-horizon agent, which makes cross-agent comparisons paired.
+as a known-horizon agent, which makes cross-agent comparisons paired. An
+agent that reads ahead (``_look_ahead``) puts the stream back, so it draws
+those episodes again when it plays them.
 
 Per-episode simple regret follows the clairvoyant-gap definition: both the
 agent and the clairvoyant policy are rolled out on the same realized outcome
@@ -21,6 +23,7 @@ bytes written do not depend on the block size.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -28,9 +31,10 @@ import numpy as np
 
 from .dp import (
     DEFAULT_STATE_CAP,
+    PolicyUndefinedError,
     Rollout,
+    _priced_rollouts,
     rollout_net_reward,
-    rollout_net_rewards,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -39,7 +43,6 @@ from .models import (
     GaussianOutcomeModel,
     ProblemInstance,
     _atomic_open,
-    instance_hash,
     sample,
     sample_support_indices,
 )
@@ -47,6 +50,15 @@ from .models import (
 
 def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+@contextmanager
+def _look_ahead(env):
+    """Draws from ``env``'s episode stream inside the ``with`` statement are
+    taken back at its end, so the episodes they read are drawn again in play."""
+    state = env._rng.bit_generator.state
+    yield
+    env._rng.bit_generator.state = state
 
 
 class DiscreteEnvironment:
@@ -57,7 +69,6 @@ class DiscreteEnvironment:
         if not isinstance(instance.model, DiscreteOutcomeModel):
             raise ValueError("DiscreteEnvironment requires a discrete instance")
         self.instance = instance
-        self.instance_hash = instance_hash(instance)
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._clair = None
@@ -68,15 +79,16 @@ class DiscreteEnvironment:
         return sample_support_indices(self.instance.model, self._rng, n)
 
     def clairvoyant(self, state_cap: int = DEFAULT_STATE_CAP):
-        """(policy, (tests, decision, order, net)): the clairvoyant policy
-        (solved once, under ``state_cap``) and its priced rollout on every
-        support point, row k for support point k."""
+        """(policy, (tests, decision, order, net, fallback)): the clairvoyant
+        policy (solved once, under ``state_cap``) and its priced rollout on
+        every support point, row k for support point k."""
         if self._clair is None:
             policy, _ = solve_dp_discrete(self.instance, state_cap)
             support = self.instance.model.support
-            tests, dec, order, _ = policy.rollouts(support, on_missing="error")
-            net = rollout_net_rewards(self.instance, support, order, dec, np.arange(len(support)))
-            self._clair = (policy, (tests, dec, order, net))
+            table = _priced_rollouts(self.instance, policy, support, np.arange(len(support)))
+            if table[4].any():
+                raise PolicyUndefinedError("the clairvoyant policy fell back on its own support")
+            self._clair = (policy, table)
         return self._clair
 
 
@@ -87,7 +99,6 @@ class GaussianEnvironment:
         if not isinstance(instance.model, GaussianOutcomeModel):
             raise ValueError("GaussianEnvironment requires a Gaussian instance")
         self.instance = instance
-        self.instance_hash = instance_hash(instance)
         self.seed = int(seed)
         self._rng = _stream(seed)
         self._clair_policy = None
@@ -140,9 +151,6 @@ TRACE_COLUMNS = (
 class RegretTrace:
     """Per-episode record of one agent run."""
 
-    agent: str
-    seed: int
-    instance_hash: str
     phase: list
     tests_performed: np.ndarray
     decision: list
@@ -180,7 +188,6 @@ class RegretTrace:
 
 
 def rollout_trace(
-    agent: str,
     env,
     n_explore: int,
     rollout,
@@ -198,9 +205,6 @@ def rollout_trace(
         np.put_along_axis(observed, order, True, axis=1)
         observations = np.where(observed[:, :-1], xs, np.nan)
     return RegretTrace(
-        agent=agent,
-        seed=env.seed,
-        instance_hash=env.instance_hash,
         phase=["explore"] * n_explore + ["commit"] * (len(net) - n_explore),
         tests_performed=tests,
         decision=decision_labels(env.instance, decision, env.labels),
@@ -221,9 +225,6 @@ def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
     """Stitch consecutive traces into one run; cumulative regret re-accumulated."""
     first = traces[0]
     return RegretTrace(
-        agent=first.agent,
-        seed=first.seed,
-        instance_hash=first.instance_hash,
         **{
             name: _joined([getattr(t, name) for t in traces])
             for name in ("phase", "tests_performed", "decision", "realized_reward",
@@ -287,13 +288,13 @@ class TraceSink:
             write_dataset_rows(self.dataset_fh, block, self.episodes)
         self.episodes += block.episodes
 
-    def finish(self, agent: str, metadata: dict):
+    def finish(self, metadata: dict):
         """The run's trace: whole, or a ``StreamedTrace`` once its rows are
         in files."""
         if self.trace_fh is not None:
             return StreamedTrace(metadata, self.cumulative)
         trace = self.blocks[0] if len(self.blocks) == 1 else concatenate_traces(self.blocks)
-        trace.agent, trace.metadata = agent, metadata
+        trace.metadata = metadata
         return trace
 
 

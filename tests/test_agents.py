@@ -2,6 +2,7 @@
 doubling wrapper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from seqtest.agents import (
     run_etc_gaussian,
 )
 from seqtest.dp import QuadratureSpec, full_information_rollouts
-from seqtest.envs import DiscreteEnvironment, GaussianEnvironment
+from seqtest.envs import DiscreteEnvironment, GaussianEnvironment, TraceSink
 from seqtest.generators import (
     gen_discrete_pareto,
     gen_gaussian_lowrank,
@@ -194,6 +195,26 @@ class TestEtcDiscrete:
             missed += len(vectors) < len(support)
             unordered += not np.array_equal(support, np.unique(support, axis=0))
         assert missed > 0 and unordered > 0
+
+    def test_explore_fit_counts_one_block_at_a_time(self):
+        # N = cbrt(2^18 * (2^21)^2) = 2^20 explore episodes: their indices
+        # held at once would take 8 MB and their uniform draws 8 MB more
+        T = 1 << 21
+        env = DiscreteEnvironment(gen_discrete_pareto(d=6, seed=0), seed=0)
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        sink = TraceSink(Discard(), None, T)  # its cumulative column is built untraced
+        tracemalloc.start()
+        try:
+            res = run_etc_discrete(env, EtcConfig(horizon=T, support_size_hint=1 << 18), sink=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.metadata["n_explore"] == 1 << 20
+        assert peak < 8 * 2**20, peak
 
 
 class TestEtcGaussian:

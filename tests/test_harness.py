@@ -198,9 +198,6 @@ class TestTraceArtifacts:
         clair = np.linspace(0.5, 1.0, T)
         realized = clair - np.arange(T) * 0.1
         return RegretTrace(
-            agent="etc-discrete",
-            seed=7,
-            instance_hash="abc",
             phase=["explore"] * 2 + ["commit"] * (T - 2),
             tests_performed=np.arange(T),
             decision=[f"d{t}" for t in range(T)],
@@ -216,9 +213,6 @@ class TestTraceArtifacts:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             RegretTrace(
-                agent="a",
-                seed=0,
-                instance_hash="h",
                 phase=["commit"],
                 tests_performed=np.array([1, 2]),
                 decision=["x", "y"],
@@ -351,9 +345,6 @@ class TestColumnWriters:
         edge = np.resize(np.array(self.EDGE), T)
         clair = np.where(rng.random(T) < 0.5, edge, rng.standard_normal(T))
         return RegretTrace(
-            agent="ocmesp",
-            seed=seed,
-            instance_hash="h",
             phase=["explore", "commit"] * (T // 2) + ["commit"] * (T % 2),
             tests_performed=rng.integers(0, 9, T),
             decision=[f"{t % 3}|1" for t in range(T)],
@@ -414,7 +405,6 @@ class TestColumnWriters:
         clair = np.resize(np.array(self.EDGE[:1] + self.GAPS), T)
         gaps = np.resize(np.array([0.0, -0.0, 0.5]), T)
         trace = RegretTrace(
-            agent="etc-discrete", seed=0, instance_hash="h",
             phase=["explore"] * 10 + ["commit"] * (T - 10),
             tests_performed=np.resize(np.arange(4), T), decision=["1"] * T,
             realized_reward=clair - gaps, clairvoyant_reward=clair,
@@ -492,7 +482,7 @@ class TestColumnWriters:
         base = self._trace(T)
         for tests in (base.tests_performed.astype(np.int32), list(base.tests_performed)):
             trace = RegretTrace(
-                agent=base.agent, seed=0, instance_hash="h", phase=base.phase,
+                phase=base.phase,
                 tests_performed=tests, decision=base.decision,
                 realized_reward=base.realized_reward, clairvoyant_reward=base.clairvoyant_reward,
                 extras=base.extras,
@@ -671,12 +661,19 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="distinct"):
             self._config(tmp_path, seeds=(1, 1))
 
-    def test_clairvoyant_agent_zero_regret(self, tmp_path):
-        inst = gen_discrete_pareto(d=3, seed=2, cost=0.05)
+    @pytest.mark.parametrize("kind", ["pareto", "quadratic"])
+    def test_clairvoyant_agent_zero_regret(self, monkeypatch, kind):
+        inst = {
+            "pareto": lambda: gen_discrete_pareto(d=3, seed=2, cost=0.05),
+            "quadratic": lambda: gen_gaussian_quadratic(d=2),
+        }[kind]()
+        # blocks of 7 episodes: the horizon spans 15 blocks of the play loop
+        monkeypatch.setattr(envs, "_BLOCK", 7)
         config = ExperimentConfig(
             instance=inst, agent="clairvoyant", horizon=100, seeds=(0,), out_dir=None
         )
         trace = run_seed(config, 0)
+        assert trace.episodes == 100
         assert np.all(trace.simple_regret == 0.0)
 
 
@@ -725,12 +722,12 @@ class TestEpisodeBlocks:
             for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
                 n = b - a
                 sink.add(RegretTrace(
-                    agent="a", seed=0, instance_hash="h", phase=["commit"] * n,
+                    phase=["commit"] * n,
                     tests_performed=np.zeros(n, dtype=int), decision=[""] * n,
                     realized_reward=np.zeros(n), clairvoyant_reward=regret[a:b],
                 ))
             assert sink.blocks == []  # a sink with a file keeps no rows
-            streamed = sink.finish("a", {}).cumulative_regret
+            streamed = sink.finish({}).cumulative_regret
             assert streamed.tobytes() == whole.tobytes(), sizes
 
     def test_aggregate_of_any_range_is_the_stacked_reduce(self):
@@ -798,13 +795,13 @@ class TestEpisodeBlocks:
         blocks = []
         rollout_trace = agents.rollout_trace
 
-        def failing(agent, env, *args):
+        def failing(env, *args):
             blocks.append(env.seed)
             if env.seed == 1 and blocks.count(1) == 2:
                 assert list(out.glob(".trace_seed1.csv.*.tmp"))
                 assert list(out.glob(".dataset_seed1.csv.*.tmp"))
                 raise RuntimeError("block 2 fails")
-            return rollout_trace(agent, env, *args)
+            return rollout_trace(env, *args)
 
         monkeypatch.setattr(agents, "rollout_trace", failing)
         monkeypatch.setattr(envs, "_BLOCK", 7)
@@ -855,7 +852,6 @@ class TestReportHelpers:
         rng = np.random.default_rng(3)
         traces = [
             RegretTrace(
-                agent="etc-discrete", seed=s, instance_hash="h",
                 phase=["commit"] * T, tests_performed=np.zeros(T, dtype=int),
                 decision=["0"] * T, realized_reward=rng.random(T),
                 clairvoyant_reward=np.ones(T),

@@ -138,7 +138,7 @@ class TestEachCommandLoadsItsModules:
     @pytest.mark.parametrize(
         "instance, unused",
         [("quad2", {"seqtest.envs", "seqtest.elimination"}),
-         ("pareto3", {"seqtest.elimination"}),  # with --dump-policy, which needs envs
+         ("pareto3", {"seqtest.envs", "seqtest.elimination"}),  # with --dump-policy
          ("lowrank4", set())],
     )
     def test_solve_loads_only_its_solvers(self, tmp_path, instances, instance, unused):
