@@ -23,7 +23,10 @@ An ETC agent fits on a look-ahead of its explore episodes before it plays
 (``envs._look_ahead``); then one loop, ``_play``, plays ETC and the clairvoyant
 alike in blocks of ``envs.episode_blocks``: per block it draws the outcomes,
 rolls out, prices, and hands the block's trace to ``sink`` (an
-``envs.TraceSink``; a new one, which keeps the whole trace, when None).
+``envs.TraceSink``; a new one, which keeps the whole trace, when None). A
+discrete block's rows are gathered from rollouts tabulated per support
+point, so each row is keyed by its table row (``RegretTrace.row_key``),
+which lets the writers format each key's cells once.
 """
 
 from __future__ import annotations
@@ -201,10 +204,18 @@ def _play(env, config: EtcConfig, n_explore: int, policy, collect: bool, sink: T
             if p not in tables:
                 tables[p] = _priced_rollouts(instance, p, support, np.arange(len(support)))
             return [None if k == 2 and not collect else col[idx] for k, col in enumerate(tables[p])]
+
+        def row_keys(idx, n):
+            # a row gathered from its table's row k is keyed k when it
+            # explores and |P| + k when it plays the policy
+            key = idx.astype(np.int32)
+            key[n:] += len(support)
+            return key
     else:
         clair = env.clairvoyant_policy(config.quadrature, config.state_cap)
         draw, outcomes = env.outcomes, lambda xs: xs
         clair_nets = lambda xs: _priced_rollouts(instance, clair, xs)[3]
+        row_keys = lambda xs, n: None
 
         def rollouts(p, xs):
             return _priced_rollouts(instance, p, xs)
@@ -220,7 +231,7 @@ def _play(env, config: EtcConfig, n_explore: int, policy, collect: bool, sink: T
         clair_net = net if policy is clair else clair_nets(rows)
         fallbacks += int(fell.sum())
         xs = outcomes(rows) if collect else None
-        sink.add(rollout_trace(env, n, (tests, dec, order, net), clair_net, xs))
+        sink.add(rollout_trace(env, n, (tests, dec, order, net), clair_net, xs, row_keys(rows, n)))
     return fallbacks
 
 
@@ -241,7 +252,6 @@ def run_etc_discrete(
     so the policy is solved before the first episode is played."""
     instance = env.instance
     n_explore = discrete_exploration_episodes(config)
-    env.clairvoyant(config.state_cap)  # the true model is solved before the empirical one
     policy = empirical = None
     if n_explore < config.horizon:
         with _look_ahead(env):

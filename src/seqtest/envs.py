@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,6 +162,9 @@ class RegretTrace:
     # elsewhere (outcomes are finite, so NaN marks a hole and nothing else)
     observations: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
+    # per episode of one block, or None: rows of equal key are equal in every
+    # column but the cumulative regret, so the writers format each key's once
+    row_key: Optional[np.ndarray] = None
     simple_regret: np.ndarray = field(init=False)
     cumulative_regret: np.ndarray = field(init=False)
 
@@ -170,8 +174,9 @@ class RegretTrace:
             "phase": self.phase, "tests_performed": self.tests_performed,
             "decision": self.decision, "clairvoyant_reward": self.clairvoyant_reward,
         }
-        if self.observations is not None:
-            columns["observations"] = self.observations
+        for name in ("observations", "row_key"):
+            if getattr(self, name) is not None:
+                columns[name] = getattr(self, name)
         for name, col in [*columns.items(), *self.extras.items()]:
             if len(col) != n:
                 raise ValueError(f"trace column {name} has length {len(col)}, expected {n}")
@@ -193,11 +198,13 @@ def rollout_trace(
     rollout,
     clairvoyant_net: np.ndarray,
     xs: Optional[np.ndarray] = None,
+    row_key: Optional[np.ndarray] = None,
 ) -> RegretTrace:
     """Trace of episodes on ``env`` whose episode t is row t of ``rollout`` =
     (tests, decision, order, net), the first ``n_explore`` exploring and the
     rest committed. Observations are recorded from ``xs``, the realized
-    outcomes, when given (``order`` may be None otherwise)."""
+    outcomes, when given (``order`` may be None otherwise). ``row_key`` is
+    the trace's ``RegretTrace.row_key``."""
     tests, decision, order, net = rollout
     observations = None
     if xs is not None:  # order's -1 (no test) marks a spare last column
@@ -211,6 +218,7 @@ def rollout_trace(
         realized_reward=net,
         clairvoyant_reward=clairvoyant_net,
         observations=observations,
+        row_key=row_key,
     )
 
 
@@ -222,7 +230,8 @@ def _joined(columns: list):
 
 
 def concatenate_traces(traces: Sequence[RegretTrace]) -> RegretTrace:
-    """Stitch consecutive traces into one run; cumulative regret re-accumulated."""
+    """Stitch consecutive traces into one run; cumulative regret re-accumulated.
+    Row keys are dropped: each block's keys are its own."""
     first = traces[0]
     return RegretTrace(
         **{
@@ -299,8 +308,8 @@ class TraceSink:
 
 
 # rows formatted and written at a time by every writer, enough that
-# formatting each distinct value of a chunk once (``_fmt_column``) repays
-# finding them, and few enough that the strings held at once stay small
+# formatting each run or distinct value of a chunk once (``_fmt_column``)
+# repays finding them, and few enough that the strings held at once stay small
 _WRITE_CHUNK = 1 << 12
 
 
@@ -310,51 +319,100 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_column(col) -> Iterable[str]:
-    """``_fmt`` of every entry of ``col``. A numeric array is formatted one
-    distinct value at a time, distinct by bit pattern (so -0.0 and 0.0 stay
-    apart), and its cells index those labels; when most values are distinct
-    its cells are formatted one by one as they are read, so a chunk's strings
-    are not all held at once. ``tolist`` yields the Python int/float/bool
-    whose repr ``_fmt`` prints."""
-    if not (isinstance(col, np.ndarray) and col.dtype.kind in "biuf"):
-        return map(_fmt, col)
-    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    if 2 * len(bits) > len(col):
-        return map(repr, col.tolist())
-    labels = np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)
-    return labels[inverse].tolist()
+def _fmt_column(col, end: str) -> list:
+    """``_fmt`` of every entry of ``col``, each followed by ``end``. A numeric
+    array is formatted one distinct value at a time, distinct by bit pattern
+    (so -0.0 and 0.0 stay apart), found among the first values of its runs
+    of equal values (a cumulative sum's come in long runs), and its cells
+    gather those labels; when most of its values are distinct, each is
+    formatted alone. ``tolist`` yields the Python int/float/bool whose repr
+    ``_fmt`` prints."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "biuf"):  # str cells print as is
+        return [v + end if type(v) is str else _fmt(v) + end for v in col]
+    bits = col.view(f"u{col.itemsize}")
+    # the first cell of each run (none in an empty column)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))[: len(col)]
+    distinct, inverse = np.unique(bits[starts], return_inverse=True)
+    if 2 * len(distinct) > len(col):
+        return [repr(v) + end for v in col.tolist()]
+    labels = np.array([repr(v) + end for v in distinct.view(col.dtype).tolist()], dtype=object)
+    return np.repeat(labels[inverse], np.diff(starts, append=len(col))).tolist()
 
 
-def _write_rows(fh, n: int, columns) -> None:
-    """Write ``n`` CSV rows, formatted column by column and written in chunks
-    of ``_WRITE_CHUNK`` rows; ``columns(a, b)`` returns the formatted cells of
-    rows a..b-1, one iterable per column."""
+# an episode number's cells: below 1,000 looked up whole, from 1,000 on the
+# digits of e // 1000 and the cell of its last three
+_EPISODES = [f"{e}," for e in range(1000)]
+_EPISODE_ENDS = [f"{e:03d}," for e in range(1000)]
+
+
+def _episode_cells(a: int, b: int) -> tuple:
+    """Two columns whose cells, joined, print each episode number a..b-1 as
+    ``str(e)`` does, with its ``,``: the digits of e // 1000 (none below
+    1,000), and the rest."""
+    ends = _EPISODES[a:b]
+    heads = [""] * len(ends)
+    for high in range(max(a, 1000) // 1000, (b + 999) // 1000):
+        base = 1000 * high
+        low = _EPISODE_ENDS[max(a - base, 0) : b - base]
+        heads += [str(high)] * len(low)
+        ends += low
+    return heads, ends
+
+
+def _ends(n: int) -> list:
+    """The separator after each of a row's last ``n`` cells."""
+    return [","] * (n - 1) + ["\n"]
+
+
+def _pick(col, rows):
+    """``col``'s entries at the slice or index array ``rows``, of a list too."""
+    if isinstance(rows, slice) or isinstance(col, np.ndarray):
+        return col[rows]
+    return [col[i] for i in rows.tolist()]
+
+
+def _write_rows(fh, first: int, n: int, columns, key=None, tail=None) -> None:
+    """Write ``n`` CSV rows as episodes first+1, first+2, ..., in chunks of
+    ``_WRITE_CHUNK`` rows. After its episode a row holds the cells that
+    ``columns(rows)`` formats for it, then those of ``tail(rows)``; each cell
+    carries its trailing ``,`` or newline, so a chunk is one flat join. The
+    rows are selected by a slice; with a ``key`` (one int >= 0 per row, rows
+    of equal key equal in every column of ``columns``), ``columns`` formats
+    one row of each key (an index array) once, and every row gathers its
+    key's text."""
+    if key is not None:
+        row_of = np.full(int(key.max(initial=-1)) + 1, -1)
+        row_of[key] = np.arange(len(key))  # whichever row of a key lands, its cells are the key's
+        keys = np.flatnonzero(row_of >= 0)
+        texts = np.empty(len(row_of), dtype=object)
+        texts[keys] = list(map("".join, zip(*columns(row_of[keys]))))
+        columns = lambda rows: [texts[key[rows]].tolist()]
     for a in range(0, n, _WRITE_CHUNK):
-        rows = zip(*columns(a, min(n, a + _WRITE_CHUNK)))
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+        rows = slice(a, min(n, a + _WRITE_CHUNK))
+        cells = [*_episode_cells(first + a + 1, first + rows.stop + 1), *columns(rows)]
+        if tail is not None:
+            cells += tail(rows)
+        fh.write("".join(chain.from_iterable(zip(*cells))))
 
 
 def write_trace_rows(fh, trace: RegretTrace, first: int) -> None:
     """Write the rows of ``trace`` as episodes first+1, first+2, ...; the
-    header too when ``first`` is 0."""
+    header too when ``first`` is 0. Rows of equal ``row_key`` share the text
+    of every column but the cumulative regret (and the extras)."""
     if first == 0:
         fh.write(",".join(list(TRACE_COLUMNS) + list(trace.extras)) + "\n")
     tests = np.asarray(trace.tests_performed, dtype=np.int64)
+    keyed = (trace.phase, tests, trace.decision, trace.realized_reward,
+             trace.clairvoyant_reward, trace.simple_regret)
+    tail = (trace.cumulative_regret, *trace.extras.values())
 
-    def columns(a, b):
-        return [
-            map(str, range(first + a + 1, first + b + 1)),
-            trace.phase[a:b],
-            _fmt_column(tests[a:b]),
-            trace.decision[a:b],
-            _fmt_column(trace.realized_reward[a:b]),
-            _fmt_column(trace.clairvoyant_reward[a:b]),
-            _fmt_column(trace.simple_regret[a:b]),
-            _fmt_column(trace.cumulative_regret[a:b]),
-        ] + [_fmt_column(trace.extras[name][a:b]) for name in trace.extras]
+    def columns(rows):
+        return [_fmt_column(_pick(col, rows), ",") for col in keyed]
 
-    _write_rows(fh, trace.episodes, columns)
+    def tail_columns(rows):
+        return [_fmt_column(col[rows], end) for col, end in zip(tail, _ends(len(tail)))]
+
+    _write_rows(fh, first, trace.episodes, columns, trace.row_key, tail_columns)
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
@@ -364,23 +422,25 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
 def write_dataset_rows(fh, trace: RegretTrace, first: int) -> None:
     """Write the dataset rows of ``trace`` as episodes first+1, first+2, ...;
-    the header too when ``first`` is 0."""
+    the header too when ``first`` is 0. Rows of equal ``row_key`` share the
+    text of every test's cell."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
     if first == 0:
         d = trace.observations.shape[1]
         fh.write(",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n")
 
-    def columns(a, b):
-        cells = [map(str, range(first + a + 1, first + b + 1))]
-        for col in trace.observations[a:b].T:
+    def columns(rows):
+        obs = trace.observations[rows]
+        cells = []
+        for col, end in zip(obs.T, _ends(obs.shape[1])):
             seen = ~np.isnan(col)
-            labels = np.full(b - a, "NA", dtype=object)
-            labels[seen] = list(_fmt_column(col[seen]))
+            labels = np.full(len(col), "NA" + end, dtype=object)
+            labels[seen] = _fmt_column(col[seen], end)
             cells.append(labels.tolist())
         return cells
 
-    _write_rows(fh, trace.episodes, columns)
+    _write_rows(fh, first, trace.episodes, columns, trace.row_key)
 
 
 def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
@@ -418,13 +478,10 @@ def write_aggregate_rows(fh, aggregate, first: int) -> None:
     if first == 0:
         fh.write("episode,mean_cumulative_regret,sd_cumulative_regret\n")
 
-    def columns(a, b):
-        return [
-            map(str, range(first + a + 1, first + b + 1)), _fmt_column(mean[a:b]),
-            _fmt_column(sd[a:b]),
-        ]
+    def columns(rows):
+        return [_fmt_column(mean[rows], ","), _fmt_column(sd[rows], "\n")]
 
-    _write_rows(fh, len(mean), columns)
+    _write_rows(fh, first, len(mean), columns)
 
 
 def write_aggregate_csv(aggregate, path) -> None:

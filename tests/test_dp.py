@@ -601,14 +601,15 @@ class TestStateGraphReuse:
     def test_true_support_outlives_empirical_solves(self, discoveries):
         # explore phases of T = 1,024 on the 256-point Pareto support miss
         # points, so each seed's empirical solve is on a smaller support; the
-        # true support's graph stays kept, and only seed 0 discovers it
+        # true support's graph stays kept, and is discovered once, whichever
+        # solve comes first
         inst = gen_discrete_pareto(d=8, seed=0, cost=0.05)
         for seed in range(3):
             env = DiscreteEnvironment(inst, seed)
             run_etc_discrete(env, EtcConfig(horizon=1024, support_size_hint=256))
         supports = [shape[0] for shape in discoveries]
-        assert len(supports) == 4 and supports[0] == 256
-        assert all(k < 256 for k in supports[1:])
+        assert len(supports) == 4 and supports.count(256) == 1
+        assert all(k < 256 for k in supports if k != 256)
 
 
 def wide_instance(seed, n_values, k=96):

@@ -254,10 +254,10 @@ class TestTraceArtifacts:
         tr.observations[2, 0] = 7.25
         fmt_column = envs._fmt_column
 
-        def failing(col):
+        def failing(col, end):
             if 7.25 in col:
                 raise RuntimeError("cannot format")
-            return fmt_column(col)
+            return fmt_column(col, end)
 
         monkeypatch.setattr(envs, "_fmt_column", failing)
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 2)
@@ -298,12 +298,13 @@ def _fmt_reference(value):
     return str(value)
 
 
-def trace_csv_reference(trace):
-    """The row-by-row trace writer the column-wise one replaced."""
-    lines = [",".join(list(envs.TRACE_COLUMNS) + list(trace.extras))]
+def trace_csv_reference(trace, first=0):
+    """The row-by-row trace writer the column-wise one replaced, its rows
+    numbered from episode first+1 (with the header when ``first`` is 0)."""
+    lines = [",".join(list(envs.TRACE_COLUMNS) + list(trace.extras))][: first == 0]
     for t in range(trace.episodes):
         row = [
-            str(t + 1),
+            str(first + t + 1),
             trace.phase[t],
             str(int(trace.tests_performed[t])),
             trace.decision[t],
@@ -318,20 +319,20 @@ def trace_csv_reference(trace):
     return "".join(line + "\n" for line in lines)
 
 
-def aggregate_csv_reference(traces):
+def aggregate_csv_reference(traces, first=0):
     mean, sd = aggregate_cumulative_regret(traces)
-    out = "episode,mean_cumulative_regret,sd_cumulative_regret\n"
+    out = "episode,mean_cumulative_regret,sd_cumulative_regret\n" if first == 0 else ""
     for t in range(len(mean)):
-        out += f"{t + 1},{_fmt_reference(mean[t])},{_fmt_reference(sd[t])}\n"
+        out += f"{first + t + 1},{_fmt_reference(mean[t])},{_fmt_reference(sd[t])}\n"
     return out
 
 
-def dataset_csv_reference(trace, d):
+def dataset_csv_reference(trace, d, first=0):
     """The row-by-row dataset writer the column-wise one replaced."""
-    out = ",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n"
+    out = ",".join(["episode"] + [f"test_{i}" for i in range(d)]) + "\n" if first == 0 else ""
     for t, obs in enumerate(trace.observations.tolist()):
         cells = ["NA" if math.isnan(obs[i]) else _fmt_reference(obs[i]) for i in range(d)]
-        out += ",".join([str(t + 1)] + cells) + "\n"
+        out += ",".join([str(first + t + 1)] + cells) + "\n"
     return out
 
 
@@ -410,9 +411,9 @@ class TestColumnWriters:
             realized_reward=clair - gaps, clairvoyant_reward=clair,
         )
         calls = self._count_labels(monkeypatch)
-        cells = list(envs._fmt_column(trace.clairvoyant_reward[: envs._WRITE_CHUNK]))
-        assert calls[0] == 6 and {"-0.0", "0.0"} <= set(cells)
-        assert cells == [_fmt_reference(v) for v in clair[: envs._WRITE_CHUNK]]
+        cells = envs._fmt_column(trace.clairvoyant_reward[: envs._WRITE_CHUNK], ",")
+        assert calls[0] == 6 and {"-0.0,", "0.0,"} <= set(cells)
+        assert cells == [_fmt_reference(v) + "," for v in clair[: envs._WRITE_CHUNK]]
         write_trace_csv(trace, tmp_path / "t.csv")
         write_aggregate_csv(aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
@@ -422,7 +423,7 @@ class TestColumnWriters:
         T = 2 * envs._WRITE_CHUNK + 3
         rewards = np.random.default_rng(3).standard_normal(T)
         calls = self._count_labels(monkeypatch)
-        assert list(envs._fmt_column(rewards)) == [_fmt_reference(v) for v in rewards]
+        assert envs._fmt_column(rewards, "\n") == [_fmt_reference(v) + "\n" for v in rewards]
         assert calls[0] == T
         other = rewards[::-1].copy()
         write_aggregate_csv((rewards, other), tmp_path / "a.csv")
@@ -457,7 +458,7 @@ class TestColumnWriters:
         # its values are distinct
         values = np.resize(np.arange(distinct) / 7.0, 4096)
         calls = self._count_labels(monkeypatch)
-        assert list(envs._fmt_column(values)) == [_fmt_reference(v) for v in values]
+        assert envs._fmt_column(values, ",") == [_fmt_reference(v) + "," for v in values]
         assert calls[0] == formatted
 
     @pytest.mark.parametrize(
@@ -470,11 +471,21 @@ class TestColumnWriters:
             np.resize(np.array([0.1, -0.0, 0.0], dtype=np.float32), 50),
             np.array([], dtype=float),
             np.array([], dtype=np.int64),
+            np.repeat([0.5, -0.0, 0.0, 0.5, 5e-324], [7, 3, 5, 9, 26]),  # runs; 0.5 runs twice
         ],
-        ids=["int64", "int32", "uint8", "bool", "float32", "empty-float", "empty-int"],
+        ids=["int64", "int32", "uint8", "bool", "float32", "empty-float", "empty-int", "runs"],
     )
     def test_numeric_dtypes_match_reference(self, col):
-        assert list(envs._fmt_column(col)) == [_fmt_reference(v) for v in col]
+        assert envs._fmt_column(col, ",") == [_fmt_reference(v) + "," for v in col]
+
+    def test_runs_format_each_distinct_value_once(self, monkeypatch):
+        # 4,096 cells in about 300 runs of equal values, whose values (at
+        # most 100) recur from run to run
+        values = np.random.default_rng(5).integers(0, 100, 300) / 7.0
+        col = np.repeat(values, np.diff(np.linspace(0, 4096, 301).astype(int)))
+        calls = self._count_labels(monkeypatch)
+        assert envs._fmt_column(col, "\n") == [_fmt_reference(v) + "\n" for v in col]
+        assert calls[0] == len(np.unique(col))
 
     def test_int_trace_columns(self, tmp_path):
         # tests_performed as an int32 array and as a list, next to list extras
@@ -489,6 +500,125 @@ class TestColumnWriters:
             )
             write_trace_csv(trace, tmp_path / "t.csv")
             assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
+
+    def _keyed(self, keys, seed):
+        """A block whose row t is row keys[t] of random tables, as ``_play``
+        gathers a block: rows of equal key are equal in every column but the
+        cumulative regret. Keys below 4 explore."""
+        rng = np.random.default_rng(seed)
+        n = int(keys.max(initial=-1)) + 1
+        edge = np.resize(np.array(self.EDGE), n)
+        clair = np.where(rng.random(n) < 0.5, edge, rng.standard_normal(n))
+        realized = clair - np.resize(np.array(self.GAPS), n)
+        observed = rng.random((n, 3)) < 0.5
+        outcomes = np.resize(np.array(self.OBSERVED), (n, 3))
+        phase = np.where(np.arange(n) < 4, "explore", "commit").astype(object)
+        decision = np.array([f"{k % 3}|{seed}" for k in range(n)], dtype=object)
+        return RegretTrace(
+            phase=phase[keys].tolist(),
+            tests_performed=rng.integers(0, 9, n)[keys],
+            decision=decision[keys].tolist(),
+            realized_reward=realized[keys],
+            clairvoyant_reward=clair[keys],
+            observations=np.where(observed, outcomes, np.nan)[keys],
+            row_key=keys.astype(np.int32),
+        )
+
+    @pytest.mark.parametrize("chunk", [3, 4096])
+    def test_keyed_blocks_match_row_by_row_writer(self, monkeypatch, chunk):
+        # two blocks key different rows by the same keys, as the batches of
+        # a doubling run do, and the second block continues the first's
+        # cumulative regret and episode numbers
+        monkeypatch.setattr(envs, "_WRITE_CHUNK", chunk)
+        rng = np.random.default_rng(7)
+        blocks = [self._keyed(rng.integers(0, 9, 11), 1), self._keyed(rng.integers(2, 7, 13), 2)]
+        whole = envs.concatenate_traces(blocks)
+        assert whole.row_key is None
+        trace_fh, dataset_fh = io.StringIO(), io.StringIO()
+        sink = envs.TraceSink(trace_fh, dataset_fh, whole.episodes)
+        for block in blocks:
+            sink.add(block)
+        assert trace_fh.getvalue() == trace_csv_reference(whole)
+        assert dataset_fh.getvalue() == dataset_csv_reference(whole, 3)
+
+    def test_empty_keyed_block(self):
+        fh = io.StringIO()
+        envs.write_trace_rows(fh, self._keyed(np.array([], dtype=np.int64), 0), 5)
+        assert fh.getvalue() == ""
+
+    @pytest.mark.parametrize("first", [990, 9_995, 999_990])
+    def test_episode_numbers_cross_digit_counts(self, first):
+        # rows first+1..first+13 cross 999 -> 1,000, 9,999 -> 10,000 or
+        # 999,999 -> 1,000,000
+        keyed = self._keyed(np.random.default_rng(first).integers(0, 9, 13), 3)
+        keyless = self._trace(13)
+        for trace in (keyed, keyless):
+            fh = io.StringIO()
+            envs.write_trace_rows(fh, trace, first)
+            envs.write_dataset_rows(fh, trace, first)
+            expected = trace_csv_reference(trace, first) + dataset_csv_reference(trace, 3, first)
+            assert fh.getvalue() == expected
+        fh = io.StringIO()
+        envs.write_aggregate_rows(fh, aggregate_cumulative_regret([keyless]), first)
+        assert fh.getvalue() == aggregate_csv_reference([keyless], first)
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 2500), (998, 1001), (9_000, 11_001),
+                                      (999_999, 1_000_001), (4_194_000, 4_194_305)])
+    def test_episode_cells_print_each_number(self, a, b):
+        heads, ends = envs._episode_cells(a, b)
+        assert list(map("".join, zip(heads, ends))) == [f"{e}," for e in range(a, b)]
+
+    class _Blocks:
+        """A sink that keeps each block as it was handed over."""
+
+        def __init__(self):
+            self.blocks = []
+
+        def add(self, block):
+            self.blocks.append(block)
+
+        def finish(self, metadata):
+            self.metadata = metadata
+
+    @pytest.mark.parametrize(
+        "instance, override_n",
+        [(gen_discrete_pareto(d=8, seed=0, cost=0.05), None),
+         (gen_lower_bound_stacked(0.2, 64, "10" * 16), 40)],
+        ids=["pareto8", "stacked-lb"],
+    )
+    @pytest.mark.parametrize("agent", ["etc-discrete", "etc-doubling", "clairvoyant"])
+    def test_equal_keys_mean_equal_rows(self, monkeypatch, instance, override_n, agent):
+        # every column but the cumulative regret is gathered from the key's
+        # table row; on the 64-point stacked-lb support an explore phase of
+        # 40 episodes misses points, so some committed rollouts fall back
+        from seqtest import agents
+
+        monkeypatch.setattr(envs, "_BLOCK", 700)
+        runner = {"etc-discrete": agents.run_etc_discrete, "etc-doubling": agents.run_etc_doubling,
+                  "clairvoyant": agents.run_clairvoyant}[agent]
+        size = len(instance.model.support)
+        config = EtcConfig(horizon=2000, support_size_hint=size,
+                           override_n=override_n if agent == "etc-discrete" else None)
+        sink = self._Blocks()
+        result = runner(DiscreteEnvironment(instance, seed=3), config, True, sink)
+        if agent == "etc-discrete" and override_n is not None:
+            assert result.metadata["fallback_episodes"] > 0
+        for block in sink.blocks:
+            key = block.row_key
+            assert key.dtype == np.int32 and len(key) == block.episodes
+            explores = np.array(block.phase) == "explore"
+            assert np.array_equal(explores, key < size)
+            columns = [
+                np.array(block.phase), np.asarray(block.tests_performed), np.array(block.decision),
+                block.realized_reward.view(np.uint64), block.clairvoyant_reward.view(np.uint64),
+                block.simple_regret.view(np.uint64),
+                np.where(np.isnan(block.observations), np.inf, block.observations).view(np.uint64),
+            ]
+            keys, first = np.unique(key, return_index=True)
+            at_first = first[np.searchsorted(keys, key)]  # each row's key's first row
+            for col in columns:
+                assert np.array_equal(col, col[at_first])
+        assert sum(b.episodes for b in sink.blocks) == 2000
 
 
 class TestRunReplications:
