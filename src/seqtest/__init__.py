@@ -73,7 +73,6 @@ _EXPORTS = {
         "DiscreteEnvironment",
         "GaussianEnvironment",
         "RegretTrace",
-        "simple_regret",
     ),
     "generators": (
         "brute_force_policy_oracle",

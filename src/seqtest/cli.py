@@ -151,6 +151,9 @@ def _cmd_solve(args) -> int:
     state_cap = budget.pop("state_cap", DEFAULT_STATE_CAP)
     check_state_cap(state_cap)
     instance = load_instance(args.instance)
+    if budget and (instance.is_discrete or instance.reward.kind == "entropy"):
+        # the quadrature flags are read by the Gaussian scenario-tree solve only
+        raise ParameterError(min(budget), "applies only to Gaussian quadratic instances")
     if instance.reward.kind == "entropy":
         from .elimination import entropy_objective, solve_mesp_offline
 

@@ -21,8 +21,9 @@ two supports solved are kept, without member lists, so a solve on one of
 them (the plug-in pmf of an explore phase that saw every point, or the true
 support after one that missed some) rebuilds each level's lists from the
 previous level's and discovers nothing.
-The policy walks the child tables (state x value -> state), and the table's
-per-state dict is built only when asked for.
+The policy rolls out all outcome rows at once, level by level, through the
+child tables (state x value slot -> state), and the table's per-state dict is
+built only when asked for.
 
 Gaussian instances are solved approximately on a scenario tree: each tested
 coordinate's conditional law is discretized into Gauss-Hermite nodes of its 1-d
@@ -196,78 +197,65 @@ def _reward_table(instance: ProblemInstance) -> Optional[np.ndarray]:
 class DiscretePolicy:
     """Deterministic policy over the canonical states of a discrete solve,
     numbered as in its value table. ``child[i][s, v]`` is the state reached
-    from state s by observing the v-th smallest value of test i: s itself if
-    s determines that value, -1 if no point of s has it. ``trace`` rolls the
-    policy out on a realized outcome vector; when an observed value is
-    impossible under the policy's model the rollout falls back to the best
-    decision at the deepest consistent state.
+    from state s by observing the v-th smallest value of test i (``values[i]``,
+    ascending): s itself if s determines that value, -1 if no point of s has
+    it. ``rollouts`` walks every outcome row through these tables at once;
+    when an observed value is impossible under the policy's model the rollout
+    falls back to the best decision at the deepest consistent state.
     """
-
-    root_key = 0
 
     def __init__(self, instance: ProblemInstance, table: ValueTable, child: list, values: list):
         self.instance = instance
         self.table = table
         self._child = child
-        self._slot = [{v: slot for slot, v in enumerate(vals.tolist())} for vals in values]
+        self._values = values
 
-    def action(self, key: int) -> Action:
-        return self.table.action_of(key)
-
-    def value(self, key: int) -> float:
-        return float(self.table.value[key])
-
-    def advance(self, key: int, test: int, value: float) -> int:
-        """State after observing ``value`` on ``test``; -1 if impossible."""
-        slot = self._slot[test].get(float(value))
-        return -1 if slot is None else int(self._child[test][key, slot])
-
-    def key_for_state(self, s: TestState) -> int:
-        key = self.root_key
-        for i in s.observed_indices:
-            key = self.advance(key, i, s.entries[i])
-            if key < 0:
-                raise PolicyUndefinedError("no support point is consistent with the state")
-        return key
-
-    def action_for_state(self, s: TestState) -> Action:
-        return self.action(self.key_for_state(s))
-
-    def rollouts(self, xs: np.ndarray, on_missing: str = "fallback"):
+    def rollouts(self, xs: np.ndarray):
         """Roll the policy out on every outcome row of ``xs`` (n, d).
 
         Returns (tests performed, decision, test order, fallback): the arrays
         of :meth:`GaussianTreePolicy.rollouts` plus an (n,) bool array marking
-        the rollouts that fell back (see :meth:`trace`).
+        the rollouts that fell back. All rows advance level by level, grouped
+        by the test their state performs; an observed value's slot is found by
+        ``searchsorted`` on that test's values and an equality check.
         """
         xs = np.asarray(xs, dtype=float)
+        n = len(xs)
         order = np.full(xs.shape, -1)
-        decision = np.empty(len(xs), dtype=int)
-        fallback = np.zeros(len(xs), dtype=bool)
-        for t, x in enumerate(xs):
-            roll = self.trace(x, on_missing)
-            order[t, : len(roll.tests)] = roll.tests
-            decision[t], fallback[t] = roll.decision, roll.fallback
+        decision = np.empty(n, dtype=int)
+        fallback = np.zeros(n, dtype=bool)
+        action, best = self.table.action, self.table.decision
+        rows, state = np.arange(n), np.zeros(n, dtype=np.intp)
+        level = 0
+        while True:
+            test = action[state]
+            done = test < 0
+            decision[rows[done]] = best[state[done]]
+            rows, state, test = rows[~done], state[~done], test[~done]
+            if not rows.size:
+                break
+            order[rows, level] = test
+            level += 1
+            nxt = np.full(len(rows), -1, dtype=np.intp)
+            for i in np.flatnonzero(np.bincount(test)).tolist():
+                at = np.flatnonzero(test == i)
+                values, x = self._values[i], xs[rows[at], i]
+                slot = np.minimum(np.searchsorted(values, x), len(values) - 1)
+                hit = values[slot] == x
+                nxt[at[hit]] = self._child[i][state[at[hit]], slot[hit]]
+            miss = nxt < 0
+            decision[rows[miss]] = best[state[miss]]
+            fallback[rows[miss]] = True
+            rows, state = rows[~miss], nxt[~miss]
         return (order >= 0).sum(axis=1), decision, order, fallback
 
-    def trace(self, x: Sequence[float], on_missing: str = "fallback") -> Rollout:
-        """Roll the policy out on outcome vector ``x``."""
-        key, tests = self.root_key, []
-        while True:
-            which = int(self.table.action[key])
-            if which < 0:
-                return Rollout(tests=tuple(tests), decision=int(self.table.decision[key]))
-            tests.append(which)
-            child = self.advance(key, which, x[which])
-            if child < 0:
-                if on_missing == "error":
-                    raise PolicyUndefinedError(
-                        f"observed value {x[which]!r} on test {which} is outside "
-                        "the policy model's support"
-                    )
-                decision = int(self.table.decision[key])
-                return Rollout(tests=tuple(tests), decision=decision, fallback=True)
-            key = child
+    def trace(self, x: Sequence[float]) -> Rollout:
+        """The rollout on one outcome vector ``x``: row 0 of :meth:`rollouts`."""
+        tests, decision, order, fallback = self.rollouts(np.asarray(x, dtype=float)[None, :])
+        return Rollout(
+            tests=tuple(order[0, : tests[0]].tolist()), decision=int(decision[0]),
+            fallback=bool(fallback[0]),
+        )
 
 
 class _Closures:
@@ -944,13 +932,6 @@ class GaussianTreePolicy:
     def root_action(self) -> Action:
         return self.node(0, ())[1]
 
-    def action_for_state(self, s: TestState) -> Action:
-        obs = s.observed_indices
-        mask = 0
-        for i in obs:
-            mask |= 1 << i
-        return self.node(mask, tuple(float(s.entries[i]) for i in obs))[1]
-
     def rollouts(self, xs: np.ndarray):
         """Roll the policy out on every outcome row of ``xs`` (n, d).
 
@@ -988,7 +969,8 @@ class GaussianTreePolicy:
             active, pending = np.concatenate(next_active), np.concatenate(next_pending)
         return (order >= 0).sum(axis=1), decision, order
 
-    def trace(self, x: Sequence[float], on_missing: str = "fallback") -> Rollout:
+    def trace(self, x: Sequence[float]) -> Rollout:
+        """The rollout on one outcome vector ``x``: row 0 of :meth:`rollouts`."""
         tests, decision, order = self.rollouts(np.asarray(x, dtype=float)[None, :])
         return Rollout(
             tests=tuple(int(i) for i in order[0, : tests[0]]), decision=int(decision[0])
@@ -1037,19 +1019,12 @@ def solve_dp_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def rollout_net_reward(instance: ProblemInstance, x, rollout: Rollout, support_index=None) -> float:
-    """Realized episode reward f(x, y) minus the costs of the tests performed."""
-    test_cost = 0.0
-    for i in rollout.tests:
-        test_cost += float(instance.costs[i])
-    return instance.reward_value(x, rollout.decision, support_index=support_index) - test_cost
-
-
 def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support_index=None) -> np.ndarray:
-    """:func:`rollout_net_reward` of every episode of a batched rollout
-    (``order`` and ``decisions`` as returned by a policy's ``rollouts``),
-    bit for bit, priced as arrays; a table reward reads each row's support
-    index from ``support_index`` (required)."""
+    """Realized reward f(x, y) minus the costs of the tests performed, for
+    every episode of a batched rollout (``order`` and ``decisions`` as
+    returned by a policy's ``rollouts``); costs are added in test order. A
+    table reward reads each row's support index from ``support_index``
+    (required)."""
     test_cost = np.zeros(len(xs))
     for k in range(order.shape[1]):
         took = order[:, k] >= 0

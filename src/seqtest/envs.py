@@ -33,9 +33,7 @@ import numpy as np
 from .dp import (
     DEFAULT_STATE_CAP,
     PolicyUndefinedError,
-    Rollout,
     _priced_rollouts,
-    rollout_net_reward,
     solve_dp_discrete,
     solve_dp_gaussian,
 )
@@ -115,21 +113,6 @@ class GaussianEnvironment:
         if self._clair_policy is None:
             self._clair_policy, _ = solve_dp_gaussian(self.instance, quadrature, state_cap)
         return self._clair_policy
-
-
-def simple_regret(
-    instance: ProblemInstance,
-    clairvoyant_policy,
-    agent_rollout: Rollout,
-    x,
-    support_index: Optional[int] = None,
-) -> float:
-    """Net-reward gap between the clairvoyant rollout and the agent rollout on
-    the same realized outcome ``x``."""
-    clair = clairvoyant_policy.trace(x, on_missing="error")
-    best = rollout_net_reward(instance, x, clair, support_index=support_index)
-    got = rollout_net_reward(instance, x, agent_rollout, support_index=support_index)
-    return best - got
 
 
 # ---------------------------------------------------------------------------

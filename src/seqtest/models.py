@@ -336,29 +336,6 @@ class ProblemInstance:
     def is_discrete(self) -> bool:
         return isinstance(self.model, DiscreteOutcomeModel)
 
-    def reward_value(self, x: Sequence[float], decision_index: int, support_index: Optional[int] = None) -> float:
-        """Realized reward f(x, y) for a fully observed outcome ``x``."""
-        kind = self.reward.kind
-        if kind == "table":
-            if support_index is None:
-                support_index = support_index_of(self.model, x)
-            return float(self.reward.table[support_index, decision_index])
-        if kind == "indicator-match":
-            y = self.decisions[decision_index]
-            return 1.0 if tuple(float(v) for v in x) == y else 0.0
-        if kind == "quadratic":
-            return float(neg_sq_dist(x, self.decisions[decision_index]))
-        raise InstanceError("entropy rewards are not pointwise; use the OCMESP objective")
-
-
-def support_index_of(model: DiscreteOutcomeModel, x: Sequence[float]) -> int:
-    """Index of ``x`` in the model's support (exact match)."""
-    key = tuple(float(v) for v in x)
-    for k in range(model.support_size):
-        if tuple(model.support[k]) == key:
-            return k
-    raise ImpossibleStateError(f"outcome {key} is not in the support")
-
 
 # ---------------------------------------------------------------------------
 # Conditioning

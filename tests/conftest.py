@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from seqtest.dp import Rollout
 from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
     ProblemInstance,
     RewardSpec,
+    neg_sq_dist,
 )
 
 
@@ -51,6 +53,67 @@ def single_test_instance(values, probs, cost=0.01):
         decisions=((0.0,), (1.0,), (2.0,)),
         reward=RewardSpec(kind="indicator-match"),
     )
+
+
+class PerRowPolicyWalk:
+    """The scalar walk that ``DiscretePolicy.rollouts`` replaced, kept as an
+    oracle: one outcome row at a time, a dict per test maps each observed
+    value to its slot, and the policy's child tables give the next state."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.slots = [{v: slot for slot, v in enumerate(vals.tolist())} for vals in policy._values]
+
+    def advance(self, state: int, test: int, value: float) -> int:
+        """State after observing ``value`` on ``test``; -1 if impossible."""
+        slot = self.slots[test].get(float(value))
+        return -1 if slot is None else int(self.policy._child[test][state, slot])
+
+    def state_of(self, s) -> int:
+        """The state a ``TestState``'s observations lead to from the root."""
+        state = 0
+        for i in s.observed_indices:
+            state = self.advance(state, i, s.entries[i])
+            assert state >= 0, "no support point is consistent with the state"
+        return state
+
+    def trace(self, x) -> Rollout:
+        """The policy's rollout on outcome vector ``x``: at a value the model
+        never saw, the best decision at the deepest consistent state."""
+        table, state, tests = self.policy.table, 0, []
+        while True:
+            which = int(table.action[state])
+            if which < 0:
+                return Rollout(tests=tuple(tests), decision=int(table.decision[state]))
+            tests.append(which)
+            child = self.advance(state, which, x[which])
+            if child < 0:
+                return Rollout(tests=tuple(tests), decision=int(table.decision[state]), fallback=True)
+            state = child
+
+
+def reward_value(instance, x, decision_index, support_index=None) -> float:
+    """Realized reward f(x, y) of one fully observed outcome ``x``; a table
+    reward finds ``x``'s support index by exact match when none is given."""
+    kind = instance.reward.kind
+    if kind == "table":
+        if support_index is None:
+            key = tuple(float(v) for v in x)
+            support_index = [tuple(row) for row in instance.model.support.tolist()].index(key)
+        return float(instance.reward.table[support_index, decision_index])
+    if kind == "indicator-match":
+        return 1.0 if tuple(float(v) for v in x) == instance.decisions[decision_index] else 0.0
+    assert kind == "quadratic", kind
+    return float(neg_sq_dist(x, instance.decisions[decision_index]))
+
+
+def rollout_net_reward(instance, x, rollout, support_index=None) -> float:
+    """One episode's realized reward minus the costs of its tests, added in
+    test order: the scalar price ``rollout_net_rewards`` must equal bit for bit."""
+    test_cost = 0.0
+    for i in rollout.tests:
+        test_cost += float(instance.costs[i])
+    return reward_value(instance, x, rollout.decision, support_index) - test_cost
 
 
 def random_gaussian_model(rng, d):

@@ -135,14 +135,6 @@ class TestEtcDiscrete:
         assert not holes[:n].any()  # no NA while exploring
         assert holes[n:].any(axis=1).any()
 
-    def test_commit_immutability(self):
-        inst = gen_discrete_pareto(d=4, seed=1, cost=0.05)
-        env = DiscreteEnvironment(inst, seed=5)
-        res = run_etc_discrete(env, EtcConfig(horizon=300, support_size_hint=16))
-        key = res.policy.root_key
-        actions = {res.policy.action(key) for _ in range(10)}
-        assert len(actions) == 1
-
     def test_empirical_pmf_properties(self):
         inst = gen_discrete_pareto(d=4, seed=2, cost=0.05)
         env = DiscreteEnvironment(inst, seed=9)

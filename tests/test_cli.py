@@ -214,6 +214,29 @@ class TestSolve:
     def test_missing_instance_exit_2(self, tmp_path, capsys):
         assert run_cli("solve", "--instance", str(tmp_path / "none.json")) == 2
 
+    @pytest.mark.parametrize("instance", ["pareto3", "lowrank4"])
+    @pytest.mark.parametrize("flags", [["--nodes-per-test", "0"], ["--max-depth", "0"], ["--nodes-per-test", "16"]])
+    def test_quadrature_flags_refused_where_unread(self, tmp_path, capsys, instance_files, instance, flags):
+        # only the Gaussian quadratic solve reads them; elsewhere they are
+        # refused with one line naming the flag, before anything is written
+        dump = tmp_path / "policy.json"
+        code = run_cli(
+            "solve", "--instance", str(instance_files / f"{instance}.json"), *flags,
+            "--dump-policy", str(dump),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flags[0]} applies only to Gaussian quadratic instances"
+        ]
+        assert not dump.exists()
+
+    def test_quadrature_flags_read_on_gaussian_quadratic(self, capsys, instance_files):
+        argv = ["solve", "--instance", str(instance_files / "quad2.json")]
+        assert run_cli(*argv, "--nodes-per-test", "0") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --nodes-per-test must be >= 1"]
+        assert run_cli(*argv, "--nodes-per-test", "4", "--max-depth", "2") == 0
+        assert json.loads(capsys.readouterr().out)["action"].split(":")[0] in ("test", "decide")
+
 
 class TestSimulate:
     def test_trace_files_and_aggregate(self, tmp_path):

@@ -13,7 +13,6 @@ import seqtest.dp as dp
 from seqtest.agents import EtcConfig, run_etc_discrete
 from seqtest.dp import (
     GaussianTreePolicy,
-    PolicyUndefinedError,
     QuadratureCapError,
     QuadratureSpec,
     Rollout,
@@ -26,7 +25,6 @@ from seqtest.dp import (
     gaussian_tree_size,
     policy_records,
     q_value,
-    rollout_net_reward,
     rollout_net_rewards,
     solve_dp_discrete,
     solve_dp_gaussian,
@@ -37,6 +35,7 @@ from seqtest.generators import (
     gen_discrete_pareto,
     gen_gaussian_quadratic,
     gen_lower_bound_single,
+    gen_lower_bound_stacked,
 )
 from seqtest.models import (
     DiscreteOutcomeModel,
@@ -50,7 +49,13 @@ from seqtest.models import (
     neg_sq_dist,
     posterior_gaussian,
 )
-from conftest import random_discrete_instance, single_test_instance
+from conftest import (
+    PerRowPolicyWalk,
+    random_discrete_instance,
+    reward_value,
+    rollout_net_reward,
+    single_test_instance,
+)
 
 FOUR_POINT = DiscreteOutcomeModel(
     support=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -193,8 +198,10 @@ class TestSolveDpDiscrete:
         inst = random_discrete_instance(rng, d_max=2, k_max=4)
         policy, table = solve_dp_discrete(inst)
 
+        walk = PerRowPolicyWalk(policy)
+
         def value_of(state):
-            return policy.value(policy.key_for_state(state))
+            return float(table.value[walk.state_of(state)])
 
         s = initial_state(inst.d)
         dec_best = max(decision_reward(inst, s, j) for j in range(len(inst.decisions)))
@@ -203,10 +210,11 @@ class TestSolveDpDiscrete:
 
     def test_fully_observed_states_decide(self, rng):
         inst = random_discrete_instance(rng)
-        policy, _ = solve_dp_discrete(inst)
+        policy, table = solve_dp_discrete(inst)
+        walk = PerRowPolicyWalk(policy)
         for k in range(inst.model.support_size):
             entries = tuple(float(v) for v in inst.model.support[k])
-            action = policy.action_for_state(TestState(entries=entries))
+            action = table.action_of(walk.state_of(TestState(entries=entries)))
             assert action[0] == "decide"
             expected = int(np.argmax(inst.reward.table[k]))
             assert action[1] == expected
@@ -272,7 +280,38 @@ class TestSolveDpDiscrete:
         assert root and root[0]["action"] == "decide:0"
 
 
+def _generator_policy(name):
+    """(instance, policy) of a generator: the clairvoyant policy, or on the
+    64-point stacked-lb instance the policy an explore phase of 40 episodes
+    commits to, which has not seen every point of the true support."""
+    if name == "pareto":
+        inst = gen_discrete_pareto(d=6, seed=0)
+    elif name == "single-lb":
+        inst = gen_lower_bound_single(0.2, 2)
+    else:
+        inst = gen_lower_bound_stacked(0.2, 64, "10" * 16)
+        res = run_etc_discrete(DiscreteEnvironment(inst, seed=0), EtcConfig(horizon=4096, override_n=40))
+        return inst, res.policy
+    return inst, solve_dp_discrete(inst)[0]
+
+
 class TestDiscreteRollouts:
+    @staticmethod
+    def check(policy, xs) -> np.ndarray:
+        """The batched rollouts on ``xs`` equal the per-row walk's, row by
+        row; returns the fallback flags."""
+        walk = PerRowPolicyWalk(policy)
+        tests, decision, order, fallback = policy.rollouts(xs)
+        assert order.shape == xs.shape
+        for t, x in enumerate(xs):
+            roll = walk.trace(x)
+            assert tests[t] == len(roll.tests)
+            assert tuple(order[t, : tests[t]].tolist()) == roll.tests
+            assert np.all(order[t, tests[t] :] == -1)
+            assert decision[t] == roll.decision
+            assert fallback[t] == roll.fallback
+        return fallback
+
     def test_matches_per_row_trace(self, rng):
         fell_back = False
         for _ in range(20):
@@ -280,18 +319,24 @@ class TestDiscreteRollouts:
             policy, _ = solve_dp_discrete(inst)
             # support rows, then rows with unseen values (3.0) or combinations
             extra = rng.integers(0, 4, size=(16, inst.d)).astype(float)
-            xs = np.vstack([inst.model.support, extra])
-            tests, decision, order, fallback = policy.rollouts(xs)
-            assert order.shape == xs.shape
-            for t, x in enumerate(xs):
-                roll = policy.trace(x)
-                assert tests[t] == len(roll.tests)
-                assert tuple(order[t, : tests[t]]) == roll.tests
-                assert np.all(order[t, tests[t] :] == -1)
-                assert decision[t] == roll.decision
-                assert fallback[t] == roll.fallback
-            fell_back |= bool(fallback.any())
+            fell_back |= bool(self.check(policy, np.vstack([inst.model.support, extra])).any())
         assert fell_back
+
+    @pytest.mark.parametrize("generator", ["pareto", "single-lb", "stacked-lb"])
+    def test_generator_policies_match_per_row_trace(self, generator):
+        # the true support, then rows with values one past each end of every
+        # test's range, mixed with seen ones
+        inst, policy = _generator_policy(generator)
+        support = inst.model.support
+        rng = np.random.default_rng(sum(map(ord, generator)))
+        lo, hi = support.min(axis=0) - 1.0, support.max(axis=0) + 1.0
+        extra = support[rng.integers(0, len(support), size=(64, inst.d)), np.arange(inst.d)]
+        off = rng.random(extra.shape) < 0.3
+        extra[off] = np.where(rng.random(extra.shape) < 0.5, lo, hi)[off]
+        fallback = self.check(policy, np.vstack([support, extra]))
+        on_support, off_support = fallback[: len(support)], fallback[len(support) :]
+        assert on_support.any() == (generator == "stacked-lb")  # its explore phase missed points
+        assert off_support.any() == (generator != "single-lb")  # single-lb decides without testing
 
     def test_unseen_value_falls_back(self):
         # the policy model never saw x=2; testing reveals it, so the rollout
@@ -303,20 +348,19 @@ class TestDiscreteRollouts:
         assert order.tolist() == [[0], [0], [0]]
         assert decision.tolist() == [0, 1, 0]
         assert fallback.tolist() == [False, False, True]
-        with pytest.raises(PolicyUndefinedError):
-            policy.rollouts(xs, on_missing="error")
 
     def test_net_rewards_equal_single_rollout_pricing(self, rng):
         for _ in range(10):
             inst = random_discrete_instance(rng, d_max=4)
             policy, _ = solve_dp_discrete(inst)
+            walk = PerRowPolicyWalk(policy)
             support = inst.model.support
             _, decision, order, _ = policy.rollouts(support)
             net = rollout_net_rewards(
                 inst, support, order, decision, support_index=np.arange(len(support))
             )
             for k, x in enumerate(support):
-                assert net[k] == rollout_net_reward(inst, x, policy.trace(x), support_index=k)
+                assert net[k] == rollout_net_reward(inst, x, walk.trace(x), support_index=k)
 
 
 def _oracle_best_decision(instance, idxs, mass, table, indicator_decision):
@@ -762,13 +806,13 @@ class TestBatchedPricing:
                 want = rollout_net_reward(inst, x, roll, support_index=k)
                 assert net[t].tobytes() == np.float64(want).tobytes()
                 if kind == "indicator-match":
-                    hit = inst.reward_value(x, int(decision[t])) == 1.0
+                    hit = reward_value(inst, x, int(decision[t])) == 1.0
                     matched, unmatched = matched + hit, unmatched + (not hit)
         if kind == "indicator-match":
             assert matched > 0 and unmatched > 0
 
     def test_reward_table_equals_scalar_reward(self):
-        # a discrete quadratic table holds reward_value's bits for every
+        # a discrete quadratic table holds the scalar reward's bits for every
         # (support point, decision) pair, on real-valued supports
         rng = np.random.default_rng(29)
         for d in range(3, 9):
@@ -783,7 +827,7 @@ class TestBatchedPricing:
             table = dp._reward_table(inst)
             for kk in range(k):
                 for j in range(n_y):
-                    want = inst.reward_value(inst.model.support[kk], j)
+                    want = reward_value(inst, inst.model.support[kk], j)
                     assert table[kk, j].tobytes() == np.float64(want).tobytes()
 
 
@@ -858,7 +902,8 @@ class TestArrayPolicyMatchesOracle:
         inst = gen_discrete_pareto(d=4, seed=0, cost=0.05)
         policy, table = solve_dp_discrete(inst)
         assert len(table) == 81
-        assert table.root_action == policy.action(policy.root_key)
+        root = PerRowPolicyWalk(policy).state_of(initial_state(inst.d))
+        assert table.root_action == table.action_of(root)
         policy.rollouts(inst.model.support)
         assert table._entries is None
         assert len(table.entries) == 81 and table._entries is not None
@@ -966,8 +1011,8 @@ class TestSolveDpGaussian:
             reward=RewardSpec(kind="quadratic"),
         )
         policy, _ = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=8, max_depth=2))
-        action = policy.action_for_state(TestState(entries=(0.123456, None)))
-        assert action[0] in ("test", "decide")
+        _, (kind, which), _ = policy.node(0b01, (0.123456,))
+        assert kind in ("test", "decide")
         roll = policy.trace(np.array([0.7, -0.3]))
         assert roll.decision in range(9)
 
@@ -1093,7 +1138,7 @@ class TestFullInformationRollouts:
         d = inst.d
         ks = [None] * len(xs) if support_index is None else support_index
         for t, (x, k) in enumerate(zip(xs, ks)):
-            rewards = [inst.reward_value(x, j, k) for j in range(len(inst.decisions))]
+            rewards = [reward_value(inst, x, j, k) for j in range(len(inst.decisions))]
             j = int(np.argmax(rewards))
             assert decision[t] == j
             assert tests[t] == d and order[t].tolist() == list(range(d))

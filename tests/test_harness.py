@@ -12,13 +12,12 @@ import pytest
 import seqtest.envs as envs
 import seqtest.harness as harness
 from seqtest.agents import EtcConfig, run_etc_discrete
-from seqtest.dp import Rollout, solve_dp_discrete
+from seqtest.dp import rollout_net_rewards, solve_dp_discrete
 from seqtest.envs import (
     DiscreteEnvironment,
     GaussianEnvironment,
     RegretTrace,
     aggregate_cumulative_regret,
-    simple_regret,
     write_aggregate_csv,
     write_dataset_csv,
     write_trace_csv,
@@ -49,30 +48,37 @@ from seqtest.models import (
 
 
 class TestSimpleRegret:
+    # an episode's regret is the clairvoyant's net reward less the agent's on
+    # the same outcome, both priced by rollout_net_rewards as every command does
+    @staticmethod
+    def regret(inst, policy, ks, order, decision):
+        xs = inst.model.support[ks]
+        _, clair_decision, clair_order, _ = policy.rollouts(xs)
+        best = rollout_net_rewards(inst, xs, clair_order, clair_decision, support_index=ks)
+        return best - rollout_net_rewards(inst, xs, np.array(order), decision, support_index=ks)
+
     def test_playing_the_clairvoyant_gives_zero(self):
         inst = gen_lower_bound_single(0.2, 1)
         policy, _ = solve_dp_discrete(inst)
-        for k in range(2):
-            x = inst.model.support[k]
-            roll = policy.trace(x)
-            assert simple_regret(inst, policy, roll, x, support_index=k) == 0.0
+        ks = np.arange(2)
+        _, decision, order, _ = policy.rollouts(inst.model.support[ks])
+        assert self.regret(inst, policy, ks, order, decision).tolist() == [0.0, 0.0]
 
     def test_one_extra_test_costs_its_price(self):
         inst = gen_lower_bound_single(0.2, 1)
         policy, _ = solve_dp_discrete(inst)  # optimal: decide 0 immediately
-        x = inst.model.support[0]  # x = 0, so deciding 0 is also correct
-        wasteful = Rollout(tests=(0,), decision=0)
-        assert abs(simple_regret(inst, policy, wasteful, x, support_index=0) - 0.75) <= 1e-12
+        # x = 0, so deciding 0 is also correct; the wasteful rollout tests first
+        regret = self.regret(inst, policy, np.array([0]), [[0]], np.array([0]))
+        assert abs(regret[0] - 0.75) <= 1e-12
 
     def test_exploration_episode_hand_rollout(self):
         # explorer tests (cost 3/4) then decides correctly; clairvoyant
         # decides 0 without testing
         inst = gen_lower_bound_single(0.2, 1)
         policy, _ = solve_dp_discrete(inst)
-        explore_on_x0 = Rollout(tests=(0,), decision=0)
-        explore_on_x1 = Rollout(tests=(0,), decision=1)
-        assert abs(simple_regret(inst, policy, explore_on_x0, inst.model.support[0], 0) - 0.75) <= 1e-12
-        assert abs(simple_regret(inst, policy, explore_on_x1, inst.model.support[1], 1) - (-0.25)) <= 1e-12
+        regret = self.regret(inst, policy, np.arange(2), [[0], [0]], np.array([0, 1]))
+        assert abs(regret[0] - 0.75) <= 1e-12
+        assert abs(regret[1] - (-0.25)) <= 1e-12
 
 
 class TestGenerators:
