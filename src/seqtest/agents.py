@@ -10,7 +10,8 @@ clamped to [1, T].
 
 Every episode is a rollout priced by ``rollout_net_rewards``, as the
 clairvoyant's are: explore episodes, and the episodes after a Gaussian
-estimation failure, are ``full_information_rollouts``. So regret is exactly 0
+estimation failure, play full information (``dp._priced_rollouts`` with no
+policy: every test, then the best decision). So regret is exactly 0
 wherever the agent plays as the clairvoyant does (tests in the same order,
 same decision).
 
@@ -100,23 +101,27 @@ def _int_cbrt(x: int) -> int:
     return n
 
 
+def _exploration_episodes(config: EtcConfig, hint, missing: str, schedule) -> int:
+    """N: ``config.override_n`` when set, else ``schedule(hint)`` (refused
+    with ``missing`` when the hint is None), clamped to [1, T]."""
+    if config.override_n is None and hint is None:
+        raise ValueError(missing)
+    n = config.override_n if config.override_n is not None else schedule(hint)
+    return min(max(int(n), 1), config.horizon)
+
+
 def discrete_exploration_episodes(config: EtcConfig) -> int:
-    if config.override_n is not None:
-        return min(int(config.override_n), config.horizon)
-    if config.support_size_hint is None:
-        raise ValueError("the discrete ETC schedule requires support_size_hint (|P|)")
-    n = _int_cbrt(int(config.support_size_hint) * config.horizon**2)
-    return min(max(n, 1), config.horizon)
+    return _exploration_episodes(
+        config, config.support_size_hint, "the discrete ETC schedule requires support_size_hint (|P|)",
+        lambda p: _int_cbrt(int(p) * config.horizon**2),
+    )
 
 
 def gaussian_exploration_episodes(config: EtcConfig) -> int:
-    if config.override_n is not None:
-        return min(int(config.override_n), config.horizon)
-    if config.condition_number is None:
-        raise ValueError("the Gaussian ETC schedule requires condition_number (sigma)")
-    sigma = float(config.condition_number)
-    n = int(math.floor(sigma * sigma * float(np.cbrt(float(config.horizon) ** 2))))
-    return min(max(n, 1), config.horizon)
+    return _exploration_episodes(
+        config, config.condition_number, "the Gaussian ETC schedule requires condition_number (sigma)",
+        lambda sigma: math.floor(float(sigma) * float(sigma) * float(np.cbrt(float(config.horizon) ** 2))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +152,12 @@ class GaussianEstimate:
     mean: np.ndarray
     covariance: np.ndarray
     estimator: str  # "uncentered" (paper's formula) or "centered"
-    episodes: int
 
 
-def _empirical_discrete(support: np.ndarray, sampled) -> EmpiricalModel:
-    """The support points at indices ``sampled`` (an array, or an iterable of
-    arrays counted one at a time): the distinct ones in lexicographic row
+def _empirical_discrete(support: np.ndarray, blocks) -> EmpiricalModel:
+    """The support points at the indices of ``blocks`` (an iterable of index
+    arrays, counted one at a time): the distinct ones in lexicographic row
     order (as ``np.unique(axis=0)`` orders distinct rows) with their counts."""
-    blocks = (sampled,) if isinstance(sampled, np.ndarray) else sampled
     counts = sum(np.bincount(block, minlength=len(support)) for block in blocks)
     seen = np.flatnonzero(counts)
     seen = seen[np.lexsort(support[seen].T[::-1])]
@@ -282,7 +285,6 @@ def _estimate_gaussian(draws: np.ndarray, assume_zero_mean: bool) -> GaussianEst
         mean=mu,
         covariance=cov,
         estimator="uncentered" if assume_zero_mean else "centered",
-        episodes=n,
     )
 
 

@@ -57,6 +57,7 @@ import numpy as np
 from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
+    ImpossibleStateError,
     InstanceError,
     ParameterError,
     ProblemInstance,
@@ -116,10 +117,6 @@ class ValueTable:
         return ("test", a) if a >= 0 else ("decide", int(self.decision[s]))
 
     @property
-    def root_key(self):
-        return self._keys_of([0])[0]
-
-    @property
     def root_value(self) -> float:
         return float(self.value[0])
 
@@ -177,6 +174,11 @@ def _bits(mask: int) -> list:
         out.append(lsb.bit_length() - 1)
         mask ^= lsb
     return out
+
+
+def subset_label(indices) -> str:
+    """A set of test indices as a trace or dump cell: ``0|2|5``."""
+    return "|".join(str(i) for i in indices)
 
 
 def _reward_table(instance: ProblemInstance) -> Optional[np.ndarray]:
@@ -682,7 +684,7 @@ def policy_records(policy: DiscretePolicy) -> list:
         value, (kind, which), _ = policy.table.entries[mask]
         records.append(
             {
-                "state_key": "|".join(str(k) for k in _bits(mask)),
+                "state_key": subset_label(_bits(mask)),
                 "action": f"{kind}:{which}",
                 "value": None if math.isnan(value) else value,
             }
@@ -766,17 +768,16 @@ def _gaussian_decision_values(instance: ProblemInstance, s: TestState) -> np.nda
 
 
 def decision_reward(instance: ProblemInstance, s: TestState, decision_index: int) -> float:
-    """Expected reward of deciding ``decision_index`` at state ``s``."""
-    if s.terminal:
-        raise ValueError("cannot decide in the terminal state")
+    """Expected reward of deciding ``decision_index`` at state ``s``; a
+    discrete state of no mass is refused as ``posterior_discrete`` refuses it."""
     model = instance.model
     if isinstance(model, DiscreteOutcomeModel):
         idxs = [int(k) for k in consistent_support_indices(model, s)]
-        if not idxs:
-            raise InstanceError("no support point is consistent with the state")
         mass = 0.0
         for k in idxs:
             mass += model.probs[k]
+        if mass <= 0.0:
+            raise ImpossibleStateError("no support point is consistent with the state")
         table = _reward_table(instance)
         if table is not None:
             idx_arr = np.asarray(idxs, dtype=np.intp)
@@ -1040,22 +1041,19 @@ def rollout_net_rewards(instance: ProblemInstance, xs, order, decisions, support
     return reward - test_cost
 
 
-def full_information_rollouts(instance: ProblemInstance, xs, support_index=None):
-    """(tests, decision, order, net) of episodes that test 0..d-1 in order and
-    then take the best decision for the fully observed outcome, lowest index
-    first on ties; ``net`` is priced by :func:`rollout_net_rewards`. A
-    quadratic decision is the argmax of ``neg_sq_dist``, the values it is
-    priced from; a table reward reads row ``support_index`` (required); an
-    indicator-match decision is the one equal to x, else decision 0."""
-    return _priced_rollouts(instance, None, xs, support_index)[:4]
-
-
 def _priced_rollouts(instance: ProblemInstance, policy, xs, support_index=None):
     """(tests, decision, order, net, fallback) of ``policy``'s ``rollouts`` on
-    every outcome row of ``xs``, or of full information when ``policy`` is
-    None (see :func:`full_information_rollouts`); ``net`` is priced by
-    :func:`rollout_net_rewards` and ``fallback`` marks the rollouts that fell
-    back (only a discrete policy's can)."""
+    every outcome row of ``xs``; ``net`` is priced by
+    :func:`rollout_net_rewards` (a table reward reads row ``support_index``,
+    required) and ``fallback`` marks the rollouts that fell back (only a
+    discrete policy's can).
+
+    A ``policy`` of None plays full information: each episode tests 0..d-1
+    in order, then takes the best decision for the fully observed outcome,
+    lowest index first on ties. A quadratic decision is the argmax of
+    ``neg_sq_dist``, the values it is priced from; a table decision the
+    argmax of row ``support_index``; an indicator-match decision the one
+    equal to x, else decision 0."""
     xs = np.asarray(xs, dtype=float)
     n, d = xs.shape
     if policy is not None:

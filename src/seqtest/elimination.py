@@ -37,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits, check_state_cap
-from .envs import GaussianEnvironment, RegretTrace, TraceSink, episode_blocks, subset_label
+from .dp import DEFAULT_STATE_CAP, StateSpaceError, _bits, check_state_cap, subset_label
+from .envs import GaussianEnvironment, RegretTrace, TraceSink, episode_blocks
 from .models import InstanceError, ParameterError
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -139,26 +139,19 @@ def solve_mesp_offline(
     sigma_matrix: np.ndarray,
     lam: float,
     costs,
-    cardinality: Optional[int] = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple:
-    """Exhaustive maximizer of the entropy objective over all subsets (or over
-    the given-cardinality slice). Ties go to the lexicographically smallest
-    subset. Capped at d <= MAX_POWER_SET_D and at 2^d <= ``state_cap``."""
+    """Exhaustive maximizer of the entropy objective over all subsets. Ties
+    go to the lexicographically smallest subset. Capped at d <=
+    MAX_POWER_SET_D and at 2^d <= ``state_cap``."""
     sigma_matrix = np.asarray(sigma_matrix, dtype=float)
-    _check_power_set(sigma_matrix.shape[0], state_cap)
-    return _best_subset(
+    d = sigma_matrix.shape[0]
+    _check_power_set(d, state_cap)
+    return _best_subset(  # every subset, by size, then lexicographically
         (s, entropy_objective(s, sigma_matrix, lam, costs))
-        for s in _subsets(sigma_matrix.shape[0], cardinality)
+        for m in range(d + 1)
+        for s in itertools.combinations(range(d), m)
     )
-
-
-def _subsets(d: int, cardinality: Optional[int] = None):
-    """Index tuples of every subset of [d] (or of the given-cardinality slice)
-    by size, then lexicographically."""
-    for m in range(d + 1):
-        if cardinality is None or m == cardinality:
-            yield from itertools.combinations(range(d), m)
 
 
 def _best_subset(objectives) -> tuple:
@@ -415,7 +408,7 @@ def run_ocmesp(
 
         masks = played.tolist()
         labels = {m: subset_label(_bits(m)) for m in set(masks)}
-        member = (played[:, None] >> np.arange(config.d)) & 1 == 1
+        member = _members(played, config.d) == 1
         out.add(RegretTrace(
             phase=["explore"] * n + ["commit"] * (b - a - n),
             tests_performed=member.sum(axis=1),

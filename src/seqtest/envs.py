@@ -41,7 +41,6 @@ from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
     ProblemInstance,
-    _atomic_open,
     sample,
     sample_support_indices,
 )
@@ -398,15 +397,12 @@ def write_trace_rows(fh, trace: RegretTrace, first: int) -> None:
     _write_rows(fh, first, trace.episodes, columns, trace.row_key, tail_columns)
 
 
-def write_trace_csv(trace: RegretTrace, path) -> None:
-    with _atomic_open(path) as fh:
-        write_trace_rows(fh, trace, 0)
-
-
 def write_dataset_rows(fh, trace: RegretTrace, first: int) -> None:
     """Write the dataset rows of ``trace`` as episodes first+1, first+2, ...;
-    the header too when ``first`` is 0. Rows of equal ``row_key`` share the
-    text of every test's cell."""
+    the header too when ``first`` is 0. A row holds one cell per test, the
+    literal ``NA`` where the episode did not observe it (a NaN hole of
+    ``trace.observations``). Rows of equal ``row_key`` share the text of
+    every test's cell."""
     if trace.observations is None:
         raise ValueError("trace was collected without observations")
     if first == 0:
@@ -424,16 +420,6 @@ def write_dataset_rows(fh, trace: RegretTrace, first: int) -> None:
         return cells
 
     _write_rows(fh, first, trace.episodes, columns, trace.row_key)
-
-
-def write_dataset_csv(trace: RegretTrace, d: int, path) -> None:
-    """Table-1-shaped artifact: one row per episode, one column per test
-    (``d`` of them), the literal ``NA`` for entries the agent never observed
-    (the NaN holes of ``trace.observations``)."""
-    if trace.observations is not None and trace.observations.shape[1] != d:
-        raise ValueError(f"trace observes {trace.observations.shape[1]} tests, not {d}")
-    with _atomic_open(path) as fh:
-        write_dataset_rows(fh, trace, 0)
 
 
 def aggregate_cumulative_regret(traces: Sequence[RegretTrace], start: int = 0, stop=None):
@@ -467,25 +453,13 @@ def write_aggregate_rows(fh, aggregate, first: int) -> None:
     _write_rows(fh, first, len(mean), columns)
 
 
-def write_aggregate_csv(aggregate, path) -> None:
-    """Write the (mean, sd) of ``aggregate_cumulative_regret``, one row per episode."""
-    with _atomic_open(path) as fh:
-        write_aggregate_rows(fh, aggregate, 0)
-
-
-def decision_labels(instance: ProblemInstance, idx, labels: Optional[np.ndarray] = None) -> list:
+def decision_labels(instance: ProblemInstance, idx, labels: np.ndarray) -> list:
     """Trace label of each decision index in ``idx``; the cells gather the
     labels of ``labels``, one slot per decision (None until the decision
     first occurs, then formatted once), which a run's blocks share."""
     idx = np.asarray(idx, dtype=np.intp)
-    if labels is None:
-        labels = np.full(len(instance.decisions), None, dtype=object)
     occurs = np.bincount(idx, minlength=len(labels)) > 0
     for j in np.flatnonzero(occurs & np.equal(labels, None)).tolist():
         y = instance.decisions[j]
         labels[j] = "|".join(_fmt(v) for v in y) if isinstance(y, tuple) else _fmt(y)
     return labels[idx].tolist()
-
-
-def subset_label(indices) -> str:
-    return "|".join(str(i) for i in indices)

@@ -189,10 +189,6 @@ class ReplicationReport:
     traces: dict  # seed -> envs.StreamedTrace
     failures: dict  # seed -> traceback string
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def effective_config_dict(config: ExperimentConfig) -> dict:
     return {

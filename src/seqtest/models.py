@@ -60,17 +60,12 @@ SINGULARITY_CONDITION_CAP = 1e12
 
 @dataclass(frozen=True)
 class TestState:
-    """Partially observed outcome vector plus the episode-end marker.
-
-    ``entries`` holds one slot per test, ``None`` where the test has not been
-    performed. A terminal state marks the end of an episode; its entries are
-    ignored by every operation.
-    """
+    """Partially observed outcome vector: ``entries`` holds one slot per
+    test, ``None`` where the test has not been performed."""
 
     __test__ = False  # despite the name, not a pytest class
 
     entries: tuple
-    terminal: bool = False
 
     def __post_init__(self):
         if len(self.entries) < 1:
@@ -98,8 +93,6 @@ def initial_state(d: int) -> TestState:
 
 def consistent(x: Sequence[float], s: TestState) -> bool:
     """True iff ``x`` matches ``s`` on every observed entry (exact equality)."""
-    if s.terminal:
-        raise ValueError("consistency is undefined for the terminal state")
     if len(x) != s.dimension:
         raise ValueError(f"dimension mismatch: len(x)={len(x)}, d={s.dimension}")
     for i, e in enumerate(s.entries):
@@ -110,8 +103,6 @@ def consistent(x: Sequence[float], s: TestState) -> bool:
 
 def apply_observation(s: TestState, test: int, value: float) -> TestState:
     """Return ``s`` with entry ``test`` set to ``value`` (s itself unchanged)."""
-    if s.terminal:
-        raise ValueError("cannot observe a test in the terminal state")
     if not 0 <= test < s.dimension:
         raise IndexError(f"test index {test} out of range for d={s.dimension}")
     if s.entries[test] is not None:

@@ -18,7 +18,7 @@ from seqtest.agents import (
     run_etc_doubling,
     run_etc_gaussian,
 )
-from seqtest.dp import QuadratureSpec, full_information_rollouts
+from seqtest.dp import QuadratureSpec, _priced_rollouts
 from seqtest.envs import DiscreteEnvironment, GaussianEnvironment, TraceSink
 from seqtest.generators import (
     gen_discrete_pareto,
@@ -179,7 +179,7 @@ class TestEtcDiscrete:
             codes = rng.choice(4**d, size=min(k, 4**d), replace=False)
             support = np.array([[(c >> 2 * i) % 4 - 1.5 for i in range(d)] for c in codes])
             sampled = rng.integers(0, len(support), size=int(rng.integers(1, 2 * len(support))))
-            emp = _empirical_discrete(support, sampled)
+            emp = _empirical_discrete(support, (sampled,))
             vectors, counts = np.unique(support[sampled], axis=0, return_counts=True)
             assert emp.vectors.tobytes() == vectors.tobytes()
             assert emp.counts.tolist() == counts.tolist()
@@ -287,7 +287,7 @@ class TestEtcGaussian:
         # the remainder is priced as full-information rollouts
         n = res.trace.metadata["n_explore"]
         xs = GaussianEnvironment(inst, seed=4).outcomes(20)
-        net = full_information_rollouts(inst, xs[n:])[3]
+        net = _priced_rollouts(inst, None, xs[n:])[3]
         assert n < 20 and np.array_equal(res.trace.realized_reward[n:], net)
 
     def test_rank_one_estimate_is_refused(self):

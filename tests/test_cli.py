@@ -346,7 +346,7 @@ class TestSimulate:
                 instance_source="inst.json",
             )
         )
-        assert report.ok
+        assert not report.failures
         cli_config = (tmp_path / "cli" / "effective-config.json").read_bytes()
         assert cli_config == (tmp_path / "lib" / "effective-config.json").read_bytes()
         assert set(json.loads(cli_config)["agent_params"]) >= {

@@ -19,9 +19,9 @@ from seqtest.dp import (
     StateSpaceError,
     _bits,
     _gaussian_decision_values,
+    _priced_rollouts,
     decision_reward,
     evaluate_policy,
-    full_information_rollouts,
     gaussian_tree_size,
     policy_records,
     q_value,
@@ -41,12 +41,14 @@ from seqtest.models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
     IllConditionedError,
+    ImpossibleStateError,
     InstanceError,
     ProblemInstance,
     RewardSpec,
     TestState,
     initial_state,
     neg_sq_dist,
+    posterior_discrete,
     posterior_gaussian,
 )
 from conftest import (
@@ -129,6 +131,39 @@ class TestDecisionReward:
         )
         # given x0=0 the posterior is {(0,0): 0.8, (0,1): 0.2}
         assert abs(decision_reward(inst, TestState(entries=(0.0, None)), 0) - 0.8) <= 1e-12
+
+    def test_no_consistent_point_is_impossible(self):
+        # refused as posterior_discrete refuses it
+        inst = ProblemInstance(
+            model=FOUR_POINT,
+            costs=np.zeros(2),
+            decisions=(0, 1),
+            reward=RewardSpec(kind="table", table=np.zeros((4, 2))),
+        )
+        s = TestState(entries=(2.0, None))
+        with pytest.raises(ImpossibleStateError):
+            posterior_discrete(FOUR_POINT, s)
+        with pytest.raises(ImpossibleStateError):
+            decision_reward(inst, s, 0)
+
+    @pytest.mark.parametrize("kind", ["table", "indicator-match"])
+    def test_zero_mass_state_is_impossible(self, kind):
+        # the one point with x0 = 1 has probability 0, so the state has no
+        # mass to normalize by
+        model = DiscreteOutcomeModel(
+            support=np.array([[0.0, 0.0], [1.0, 1.0]]), probs=np.array([1.0, 0.0])
+        )
+        inst = ProblemInstance(
+            model=model,
+            costs=np.zeros(2),
+            decisions=((0.0, 0.0), (1.0, 1.0)),
+            reward=RewardSpec(kind="table", table=np.eye(2)) if kind == "table" else RewardSpec(kind=kind),
+        )
+        s = TestState(entries=(1.0, None))
+        with pytest.raises(ImpossibleStateError):
+            posterior_discrete(model, s)
+        with pytest.raises(ImpossibleStateError):
+            decision_reward(inst, s, 1)
 
 
 class TestSolveDpDiscrete:
@@ -914,7 +949,7 @@ class TestSolveDpGaussian:
         # a single decision makes testing pure cost (tower property)
         inst = quadratic_1d_instance(cost=0.2, decisions=(0.5,))
         _, table = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=8, max_depth=2))
-        assert table.entries[table.root_key][1][0] == "decide"
+        assert table.root_action[0] == "decide"
         inst2 = ProblemInstance(
             model=GaussianOutcomeModel(mean=np.zeros(2), covariance=np.eye(2)),
             costs=np.array([0.05, 0.05]),
@@ -922,7 +957,7 @@ class TestSolveDpGaussian:
             reward=RewardSpec(kind="quadratic"),
         )
         _, table2 = solve_dp_gaussian(inst2, QuadratureSpec(nodes_per_test=8, max_depth=2))
-        assert table2.entries[table2.root_key][1][0] == "decide"
+        assert table2.root_action[0] == "decide"
 
     # the decision kink (midpoint of the two decisions) sits 3 sigma from the
     # mean: close enough that both decisions matter, far enough for the
@@ -1134,7 +1169,8 @@ class TestFullInformationRollouts:
     def check(inst, xs, support_index=None):
         """Every row tests 0..d-1, decides the lowest-index argmax of the
         realized reward, and is priced as that single rollout."""
-        tests, decision, order, net = full_information_rollouts(inst, xs, support_index)
+        tests, decision, order, net, fallback = _priced_rollouts(inst, None, xs, support_index)
+        assert not fallback.any()
         d = inst.d
         ks = [None] * len(xs) if support_index is None else support_index
         for t, (x, k) in enumerate(zip(xs, ks)):
@@ -1183,7 +1219,7 @@ class TestFullInformationRollouts:
             (gaussian, np.empty((0, 3)), None),
             (discrete, discrete.model.support[:0], np.arange(0)),
         ):
-            tests, decision, order, net = full_information_rollouts(inst, xs, ks)
+            tests, decision, order, net, _ = _priced_rollouts(inst, None, xs, ks)
             assert tests.shape == decision.shape == net.shape == (0,)
             assert order.shape == (0, inst.d)
 
@@ -1193,7 +1229,7 @@ class TestFullInformationRollouts:
         xs = sample_outcomes(inst, np.random.default_rng(4), 1 << 16)
         tracemalloc.start()
         try:
-            decision = full_information_rollouts(inst, xs)[1]
+            decision = _priced_rollouts(inst, None, xs)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -80,10 +80,6 @@ class TestSolveMespOffline:
         best = solve_mesp_offline(np.eye(3), 1.0, np.full(3, 2.0))
         assert best == ()
 
-    def test_cardinality_constraint_full_set(self):
-        best = solve_mesp_offline(np.eye(3), 1.0, np.full(3, 50.0), cardinality=3)
-        assert best == (0, 1, 2)
-
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="d <= 20"):
             solve_mesp_offline(np.eye(21), 1.0, np.zeros(21))

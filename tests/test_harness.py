@@ -18,9 +18,9 @@ from seqtest.envs import (
     GaussianEnvironment,
     RegretTrace,
     aggregate_cumulative_regret,
-    write_aggregate_csv,
-    write_dataset_csv,
-    write_trace_csv,
+    write_aggregate_rows,
+    write_dataset_rows,
+    write_trace_rows,
 )
 from seqtest.generators import (
     PARETO_SHAPE_DEFAULT,
@@ -41,10 +41,19 @@ from seqtest.harness import (
 from seqtest.models import (
     InstanceError,
     ParameterError,
+    _atomic_open,
     initial_state,
     sample,
     sample_support_indices,
 )
+
+
+def write_file(write_rows, x, path) -> None:
+    """Write ``x`` whole to ``path`` as a run writes its files: rows from
+    episode 1 by ``write_rows``, into a handle that replaces ``path`` only
+    once every row is written."""
+    with _atomic_open(path) as fh:
+        write_rows(fh, x, 0)
 
 
 class TestSimpleRegret:
@@ -229,7 +238,7 @@ class TestTraceArtifacts:
     def test_trace_csv_schema(self, tmp_path):
         tr = self._trace()
         path = tmp_path / "t.csv"
-        write_trace_csv(tr, path)
+        write_file(write_trace_rows, tr, path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "episode,phase,tests_performed,decision,realized_reward,"
@@ -241,7 +250,7 @@ class TestTraceArtifacts:
     def test_dataset_csv_na_literal(self, tmp_path):
         tr = self._trace()
         path = tmp_path / "d.csv"
-        write_dataset_csv(tr, 2, path)
+        write_file(write_dataset_rows, tr, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "episode,test_0,test_1"
         assert lines[1] == "1,1.0,NA"
@@ -269,13 +278,13 @@ class TestTraceArtifacts:
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 2)
         kept = tmp_path / "kept.csv"
         kept.write_text("old\n")
-        for write, path in (
-            (lambda p: write_trace_csv(tr, p), tmp_path / "t.csv"),
-            (lambda p: write_dataset_csv(tr, 2, p), tmp_path / "d.csv"),
-            (lambda p: write_trace_csv(tr, p), kept),
+        for write_rows, path in (
+            (write_trace_rows, tmp_path / "t.csv"),
+            (write_dataset_rows, tmp_path / "d.csv"),
+            (write_trace_rows, kept),
         ):
             with pytest.raises(RuntimeError, match="cannot format"):
-                write(path)
+                write_file(write_rows, tr, path)
         assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
         assert kept.read_text() == "old\n"
 
@@ -285,7 +294,7 @@ class TestTraceArtifacts:
         np.testing.assert_allclose(mean, tr.cumulative_regret, atol=1e-12)
         assert np.all(sd == 0.0)  # identical replications have sd 0
         path = tmp_path / "agg.csv"
-        write_aggregate_csv(aggregate_cumulative_regret([tr, tr]), path)
+        write_file(write_aggregate_rows, aggregate_cumulative_regret([tr, tr]), path)
         assert len(path.read_text().splitlines()) == tr.episodes + 1
 
     def test_aggregate_is_arithmetic_mean(self):
@@ -378,18 +387,18 @@ class TestColumnWriters:
         # some reward columns) takes the distinct-value path
         monkeypatch.setattr(envs, "_WRITE_CHUNK", 4)
         trace, other = self._trace(T), self._trace(T, seed=1)
-        write_trace_csv(trace, tmp_path / "t.csv")
-        write_aggregate_csv(aggregate_cumulative_regret([trace, other]), tmp_path / "a.csv")
-        write_dataset_csv(trace, 3, tmp_path / "d.csv")
+        write_file(write_trace_rows, trace, tmp_path / "t.csv")
+        write_file(write_aggregate_rows, aggregate_cumulative_regret([trace, other]), tmp_path / "a.csv")
+        write_file(write_dataset_rows, trace, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace, other]).encode()
         assert (tmp_path / "d.csv").read_bytes() == dataset_csv_reference(trace, 3).encode()
 
     def test_default_chunk_matches_row_by_row_writer(self, tmp_path):
         trace = self._trace(envs._WRITE_CHUNK + 5)
-        write_trace_csv(trace, tmp_path / "t.csv")
-        write_aggregate_csv(aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
-        write_dataset_csv(trace, 3, tmp_path / "d.csv")
+        write_file(write_trace_rows, trace, tmp_path / "t.csv")
+        write_file(write_aggregate_rows, aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
+        write_file(write_dataset_rows, trace, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
         assert (tmp_path / "d.csv").read_bytes() == dataset_csv_reference(trace, 3).encode()
@@ -420,8 +429,8 @@ class TestColumnWriters:
         cells = envs._fmt_column(trace.clairvoyant_reward[: envs._WRITE_CHUNK], ",")
         assert calls[0] == 6 and {"-0.0,", "0.0,"} <= set(cells)
         assert cells == [_fmt_reference(v) + "," for v in clair[: envs._WRITE_CHUNK]]
-        write_trace_csv(trace, tmp_path / "t.csv")
-        write_aggregate_csv(aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
+        write_file(write_trace_rows, trace, tmp_path / "t.csv")
+        write_file(write_aggregate_rows, aggregate_cumulative_regret([trace]), tmp_path / "a.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
         assert (tmp_path / "a.csv").read_bytes() == aggregate_csv_reference([trace]).encode()
 
@@ -432,7 +441,7 @@ class TestColumnWriters:
         assert envs._fmt_column(rewards, "\n") == [_fmt_reference(v) + "\n" for v in rewards]
         assert calls[0] == T
         other = rewards[::-1].copy()
-        write_aggregate_csv((rewards, other), tmp_path / "a.csv")
+        write_file(write_aggregate_rows, (rewards, other), tmp_path / "a.csv")
         expected = "episode,mean_cumulative_regret,sd_cumulative_regret\n" + "".join(
             f"{t + 1},{_fmt_reference(rewards[t])},{_fmt_reference(other[t])}\n" for t in range(T)
         )
@@ -452,11 +461,12 @@ class TestColumnWriters:
         n = len(instance.decisions)
         idx = np.random.default_rng(1).integers(0, n, 500) // 2  # the upper half never occurs
         calls = self._count_labels(monkeypatch)
-        labels = envs.decision_labels(instance, idx)
+        fresh = lambda: np.full(n, None, dtype=object)  # an environment's labels, before its first block
+        labels = envs.decision_labels(instance, idx, fresh())
         assert labels == [label(instance.decisions[j]) for j in idx.tolist()]
         per_label = len(instance.decisions[0]) if isinstance(instance.decisions[0], tuple) else 0
         assert calls[0] == per_label * len(set(idx.tolist()))
-        assert envs.decision_labels(instance, []) == []
+        assert envs.decision_labels(instance, [], fresh()) == []
 
     @pytest.mark.parametrize("distinct, formatted", [(2048, 2048), (2049, 4096)])
     def test_fallback_threshold(self, monkeypatch, distinct, formatted):
@@ -504,7 +514,7 @@ class TestColumnWriters:
                 realized_reward=base.realized_reward, clairvoyant_reward=base.clairvoyant_reward,
                 extras=base.extras,
             )
-            write_trace_csv(trace, tmp_path / "t.csv")
+            write_file(write_trace_rows, trace, tmp_path / "t.csv")
             assert (tmp_path / "t.csv").read_bytes() == trace_csv_reference(trace).encode()
 
     def _keyed(self, keys, seed):
@@ -645,7 +655,7 @@ class TestRunReplications:
 
     def test_artifact_layout(self, tmp_path):
         report = run_replications(self._config(tmp_path / "run", emit_dataset=True))
-        assert report.ok
+        assert not report.failures
         out = tmp_path / "run"
         names = sorted(p.name for p in out.iterdir())
         assert names == [
@@ -698,7 +708,7 @@ class TestRunReplications:
 
         monkeypatch.setattr(harness, "resolved_agent_params", counted)
         report = run_replications(self._config(tmp_path / "run", seeds=seeds))
-        assert report.ok
+        assert not report.failures
         assert calls == ["etc-discrete"]
 
     def test_pool_no_larger_than_seed_count(self, tmp_path, monkeypatch):
@@ -720,8 +730,8 @@ class TestRunReplications:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        assert run_replications(self._config(tmp_path / "run", jobs=8, seeds=(0, 1))).ok
-        assert run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).ok
+        assert not run_replications(self._config(tmp_path / "run", jobs=8, seeds=(0, 1))).failures
+        assert not run_replications(self._config(tmp_path / "run2", jobs=2, seeds=(0, 1, 2))).failures
         assert sizes == [2, 2]
 
     def test_unknown_parameter_refused(self):
@@ -904,7 +914,7 @@ class TestEpisodeBlocks:
                 instance=inst, agent=agent, horizon=T, seeds=(0, 1), out_dir=out, jobs=jobs,
                 agent_params=params, emit_dataset=True,
             ))
-            assert report.ok, report.failures
+            assert not report.failures, report.failures
             runs[block] = {p.name: p.read_bytes() for p in out.iterdir()}
         if jobs == 1:
             assert len(adds) >= 2 * math.ceil(T / 7)
@@ -916,8 +926,8 @@ class TestEpisodeBlocks:
             instance=inst, agent=agent, horizon=T, seeds=(0,), agent_params=params,
             emit_dataset=True,
         ), 0)
-        write_trace_csv(trace, tmp_path / "t.csv")
-        write_dataset_csv(trace, inst.d, tmp_path / "d.csv")
+        write_file(write_trace_rows, trace, tmp_path / "t.csv")
+        write_file(write_dataset_rows, trace, tmp_path / "d.csv")
         assert (tmp_path / "t.csv").read_bytes() == runs[7]["trace_seed0.csv"]
         assert (tmp_path / "d.csv").read_bytes() == runs[7]["dataset_seed0.csv"]
 
@@ -996,7 +1006,7 @@ class TestReportHelpers:
         ]
         run = tmp_path / "run"
         run.mkdir()
-        write_aggregate_csv(aggregate_cumulative_regret(traces), run / "aggregate.csv")
+        write_file(write_aggregate_rows, aggregate_cumulative_regret(traces), run / "aggregate.csv")
         (run / "effective-config.json").write_text(
             '{"agent": "etc-discrete", "horizon": 300, "instance_hash": "h", "seeds": [0, 1]}'
         )
