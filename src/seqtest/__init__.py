@@ -50,7 +50,6 @@ _EXPORTS = {
         "solve_dp_gaussian",
     ),
     "agents": (
-        "EmpiricalModel",
         "EtcConfig",
         "doubling_batches",
         "run_clairvoyant",

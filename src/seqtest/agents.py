@@ -3,8 +3,12 @@ clairvoyant reference agent.
 
 Both agents explore by performing every test for the first N episodes (so the
 logged exploration data has no missingness and the plug-in estimates are
-unbiased), then solve the clairvoyant DP on the estimated model and play the
-resulting policy to the horizon. The schedule is N = floor(|P|^(1/3) T^(2/3))
+unbiased), then solve the clairvoyant DP on the plug-in model they fit and
+play the resulting policy to the horizon. Each fit returns that model, a
+``DiscreteOutcomeModel`` of the empirical pmf (``_empirical_instance``) or a
+``GaussianOutcomeModel`` of the sample moments (``_estimate_gaussian``), and
+the model's constructor (with the condition-number cap, for a Gaussian one)
+is the only check on the estimate. The schedule is N = floor(|P|^(1/3) T^(2/3))
 for discrete outcome models and N = floor(sigma^2 T^(2/3)) for Gaussian ones,
 clamped to [1, T].
 
@@ -58,6 +62,7 @@ from .envs import (
 from .models import (
     DiscreteOutcomeModel,
     GaussianOutcomeModel,
+    InstanceError,
     ParameterError,
     ProblemInstance,
     RewardSpec,
@@ -124,58 +129,14 @@ def gaussian_exploration_episodes(config: EtcConfig) -> int:
     )
 
 
-# ---------------------------------------------------------------------------
-# Empirical models
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EmpiricalModel:
-    """Plug-in estimate built from fully observed exploration episodes."""
-
-    vectors: np.ndarray  # distinct observed outcome vectors, lexicographic
-    counts: np.ndarray
-    support_index: np.ndarray  # each vector's index in the true support
-
-    @property
-    def episodes(self) -> int:
-        return int(self.counts.sum())
-
-    def to_outcome_model(self) -> DiscreteOutcomeModel:
-        return DiscreteOutcomeModel(
-            support=self.vectors, probs=self.counts / self.counts.sum()
-        )
-
-
-@dataclass
-class GaussianEstimate:
-    mean: np.ndarray
-    covariance: np.ndarray
-    estimator: str  # "uncentered" (paper's formula) or "centered"
-
-
-def _empirical_discrete(support: np.ndarray, blocks) -> EmpiricalModel:
-    """The support points at the indices of ``blocks`` (an iterable of index
-    arrays, counted one at a time): the distinct ones in lexicographic row
-    order (as ``np.unique(axis=0)`` orders distinct rows) with their counts."""
-    counts = sum(np.bincount(block, minlength=len(support)) for block in blocks)
-    seen = np.flatnonzero(counts)
-    seen = seen[np.lexsort(support[seen].T[::-1])]
-    return EmpiricalModel(vectors=support[seen], counts=counts[seen], support_index=seen)
-
-
-def _empirical_instance(instance: ProblemInstance, empirical: EmpiricalModel) -> ProblemInstance:
-    """The agent-side instance: estimated model, true costs/decisions/reward."""
-    reward = instance.reward
-    if reward.kind == "table":
-        # f is known a priori as a function; its table is re-keyed to the
-        # empirical support
-        reward = RewardSpec(kind="table", table=reward.table[empirical.support_index])
-    return replace(instance, model=empirical.to_outcome_model(), reward=reward)
-
-
 @dataclass
 class EtcRunResult:
+    """A run's trace, the policy it committed to, and the plug-in model it
+    fitted (``empirical``: a ``DiscreteOutcomeModel`` or a
+    ``GaussianOutcomeModel``, the model the policy was solved on); each is
+    None where the run has none (no commit, a refused Gaussian fit, the
+    clairvoyant, the doubling wrapper)."""
+
     trace: RegretTrace
     policy: object  # committed policy; None when the run never committed
     empirical: object
@@ -243,6 +204,23 @@ def _play(env, config: EtcConfig, n_explore: int, policy, collect: bool, sink: T
 # ---------------------------------------------------------------------------
 
 
+def _empirical_instance(instance: ProblemInstance, blocks) -> ProblemInstance:
+    """The agent-side instance: the true costs, decisions and reward on the
+    plug-in pmf of the support points at the indices of ``blocks`` (an
+    iterable of index arrays, counted one at a time). The seen points are
+    kept in lexicographic row order (as ``np.unique(axis=0)`` orders distinct
+    rows); a table reward, f known a priori as a function, is re-keyed to them."""
+    support = instance.model.support
+    counts = sum(np.bincount(block, minlength=len(support)) for block in blocks)
+    seen = np.flatnonzero(counts)
+    seen = seen[np.lexsort(support[seen].T[::-1])]
+    reward = instance.reward
+    if reward.kind == "table":
+        reward = RewardSpec(kind="table", table=reward.table[seen])
+    model = DiscreteOutcomeModel(support=support[seen], probs=counts[seen] / counts.sum())
+    return replace(instance, model=model, reward=reward)
+
+
 def run_etc_discrete(
     env: DiscreteEnvironment,
     config: EtcConfig,
@@ -253,14 +231,14 @@ def run_etc_discrete(
     pmf over observed complete vectors, commit to the DP policy on it. The
     pmf is counted, block by block, on a look-ahead of the explore episodes,
     so the policy is solved before the first episode is played."""
-    instance = env.instance
     n_explore = discrete_exploration_episodes(config)
     policy = empirical = None
     if n_explore < config.horizon:
         with _look_ahead(env):
             blocks = (env.outcome_indices(b - a) for a, b in episode_blocks(n_explore))
-            empirical = _empirical_discrete(instance.model.support, blocks)
-        policy, _ = solve_dp_discrete(_empirical_instance(instance, empirical), state_cap=config.state_cap)
+            fitted = _empirical_instance(env.instance, blocks)
+        policy, _ = solve_dp_discrete(fitted, state_cap=config.state_cap)
+        empirical = fitted.model
     out = TraceSink() if sink is None else sink
     fallbacks = _play(env, config, n_explore, policy, collect_observations, out)
     metadata = {"n_explore": n_explore, "fallback_episodes": fallbacks}
@@ -272,43 +250,32 @@ def run_etc_discrete(
 # ---------------------------------------------------------------------------
 
 
-def _estimate_gaussian(draws: np.ndarray, assume_zero_mean: bool) -> GaussianEstimate:
-    n = draws.shape[0]
+def _estimate_gaussian(draws: np.ndarray, assume_zero_mean: bool) -> Optional[GaussianOutcomeModel]:
+    """The plug-in model: the sample mean, and the second moment about 0
+    (the paper's formula) when ``assume_zero_mean``, else the centered one.
+    None when the model refuses the covariance (not positive definite) or
+    its condition number exceeds ``SINGULARITY_CONDITION_CAP``, so an
+    estimate that is singular up to rounding (smallest eigenvalue a few ulps
+    above 0) is refused too."""
     mu = draws.mean(axis=0)
-    second = draws.T @ draws / n
-    if assume_zero_mean:
-        cov = second
-    else:
-        cov = second - np.outer(mu, mu)
-    cov = (cov + cov.T) / 2.0
-    return GaussianEstimate(
-        mean=mu,
-        covariance=cov,
-        estimator="uncentered" if assume_zero_mean else "centered",
-    )
-
-
-def _well_conditioned(matrix: np.ndarray) -> bool:
-    """Positive definite with a condition number within the cap Gaussian
-    conditioning enforces, so an estimate that is singular up to rounding
-    (smallest eigenvalue a few ulps above 0) is refused too."""
+    cov = draws.T @ draws / draws.shape[0]
+    if not assume_zero_mean:
+        cov = cov - np.outer(mu, mu)
     try:
-        eigenvalues = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return eigenvalues[0] > 0.0 and eigenvalues[-1] <= SINGULARITY_CONDITION_CAP * eigenvalues[0]
+        model = GaussianOutcomeModel(mean=mu, covariance=(cov + cov.T) / 2.0)
+    except (InstanceError, np.linalg.LinAlgError):
+        return None
+    return model if model.condition_number <= SINGULARITY_CONDITION_CAP else None
 
 
 def _fit_gaussian(head: np.ndarray, n_explore: int, assume_zero_mean: bool):
-    """(estimate, explore episodes): the estimate from the first ``n_explore``
-    rows of ``head``, taking one more row while it is not well conditioned;
+    """(model, explore episodes): the plug-in model on the first
+    ``n_explore`` rows of ``head``, taking one more row while it is refused;
     None once every row was read."""
     while True:
-        estimate = _estimate_gaussian(head[:n_explore], assume_zero_mean)
-        if _well_conditioned(estimate.covariance):
-            return estimate, n_explore
-        if n_explore >= len(head):
-            return None, n_explore
+        model = _estimate_gaussian(head[:n_explore], assume_zero_mean)
+        if model is not None or n_explore >= len(head):
+            return model, n_explore
         n_explore += 1
 
 
@@ -318,22 +285,22 @@ def run_etc_gaussian(
     collect_observations: bool = False,
     sink: Optional[TraceSink] = None,
 ) -> EtcRunResult:
-    """Gaussian ETC with the plug-in mean/second-moment estimator.
+    """Gaussian ETC with the plug-in mean/second-moment estimator: it
+    commits to the clairvoyant policy of the ``GaussianOutcomeModel`` it fits.
 
-    If the estimated covariance is not positive definite at commit time, or
-    its condition number exceeds ``SINGULARITY_CONDITION_CAP``, exploration
-    is extended episode by episode up to 2N; past that the run records an
-    estimation failure and tests everything for the remainder. The estimate
-    is fitted on a look-ahead of the first min(2N, T) outcomes, those it may
-    read, before the first episode is played.
+    While that model refuses the estimated covariance (not positive
+    definite), or its condition number exceeds ``SINGULARITY_CONDITION_CAP``,
+    exploration is extended episode by episode up to 2N; past that the run
+    records an estimation failure and tests everything for the remainder.
+    The model is fitted on a look-ahead of the first min(2N, T) outcomes,
+    those it may read, before the first episode is played.
     """
     T = config.horizon
     n0 = gaussian_exploration_episodes(config)
     with _look_ahead(env):
-        estimate, n_explore = _fit_gaussian(env.outcomes(min(2 * n0, T)), n0, config.assume_zero_mean)
+        model, n_explore = _fit_gaussian(env.outcomes(min(2 * n0, T)), n0, config.assume_zero_mean)
     policy = None
-    if estimate is not None and n_explore < T:
-        model = GaussianOutcomeModel(mean=estimate.mean, covariance=estimate.covariance)
+    if model is not None and n_explore < T:
         policy, _ = solve_dp_gaussian(replace(env.instance, model=model), config.quadrature, config.state_cap)
 
     out = TraceSink() if sink is None else sink
@@ -341,10 +308,10 @@ def run_etc_gaussian(
     metadata = {
         "n_explore": n_explore,
         "schedule_n": n0,
-        "estimator": estimate.estimator if estimate is not None else None,
-        "estimation_failure": estimate is None,
+        "estimator": None if model is None else "uncentered" if config.assume_zero_mean else "centered",
+        "estimation_failure": model is None,
     }
-    return EtcRunResult(trace=out.finish(metadata), policy=policy, empirical=estimate, metadata=metadata)
+    return EtcRunResult(trace=out.finish(metadata), policy=policy, empirical=model, metadata=metadata)
 
 
 def run_clairvoyant(

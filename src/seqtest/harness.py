@@ -53,7 +53,8 @@ class ExperimentConfig:
     the replication seeds. Building one resolves the parameters once (``params``)
     and builds the agent's typed config (``agent_config``) from them, so a run
     outside the agent's domain fails before any replication starts; a
-    ``ParameterError`` then names the parameter as ``params`` does."""
+    ``ParameterError`` then names the parameter as ``params`` does, or the
+    field (``seeds``, ``jobs``)."""
 
     instance: ProblemInstance
     agent: str
@@ -75,13 +76,13 @@ class ExperimentConfig:
             runs_on = " or ".join(_AGENTS[self.agent][0])
             raise InstanceError(f"agent {self.agent!r} runs on {runs_on} instances, not {kind}")
         if self.agent == "etc-doubling" and self.agent_params.get("override_n") is not None:
-            raise ValueError("override_n does not apply to etc-doubling: each batch finds its N")
+            raise ParameterError("override_n", "does not apply to etc-doubling: each batch finds its N")
         seeds = tuple(int(s) for s in self.seeds)
         if len(set(seeds)) != len(seeds) or not seeds:
-            raise ValueError("seeds must be nonempty and distinct")
+            raise ParameterError("seeds", f"must be nonempty and distinct, got {list(seeds)}")
         self.seeds = seeds
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ParameterError("jobs", f"must be >= 1, got {self.jobs}")
         self.params = resolved_agent_params(self)
         try:
             self.agent_config = _agent_config(self)

@@ -190,7 +190,8 @@ class GaussianOutcomeModel:
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals[0] <= 0.0:
             raise InstanceError(f"covariance must be positive definite (min eigenvalue {eigvals[0]!r})")
-        ratio = float(eigvals[-1] / eigvals[0])
+        with np.errstate(over="ignore"):  # a tiny lambda_min gives inf, refused by callers that cap it
+            ratio = float(eigvals[-1] / eigvals[0])
         if self.condition_number is None:
             cond = ratio
         else:

@@ -9,6 +9,7 @@ from seqtest.models import (
     GaussianOutcomeModel,
     ProblemInstance,
     RewardSpec,
+    SINGULARITY_CONDITION_CAP,
     neg_sq_dist,
 )
 
@@ -114,6 +115,22 @@ def rollout_net_reward(instance, x, rollout, support_index=None) -> float:
     for i in rollout.tests:
         test_cost += float(instance.costs[i])
     return reward_value(instance, x, rollout.decision, support_index) - test_cost
+
+
+def gaussian_estimate_accepted(draws, assume_zero_mean) -> bool:
+    """The Gaussian ETC fit's acceptance rule as its own check, kept as a
+    reference for the model constructor that replaced it: the plug-in
+    covariance's eigenvalues satisfy lambda_0 > 0 and
+    lambda_max <= CAP * lambda_0; a ``LinAlgError`` is a refusal."""
+    mu = draws.mean(axis=0)
+    cov = draws.T @ draws / draws.shape[0]
+    if not assume_zero_mean:
+        cov = cov - np.outer(mu, mu)
+    try:
+        eigenvalues = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+    except np.linalg.LinAlgError:
+        return False
+    return eigenvalues[0] > 0.0 and eigenvalues[-1] <= SINGULARITY_CONDITION_CAP * eigenvalues[0]
 
 
 def random_gaussian_model(rng, d):

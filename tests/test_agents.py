@@ -3,13 +3,14 @@ doubling wrapper."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from seqtest.agents import (
     EtcConfig,
-    _empirical_discrete,
+    _empirical_instance,
     _estimate_gaussian,
     discrete_exploration_episodes,
     doubling_batches,
@@ -33,7 +34,7 @@ from seqtest.models import (
     ProblemInstance,
     RewardSpec,
 )
-from conftest import single_test_instance
+from conftest import gaussian_estimate_accepted, single_test_instance
 
 
 def gaussian_1d_instance(cost=0.3, var=1.0, mean=0.0, decisions=(-1.0, 1.0)):
@@ -139,12 +140,15 @@ class TestEtcDiscrete:
         inst = gen_discrete_pareto(d=4, seed=2, cost=0.05)
         env = DiscreteEnvironment(inst, seed=9)
         res = run_etc_discrete(env, EtcConfig(horizon=200, support_size_hint=16))
-        emp = res.empirical
-        model = emp.to_outcome_model()
+        model = res.empirical
         assert abs(model.probs.sum() - 1.0) <= 1e-12
-        true_rows = {tuple(r) for r in inst.model.support.tolist()}
-        assert all(tuple(r) in true_rows for r in model.support.tolist())
-        assert emp.episodes == res.trace.metadata["n_explore"]
+        # the committed model is the pmf of the explore episodes' draws
+        n = res.trace.metadata["n_explore"]
+        counts = np.bincount(DiscreteEnvironment(inst, seed=9).outcome_indices(n))
+        index_of = {tuple(r): i for i, r in enumerate(inst.model.support.tolist())}
+        seen = [index_of[tuple(r)] for r in model.support.tolist()]
+        assert sorted(seen) == np.flatnonzero(counts).tolist()
+        assert model.probs.tobytes() == (counts[seen] / n).tobytes()
 
     def test_explore_regret_single_test_values(self):
         # rolled out by hand: exploring costs 3/4 and decides correctly, the
@@ -164,26 +168,35 @@ class TestEtcDiscrete:
         env = DiscreteEnvironment(inst, seed=2)
         cfg = EtcConfig(horizon=200, override_n=8)
         res = run_etc_discrete(env, cfg, collect_observations=True)
-        assert 2.0 not in res.empirical.vectors
+        assert 2.0 not in res.empirical.support
         n = res.trace.metadata["n_explore"]
         unseen = int(np.count_nonzero(res.trace.observations[n:, 0] == 2.0))
         assert res.trace.metadata["fallback_episodes"] == unseen > 0
 
     def test_empirical_counts_match_unique_rows(self, rng):
         # supports in random row order, explore windows too short to see
-        # every point: counting support indices gives np.unique's rows and
-        # counts, and each row's index in the true support
+        # every point, counted in several blocks: the plug-in model is
+        # np.unique's rows with their counts over the total, and the table
+        # reward is re-keyed to them, each row the true table's row
         missed = unordered = 0
         for _ in range(30):
             k, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
             codes = rng.choice(4**d, size=min(k, 4**d), replace=False)
             support = np.array([[(c >> 2 * i) % 4 - 1.5 for i in range(d)] for c in codes])
+            table = rng.uniform(-1.0, 1.0, size=(len(support), 3))
+            inst = ProblemInstance(
+                model=DiscreteOutcomeModel(support=support, probs=np.full(len(support), 1 / len(support))),
+                costs=np.zeros(d), decisions=(0, 1, 2), reward=RewardSpec(kind="table", table=table),
+            )
             sampled = rng.integers(0, len(support), size=int(rng.integers(1, 2 * len(support))))
-            emp = _empirical_discrete(support, (sampled,))
+            cuts = np.sort(rng.integers(0, len(sampled) + 1, size=2))
+            fitted = _empirical_instance(inst, np.split(sampled, cuts))
             vectors, counts = np.unique(support[sampled], axis=0, return_counts=True)
-            assert emp.vectors.tobytes() == vectors.tobytes()
-            assert emp.counts.tolist() == counts.tolist()
-            assert np.array_equal(support[emp.support_index], emp.vectors)
+            assert fitted.model.support.tobytes() == vectors.tobytes()
+            assert fitted.model.probs.tobytes() == (counts / counts.sum()).tobytes()
+            index_of = {tuple(r): i for i, r in enumerate(support.tolist())}
+            rows = [index_of[tuple(v)] for v in vectors.tolist()]
+            assert fitted.reward.table.tobytes() == table[rows].tobytes()
             missed += len(vectors) < len(support)
             unordered += not np.array_equal(support, np.unique(support, axis=0))
         assert missed > 0 and unordered > 0
@@ -303,6 +316,28 @@ class TestEtcGaussian:
             assert res.trace.metadata["n_explore"] == 2
             assert res.trace.metadata["estimation_failure"]
             assert res.policy is None and res.empirical is None
+
+    def test_refusal_matches_the_eigenvalue_rule(self, rng):
+        # the model constructor and the condition-number cap refuse exactly
+        # the estimates the eigenvalue rule refuses: rank-deficient ones
+        # (n <= d), a collinear column, columns scaled by 1e-100..1e100; an
+        # overflowing condition number must not warn
+        refused = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in range(1, 7):
+                for n in range(1, 2 * d + 3):
+                    for trial in range(6):
+                        x = rng.standard_normal((n, d)) + rng.standard_normal(d)
+                        if trial % 3 == 1 and d > 1:
+                            x[:, 0] = 3.0 * x[:, d - 1]
+                        if trial % 3 == 2:
+                            x *= 10.0 ** rng.integers(-100, 101, size=d)
+                        for zero_mean in (False, True):
+                            model = _estimate_gaussian(x, zero_mean)
+                            assert (model is None) == (not gaussian_estimate_accepted(x, zero_mean)), (d, n, trial)
+                            refused.add(model is None)
+        assert refused == {True, False}
 
     def test_centered_estimator_used_for_nonzero_mean(self):
         inst = gaussian_1d_instance(mean=5.0)

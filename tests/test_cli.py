@@ -363,7 +363,8 @@ class TestSimulate:
             "--out", str(tmp_path / "r"),
         )
         assert code == 2
-        assert "override_n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --override-N "), err
         assert not (tmp_path / "r").exists()
 
     def test_ocmesp_beyond_power_set_cap_exit_2(self, tmp_path, capsys):
@@ -484,6 +485,27 @@ class TestBuildTimeRefusal:
         # tree budget (state_cap=544) names the node count it is short of
         if params and params != {"state_cap": 544}:
             assert err.startswith(f"error: {_flags(params)[0]} "), err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0,1", "--jobs", "0"], "error: --jobs must be >= 1, got 0\n"),
+            (["--seeds", "1,1", "--jobs", "1"], "error: --seeds must be nonempty and distinct, got [1, 1]\n"),
+            (["--seeds", "", "--jobs", "1"], "error: --seeds must be nonempty and distinct, got []\n"),
+        ],
+        ids=["jobs-0", "seeds-repeated", "seeds-empty"],
+    )
+    def test_run_flags_are_named(self, tmp_path, capsys, instance_files, argv, message):
+        # the run's own flags are named as the agent's are (--override-N
+        # with etc-doubling: TestSimulate)
+        capsys.readouterr()
+        code = run_cli(
+            "simulate", "--instance", str(instance_files / "pareto3.json"), "--agent", "etc-discrete",
+            "--horizon", "16", *argv, "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("instance, agent, params", _cases(ACCEPTED))
     def test_boundary_values_accepted(self, instance_files, instance, agent, params):
