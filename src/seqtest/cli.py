@@ -154,6 +154,8 @@ def _cmd_solve(args) -> int:
     if budget and (instance.is_discrete or instance.reward.kind == "entropy"):
         # the quadrature flags are read by the Gaussian scenario-tree solve only
         raise ParameterError(min(budget), "applies only to Gaussian quadratic instances")
+    if args.dump_policy and not instance.is_discrete:
+        raise ParameterError("dump_policy", "applies only to discrete instances")
     if instance.reward.kind == "entropy":
         from .elimination import entropy_objective, solve_mesp_offline
 

@@ -213,31 +213,14 @@ class DiscretePolicy:
         self._values = values
 
     def rollouts(self, xs: np.ndarray):
-        """Roll the policy out on every outcome row of ``xs`` (n, d).
-
-        Returns (tests performed, decision, test order, fallback): the arrays
-        of :meth:`GaussianTreePolicy.rollouts` plus an (n,) bool array marking
-        the rollouts that fell back. All rows advance level by level, grouped
-        by the test their state performs; an observed value's slot is found by
-        ``searchsorted`` on that test's values and an equality check.
-        """
+        """Roll the policy out on every outcome row of ``xs`` (n, d), through
+        :func:`_walk`: a state is a table index, and an observed value's slot
+        is found by ``searchsorted`` on that test's values and an equality
+        check; a value no point of the state has falls back."""
         xs = np.asarray(xs, dtype=float)
-        n = len(xs)
-        order = np.full(xs.shape, -1)
-        decision = np.empty(n, dtype=int)
-        fallback = np.zeros(n, dtype=bool)
         action, best = self.table.action, self.table.decision
-        rows, state = np.arange(n), np.zeros(n, dtype=np.intp)
-        level = 0
-        while True:
-            test = action[state]
-            done = test < 0
-            decision[rows[done]] = best[state[done]]
-            rows, state, test = rows[~done], state[~done], test[~done]
-            if not rows.size:
-                break
-            order[rows, level] = test
-            level += 1
+
+        def step(rows, state, test):
             nxt = np.full(len(rows), -1, dtype=np.intp)
             for i in np.flatnonzero(np.bincount(test)).tolist():
                 at = np.flatnonzero(test == i)
@@ -245,19 +228,49 @@ class DiscretePolicy:
                 slot = np.minimum(np.searchsorted(values, x), len(values) - 1)
                 hit = values[slot] == x
                 nxt[at[hit]] = self._child[i][state[at[hit]], slot[hit]]
-            miss = nxt < 0
-            decision[rows[miss]] = best[state[miss]]
-            fallback[rows[miss]] = True
-            rows, state = rows[~miss], nxt[~miss]
-        return (order >= 0).sum(axis=1), decision, order, fallback
+            return nxt
+
+        return _walk(xs.shape, lambda rows, state: (action[state], best[state]), step)
 
     def trace(self, x: Sequence[float]) -> Rollout:
-        """The rollout on one outcome vector ``x``: row 0 of :meth:`rollouts`."""
+        """The rollout on one outcome vector ``x``: row 0 of ``rollouts``."""
         tests, decision, order, fallback = self.rollouts(np.asarray(x, dtype=float)[None, :])
         return Rollout(
             tests=tuple(order[0, : tests[0]].tolist()), decision=int(decision[0]),
             fallback=bool(fallback[0]),
         )
+
+
+def _walk(shape, act, step):
+    """The rollouts of both policy kinds: the n outcome rows of d tests of
+    ``shape`` walk level by level from the root, state 0, in ascending row
+    order. ``act(rows, state)`` gives each row's test (-1 to decide) and its
+    best decision; ``step(rows, state, test)`` each testing row's next state,
+    or -1 when the observed value is impossible under the policy's model and
+    the row falls back to that best decision. Returns (tests performed,
+    decision, test order, fallback): (n,) arrays but the (n, d) order, whose
+    row t lists episode t's tests in the order performed, padded with -1."""
+    n, d = shape
+    order = np.full((n, d), -1)
+    decision = np.empty(n, dtype=int)
+    fallback = np.zeros(n, dtype=bool)
+    rows, state = np.arange(n), np.zeros(n, dtype=np.intp)
+    level = 0
+    while True:
+        test, best = act(rows, state)
+        done = test < 0
+        decision[rows[done]] = best[done]
+        rows, state, test, best = rows[~done], state[~done], test[~done], best[~done]
+        if not rows.size:
+            break
+        order[rows, level] = test
+        level += 1
+        state = step(rows, state, test)
+        miss = state < 0
+        decision[rows[miss]] = best[miss]
+        fallback[rows[miss]] = True
+        rows, state = rows[~miss], state[~miss]
+    return (order >= 0).sum(axis=1), decision, order, fallback
 
 
 class _Closures:
@@ -839,7 +852,8 @@ class GaussianTreePolicy:
     agents can follow it on outcomes that never coincide with tree nodes.
     States are evaluated in batches that share an observed mask; the
     conditioning for each mask is computed once, on first visit. Only the
-    root's (value, action, decision) is kept; no other state is memoized.
+    root is kept, as the one-state ``table``; no other state is memoized.
+    ``rollouts`` returns the arrays :class:`DiscretePolicy`'s does.
     """
 
     def __init__(self, instance: ProblemInstance, quadrature: QuadratureSpec):
@@ -851,7 +865,6 @@ class GaussianTreePolicy:
         self._nodes, self._weights = _gauss_hermite(quadrature.nodes_per_test)
         self._decisions = _decision_matrix(instance)
         self._masks: dict = {}  # observed mask -> _MaskConditioning
-        self._root = None
 
     def _conditioning(self, mask: int) -> _MaskConditioning:
         cached = self._masks.get(mask)
@@ -912,70 +925,39 @@ class GaussianTreePolicy:
 
     def node(self, obs_mask: int, obs_values: tuple):
         """(value, action, best decision) at a (possibly off-tree) state."""
-        if obs_mask == 0 and self._root is not None:
-            return self._root
-        value, action, decision = self.node_batch(obs_mask, np.array([obs_values], dtype=float))
-        j = int(decision[0])
-        entry = (
-            float(value[0]),
-            ("test", int(action[0])) if action[0] >= 0 else ("decide", j),
-            j,
-        )
-        if obs_mask == 0:
-            self._root = entry
-        return entry
+        state = ValueTable(*self.node_batch(obs_mask, np.array([obs_values], dtype=float)), None)
+        return state.root_value, state.root_action, int(state.decision[0])
 
-    @property
-    def root_value(self) -> float:
-        return self.node(0, ())[0]
-
-    @property
-    def root_action(self) -> Action:
-        return self.node(0, ())[1]
+    @functools.cached_property
+    def table(self) -> ValueTable:
+        """The root's (value, action, decision) as a one-state table,
+        evaluated once, on first use."""
+        return ValueTable(*self.node_batch(0, np.empty((1, 0))), lambda states: [(0, ())] * len(states))
 
     def rollouts(self, xs: np.ndarray):
-        """Roll the policy out on every outcome row of ``xs`` (n, d).
-
-        Returns (tests performed, decision, test order): two (n,) arrays and
-        an (n, d) array whose row t lists episode t's tests in the order
-        performed, padded with -1. Episodes advance level by level, batched by
-        their current observed mask; the root is evaluated once for all.
-        """
+        """Roll the policy out on every outcome row of ``xs`` (n, d), through
+        :func:`_walk`: a state is the observed mask, and each level evaluates
+        one ``node_batch`` per distinct mask, ascending (the root is
+        ``table``). Observing a test sets its bit, so no rollout falls back."""
         xs = np.asarray(xs, dtype=float)
-        n = xs.shape[0]
-        order = np.full((n, self.instance.d), -1)
-        decision = np.empty(n, dtype=int)
-        _, (kind, which), _ = self.node(0, ())
-        if kind == "decide":
-            decision[:] = which
-            return np.zeros(n, dtype=int), decision, order
-        masks = np.zeros(n, dtype=np.int64)
-        active, pending = np.arange(n), np.full(n, which)
-        level = 0
-        while active.size:
-            order[active, level] = pending
-            masks[active] |= 1 << pending
-            level += 1
-            next_active, next_pending = [], []
-            # the distinct masks, ascending; each is below 2^d, at most the
-            # tree's node count, which the budget bounds
-            for mask in np.flatnonzero(np.bincount(masks[active])):
-                rows = active[masks[active] == mask]
-                mask = int(mask)
-                _, action, dec = self.node_batch(mask, xs[np.ix_(rows, _bits(mask))])
-                done = action < 0
-                decision[rows[done]] = dec[done]
-                next_active.append(rows[~done])
-                next_pending.append(action[~done])
-            active, pending = np.concatenate(next_active), np.concatenate(next_pending)
-        return (order >= 0).sum(axis=1), decision, order
 
-    def trace(self, x: Sequence[float]) -> Rollout:
-        """The rollout on one outcome vector ``x``: row 0 of :meth:`rollouts`."""
-        tests, decision, order = self.rollouts(np.asarray(x, dtype=float)[None, :])
-        return Rollout(
-            tests=tuple(int(i) for i in order[0, : tests[0]]), decision=int(decision[0])
-        )
+        def act(rows, masks):
+            test, best = np.empty(len(rows), dtype=int), np.empty(len(rows), dtype=int)
+            # each distinct mask is below 2^d, at most the tree's node count,
+            # which the budget bounds
+            for mask in np.flatnonzero(np.bincount(masks)).tolist():
+                at = np.flatnonzero(masks == mask)
+                if mask:
+                    _, test[at], best[at] = self.node_batch(mask, xs[np.ix_(rows[at], _bits(mask))])
+                else:
+                    test[at], best[at] = self.table.action[0], self.table.decision[0]
+            return test, best
+
+        return _walk(xs.shape, act, lambda rows, masks, test: masks | 1 << test)
+
+    # the one-row view of ``rollouts``, shared; bound here so that each class
+    # holds ``trace`` itself, as a tracer wrapping ``cls.__dict__`` expects
+    trace = DiscretePolicy.trace
 
 
 def check_tree_budget(d: int, quadrature: QuadratureSpec, state_cap: int) -> None:
@@ -1001,18 +983,13 @@ def solve_dp_gaussian(
     """Approximate optimal policy for a Gaussian instance via the scenario tree.
 
     Raises before evaluating anything when the tree is over budget (see
-    ``check_tree_budget``). The returned table holds the root entry only; the
-    policy re-evaluates every other state on demand.
+    ``check_tree_budget``). Returns the policy and its ``table``, which holds
+    the root entry only; the policy re-evaluates every other state on demand.
     """
     quadrature = quadrature or QuadratureSpec()
     check_tree_budget(instance.d, quadrature, state_cap)
     policy = GaussianTreePolicy(instance, quadrature)
-    value, (kind, which), decision = policy.node(0, ())
-    table = ValueTable(
-        np.array([value]), np.array([which if kind == "test" else -1]), np.array([decision]),
-        lambda states: [(0, ())] * len(states),
-    )
-    return policy, table
+    return policy, policy.table
 
 
 # ---------------------------------------------------------------------------
@@ -1045,8 +1022,8 @@ def _priced_rollouts(instance: ProblemInstance, policy, xs, support_index=None):
     """(tests, decision, order, net, fallback) of ``policy``'s ``rollouts`` on
     every outcome row of ``xs``; ``net`` is priced by
     :func:`rollout_net_rewards` (a table reward reads row ``support_index``,
-    required) and ``fallback`` marks the rollouts that fell back (only a
-    discrete policy's can).
+    required). Both policy kinds return the other four arrays; only a
+    discrete policy's rollouts can fall back.
 
     A ``policy`` of None plays full information: each episode tests 0..d-1
     in order, then takes the best decision for the fully observed outcome,
@@ -1057,7 +1034,7 @@ def _priced_rollouts(instance: ProblemInstance, policy, xs, support_index=None):
     xs = np.asarray(xs, dtype=float)
     n, d = xs.shape
     if policy is not None:
-        tests, decision, order, *fallback = policy.rollouts(xs)
+        tests, decision, order, fallback = policy.rollouts(xs)
     else:
         kind = instance.reward.kind
         if kind == "indicator-match":
@@ -1070,9 +1047,9 @@ def _priced_rollouts(instance: ProblemInstance, policy, xs, support_index=None):
             decision = np.empty(n, dtype=np.intp)
             for s in range(0, n, _CHUNK):
                 decision[s : s + _CHUNK] = np.argmax(neg_sq_dist(xs[s : s + _CHUNK, None, :], matrix), axis=1)
-        tests, order, fallback = np.full(n, d), np.tile(np.arange(d), (n, 1)), ()
+        tests, order, fallback = np.full(n, d), np.tile(np.arange(d), (n, 1)), np.zeros(n, dtype=bool)
     net = rollout_net_rewards(instance, xs, order, decision, support_index)
-    return tests, decision, order, net, fallback[0] if fallback else np.zeros(n, dtype=bool)
+    return tests, decision, order, net, fallback
 
 
 def evaluate_policy(

@@ -43,8 +43,8 @@ def gen_discrete_pareto(
 ) -> ProblemInstance:
     """Binary-outcome instance with Pareto-weighted realization probabilities
     and the exact-imputation indicator reward over Y = {0,1}^d."""
-    if d > 20:
-        raise InstanceError("gen_discrete_pareto materializes 2^d support; d <= 20")
+    if not 1 <= d <= 20:
+        raise InstanceError(f"d must lie in [1, 20] (the support is all 2^d points), got {d}")
     support = binary_support(d)
     weights = _rng(seed).pareto(shape, 1 << d) + 1.0  # classical Pareto, scale 1
     probs = weights / weights.sum()

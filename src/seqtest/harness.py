@@ -80,6 +80,9 @@ class ExperimentConfig:
         seeds = tuple(int(s) for s in self.seeds)
         if len(set(seeds)) != len(seeds) or not seeds:
             raise ParameterError("seeds", f"must be nonempty and distinct, got {list(seeds)}")
+        bad = [s for s in seeds if not 0 <= s < 1 << 128]
+        if bad:
+            raise ParameterError("seeds", f"must be Philox keys, 0 <= seed < 2^128, got {bad}")
         self.seeds = seeds
         if self.jobs < 1:
             raise ParameterError("jobs", f"must be >= 1, got {self.jobs}")

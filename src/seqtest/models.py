@@ -285,6 +285,8 @@ class ProblemInstance:
     reward: RewardSpec
 
     def __post_init__(self):
+        if self.model.d < 1:
+            raise InstanceError(f"an instance needs at least one test, got d={self.model.d}")
         costs = np.array(self.costs, dtype=float)
         if costs.shape != (self.model.d,):
             raise InstanceError(f"costs must have length d={self.model.d}")
@@ -517,7 +519,9 @@ def instance_from_dict(obj: dict) -> ProblemInstance:
     missing = _TOP_KEYS[kind] - set(obj)
     if missing:
         raise InstanceError(f"missing instance keys: {sorted(missing)}")
-    d = int(obj["d"])
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise InstanceError(f"d must be an integer, got {d!r}")
     if kind == "discrete":
         probs = np.array(obj["probs"], dtype=float)
         total = float(probs.sum())

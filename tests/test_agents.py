@@ -245,9 +245,9 @@ class TestEtcGaussian:
         match = 0
         for seed in range(200):
             env = GaussianEnvironment(inst, seed=seed)
-            clair_kind = env.clairvoyant_policy(cfg.quadrature).root_action[0]
+            clair_kind = env.clairvoyant_policy(cfg.quadrature).table.root_action[0]
             res = run_etc_gaussian(env, cfg)
-            if res.policy is not None and res.policy.root_action[0] == clair_kind:
+            if res.policy is not None and res.policy.table.root_action[0] == clair_kind:
                 match += 1
         assert match / 200 >= 0.95
 

@@ -71,6 +71,22 @@ class TestGen:
     def test_unknown_generator_exit_1(self, capsys):
         assert run_cli("gen", "nope", "--out", "x.json") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gaussian-quadratic", "--d", "0"], "error: an instance needs at least one test, got d=0"),
+            (["gaussian-lowrank", "--d", "0"], "error: an instance needs at least one test, got d=0"),
+            (["pareto", "--d", "-1"], "error: d must lie in [1, 20] (the support is all 2^d points), got -1"),
+            (["pareto", "--d", "0"], "error: d must lie in [1, 20] (the support is all 2^d points), got 0"),
+        ],
+        ids=["quadratic-d0", "lowrank-d0", "pareto-d-1", "pareto-d0"],
+    )
+    def test_instance_without_tests_refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "bad.json"
+        assert run_cli("gen", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
 
 class TestSolve:
     def test_single_test_instance(self, tmp_path, capsys):
@@ -227,6 +243,20 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {flags[0]} applies only to Gaussian quadratic instances"
+        ]
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("instance", ["quad2", "lowrank4"])
+    def test_policy_dump_refused_where_no_table(self, tmp_path, capsys, instance_files, instance):
+        # only a discrete solve has a policy table to dump; the flag is
+        # refused before solving, and no file is written
+        dump = tmp_path / "policy.json"
+        code = run_cli(
+            "solve", "--instance", str(instance_files / f"{instance}.json"), "--dump-policy", str(dump)
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --dump-policy applies only to discrete instances"
         ]
         assert not dump.exists()
 
@@ -492,8 +522,9 @@ class TestBuildTimeRefusal:
             (["--seeds", "0,1", "--jobs", "0"], "error: --jobs must be >= 1, got 0\n"),
             (["--seeds", "1,1", "--jobs", "1"], "error: --seeds must be nonempty and distinct, got [1, 1]\n"),
             (["--seeds", "", "--jobs", "1"], "error: --seeds must be nonempty and distinct, got []\n"),
+            (["--seeds", "-1", "--jobs", "1"], "error: --seeds must be Philox keys, 0 <= seed < 2^128, got [-1]\n"),
         ],
-        ids=["jobs-0", "seeds-repeated", "seeds-empty"],
+        ids=["jobs-0", "seeds-repeated", "seeds-empty", "seeds-negative"],
     )
     def test_run_flags_are_named(self, tmp_path, capsys, instance_files, argv, message):
         # the run's own flags are named as the agent's are (--override-N

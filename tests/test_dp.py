@@ -989,7 +989,7 @@ class TestSolveDpGaussian:
 
         def true_policy_value(nodes):
             policy, _ = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=nodes, max_depth=1))
-            kind, which = policy.root_action
+            kind, which = policy.table.root_action
             if kind == "decide":
                 return -((mean - ys[which]) ** 2) - var
             return -float(inst.costs[0]) + post_test_value
@@ -1066,7 +1066,10 @@ class TestEvaluatePolicy:
         class AlwaysDecide:
             def rollouts(self, xs):
                 n = len(xs)
-                return np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(xs.shape, -1)
+                return (
+                    np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.full(xs.shape, -1),
+                    np.zeros(n, dtype=bool),
+                )
 
         val = evaluate_policy(inst, AlwaysDecide())
         expected = float(inst.model.probs @ inst.reward.table[:, 0])
@@ -1288,7 +1291,8 @@ class TestBatchedTreeMatchesRecursion:
         oracle = RecursiveTreeOracle(inst, nodes)
         policy, _ = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=nodes))
         xs = sample_outcomes(inst, rng, 256)
-        tests, decisions, order = policy.rollouts(xs)
+        tests, decisions, order, fallback = policy.rollouts(xs)
+        assert not fallback.any()
         for t, x in enumerate(xs):
             want_tests, want_decision = oracle.trace(x)
             assert tuple(order[t, : tests[t]]) == want_tests
@@ -1332,6 +1336,55 @@ class TestBatchedTreeMatchesRecursion:
             rows = [policy.node_batch(mask, values[t : t + 1]) for t in range(len(xs))]
             for got, want in zip(zip(*rows), batched):
                 np.testing.assert_array_equal(np.concatenate(got), want)
+
+class TestRolloutsIgnoreRowOrder:
+    """Both policy kinds roll out through one level walk that batches the
+    rows by state, so a row's rollout must not depend on where it sits in
+    the batch: permuting the rows permutes every array, bit for bit."""
+
+    @staticmethod
+    def check(policy, xs, rng):
+        """Returns the rollouts of ``xs``, once checked against a permuted
+        batch and against ``trace`` on a few rows."""
+        rolled = policy.rollouts(xs)
+        perm = rng.permutation(len(xs))
+        for got, want in zip(policy.rollouts(xs[perm]), rolled):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want[perm].tobytes()
+        tests, decision, order, fallback = rolled
+        for t in rng.choice(len(xs), size=6, replace=False).tolist():
+            assert policy.trace(xs[t]) == Rollout(
+                tests=tuple(order[t, : tests[t]].tolist()), decision=int(decision[t]),
+                fallback=bool(fallback[t]),
+            )
+        return rolled
+
+    @pytest.mark.parametrize("d,nodes", [(1, 8), (2, 5), (3, 4)])
+    def test_gaussian(self, d, nodes):
+        # more rows than dp._CHUNK, so a mask's rows reach node_batch in
+        # chunks that the permutation fills differently
+        rng = np.random.default_rng(5000 * d + nodes)
+        inst = random_quadratic_instance(rng, d, max_cost=0.3)
+        policy, _ = solve_dp_gaussian(inst, QuadratureSpec(nodes_per_test=nodes))
+        tests, _, order, fallback = self.check(policy, sample_outcomes(inst, rng, 600), rng)
+        assert fallback.dtype == bool and not fallback.any()
+        assert (tests == d).any()
+        if d == 3:  # rows reach the full mask by different test orders
+            assert len({tuple(row) for row in order[tests == d].tolist()}) > 1
+
+    def test_discrete_with_fallback(self, rng):
+        # support rows and off-support rows, on exact solves and on the policy
+        # an explore phase commits to without having seen every point
+        fell_back = 0
+        for inst, policy in [_generator_policy("stacked-lb")] + [
+            (inst, solve_dp_discrete(inst)[0])
+            for inst in (random_discrete_instance(rng, d_max=4) for _ in range(6))
+        ]:
+            extra = rng.integers(0, 4, size=(40, inst.d)).astype(float)
+            xs = np.vstack([inst.model.support, extra, inst.model.support[::-1]])
+            fell_back += int(self.check(policy, xs, rng)[3].sum())
+        assert fell_back > 0
+
 
 class TestGaussianTreeResources:
     def test_memory_flat_in_episodes(self):

@@ -362,6 +362,18 @@ class TestModelValidation:
                 reward=RewardSpec(kind="entropy", lam=1.0),
             )
 
+    @pytest.mark.parametrize("reward", [RewardSpec(kind="quadratic"), RewardSpec(kind="entropy", lam=1.0)])
+    def test_instance_needs_a_test(self, reward):
+        # the 0-dimensional model stays (a fully observed posterior is one);
+        # an instance on it, with nothing to test, does not
+        model = GaussianOutcomeModel(mean=np.zeros(0), covariance=np.zeros((0, 0)))
+        assert model.d == 0
+        with pytest.raises(InstanceError, match="at least one test, got d=0"):
+            ProblemInstance(
+                model=model, costs=np.zeros(0),
+                decisions=() if reward.kind == "entropy" else ((),), reward=reward,
+            )
+
     def test_entropy_instances_take_no_decisions(self):
         model = GaussianOutcomeModel(mean=np.zeros(1), covariance=np.eye(1))
         with pytest.raises(InstanceError):
@@ -411,6 +423,13 @@ class TestInstanceFiles:
         assert abs(inst.model.probs.sum() - 1.0) <= 1e-12
         obj["probs"] = [0.4, 0.1, 0.2, 0.31]
         with pytest.raises(InstanceError, match="1e-9"):
+            instance_from_dict(obj)
+
+    @pytest.mark.parametrize("d", [3.7, 2.0, "2", True, None])
+    def test_d_must_be_an_integer(self, d):
+        obj = self._dict()
+        obj["d"] = d
+        with pytest.raises(InstanceError, match="d must be an integer"):
             instance_from_dict(obj)
 
     def test_gaussian_round_trip(self, tmp_path, rng):
